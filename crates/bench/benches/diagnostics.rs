@@ -62,7 +62,7 @@ fn bench_ess_per_sweep_ablation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &sampler, |b, s| {
             b.iter(|| {
                 let mut rng = Xoshiro256StarStar::seed_from(300);
-                let chain = s.run_chain(&mut rng, 200, 2_000, 1, &mut |_| {});
+                let chain = s.run_chain(&mut rng, 200, 2_000, 1);
                 black_box(effective_sample_size(chain.draws("residual").unwrap()))
             });
         });

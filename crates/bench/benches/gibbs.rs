@@ -16,7 +16,7 @@ use std::hint::black_box;
 
 fn run_sweeps(sampler: &GibbsSampler, sweeps: usize, seed: u64) -> f64 {
     let mut rng = Xoshiro256StarStar::seed_from(seed);
-    let chain = sampler.run_chain(&mut rng, 0, sweeps, 1, &mut |_| {});
+    let chain = sampler.run_chain(&mut rng, 0, sweeps, 1);
     chain.draws("residual").unwrap().iter().sum()
 }
 

@@ -233,8 +233,7 @@ impl Experiment {
 
     /// Runs every design cell, panicking on the first failure (the
     /// strict historical behaviour). Delegates to [`Experiment::try_run`]
-    /// with no retries and no fault injection, which is bit-identical
-    /// to the original direct path on fault-free runs.
+    /// with no retries, no fault injection and no recorder.
     ///
     /// # Panics
     ///
@@ -242,7 +241,7 @@ impl Experiment {
     /// or any cell fails.
     #[must_use]
     pub fn run(&self) -> ExperimentResults {
-        let results = match self.try_run(&RunOptions::none()) {
+        let results = match self.try_run(&RunOptions::none(), &NOOP) {
             Ok(results) => results,
             Err(e) => panic!("experiment configuration rejected: {e}"),
         };
@@ -270,27 +269,19 @@ impl Experiment {
     /// fit*, so a plan built for `config.mcmc.chains` chains applies
     /// to every cell identically.
     ///
+    /// Each design cell emits [`Event::CellStart`] / [`Event::CellEnd`]
+    /// (or [`Event::CellFailure`] with the terminal fault kind) to
+    /// `recorder`, which is also threaded into every cell's
+    /// [`Fit::try_run_traced`]. Cells run on parallel worker threads,
+    /// so sinks see their events interleaved; every event carries its
+    /// own cell/chain coordinates. The results do not depend on the
+    /// recorder.
+    ///
     /// # Errors
     ///
     /// Returns [`SrmError::InvalidConfig`] when the observation plan
     /// is invalid for the data (day 0).
-    pub fn try_run(&self, options: &RunOptions) -> Result<ExperimentResults, SrmError> {
-        self.try_run_traced(options, &NOOP)
-    }
-
-    /// [`Experiment::try_run`] with instrumentation: each design cell
-    /// emits [`Event::CellStart`] / [`Event::CellEnd`] (or
-    /// [`Event::CellFailure`] with the terminal fault kind), and the
-    /// recorder is threaded into every cell's
-    /// [`Fit::try_run_traced`]. Cells run on parallel worker threads,
-    /// so sinks see their events interleaved; every event carries its
-    /// own cell/chain coordinates. With a disabled recorder the
-    /// results are bit-identical to [`Experiment::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Experiment::try_run`].
-    pub fn try_run_traced(
+    pub fn try_run(
         &self,
         options: &RunOptions,
         recorder: &dyn Recorder,
@@ -517,7 +508,7 @@ mod tests {
             checkpoint_every: 0,
             profiler: None,
         };
-        let results = exp.try_run(&options).unwrap();
+        let results = exp.try_run(&options, &NOOP).unwrap();
         // 2 priors × 1 model × 1 day, each losing chain 1 of 2.
         assert!(results.failures().is_empty());
         assert_eq!(results.cells().len(), 2);
@@ -543,7 +534,7 @@ mod tests {
             checkpoint_every: 0,
             profiler: None,
         };
-        let results = exp.try_run(&options).unwrap();
+        let results = exp.try_run(&options, &NOOP).unwrap();
         // The only chain of every cell panics: no cells, all failures,
         // but the sweep itself completes.
         assert!(results.cells().is_empty());
@@ -558,7 +549,7 @@ mod tests {
     fn fault_free_try_run_matches_run() {
         let exp = tiny_experiment(67);
         let strict = exp.run();
-        let tolerant = exp.try_run(&RunOptions::default()).unwrap();
+        let tolerant = exp.try_run(&RunOptions::default(), &NOOP).unwrap();
         assert!(!tolerant.is_degraded());
         assert_eq!(tolerant.total_retries(), 0);
         for (a, b) in strict.cells().iter().zip(tolerant.cells()) {

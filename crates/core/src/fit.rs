@@ -7,7 +7,7 @@ use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, McmcOutput,
 use srm_mcmc::{ChainReport, PosteriorSummary, SrmError};
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_obs::{Event, Recorder, Span, NOOP};
-use srm_select::waic::{waic_and_chains, waic_from_output_traced, Waic};
+use srm_select::waic::{waic_from_output, Waic};
 
 /// Configuration of a single fit.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -64,7 +64,12 @@ pub struct Fit {
 }
 
 impl Fit {
-    /// Runs the Gibbs sampler and assembles the fit.
+    /// Runs the Gibbs sampler and assembles the fit. Strict wrapper
+    /// over [`Fit::try_run`] with no retries and no fault injection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any chain faults or the configuration is rejected.
     #[must_use]
     pub fn run(
         prior: PriorSpec,
@@ -72,32 +77,14 @@ impl Fit {
         data: &BugCountData,
         config: &FitConfig,
     ) -> Self {
-        let sampler = GibbsSampler::new(prior, model, config.zeta_bounds, data);
-        let (waic, output) = waic_and_chains(&sampler, &config.mcmc);
-
-        let residual_draws = output.pooled("residual");
-        let residual = PosteriorSummary::from_draws(&residual_draws);
-
-        let mut diagnostics = Vec::new();
-        if config.mcmc.chains >= 2 {
-            for name in output.names().to_vec() {
-                // Every chain of a run shares one parameter set, so a
-                // missing name cannot occur here; skip rather than
-                // abort if it ever does.
-                if let Ok(per_chain) = output.per_chain(&name) {
-                    diagnostics.push((name.clone(), report(&per_chain)));
+        match Self::try_run(prior, model, data, config, &RunOptions::none()) {
+            Ok(tolerant) => {
+                if let Some(report) = tolerant.chain_reports.iter().find(|r| !r.recovered) {
+                    panic!("{report}");
                 }
+                tolerant.fit
             }
-        }
-
-        Self {
-            prior,
-            model,
-            residual,
-            residual_draws,
-            waic,
-            diagnostics,
-            output,
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -106,7 +93,8 @@ impl Fit {
     ///
     /// WAIC is replayed from the surviving chains' stored draws
     /// ([`srm_select::waic::waic_from_output`]); on fault-free runs
-    /// the result is bit-identical to [`Fit::run`].
+    /// the result is bit-identical for any retry budget and thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -170,7 +158,7 @@ impl Fit {
         run: srm_mcmc::FaultTolerantRun,
         recorder: &dyn Recorder,
     ) -> Result<FaultTolerantFit, SrmError> {
-        let waic = waic_from_output_traced(sampler, &run.output, recorder)?;
+        let waic = waic_from_output(sampler, &run.output, recorder)?;
 
         let span = Span::enter(recorder, "summary");
         let residual_draws = run.output.pooled("residual");
@@ -302,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_matches_run_when_fault_free() {
+    fn try_run_is_bit_identical_across_threads_and_retry_budgets() {
         let data = datasets::musa_cc96().truncated(48).unwrap();
         let config = FitConfig {
             mcmc: McmcConfig::smoke(61),
@@ -312,20 +300,19 @@ mod tests {
             lambda_max: 2_000.0,
         };
         let model = DetectionModel::Constant;
-        let strict = Fit::run(prior, model, &data, &config);
-        let tolerant = Fit::try_run(prior, model, &data, &config, &RunOptions::default()).unwrap();
-        assert!(!tolerant.is_degraded());
-        assert_eq!(tolerant.total_retries(), 0);
-        // Bit-identical draws and a bit-identical replayed WAIC.
-        assert_eq!(strict.residual_draws, tolerant.fit.residual_draws);
-        assert_eq!(
-            strict.waic.total().to_bits(),
-            tolerant.fit.waic.total().to_bits()
-        );
-        assert_eq!(
-            strict.residual.mean.to_bits(),
-            tolerant.fit.residual.mean.to_bits()
-        );
+        let reference = Fit::run(prior, model, &data, &config);
+        for options in [RunOptions::default(), RunOptions::with_threads(1)] {
+            let tolerant = Fit::try_run(prior, model, &data, &config, &options).unwrap();
+            assert!(!tolerant.is_degraded());
+            assert_eq!(tolerant.total_retries(), 0);
+            // Bit-identical draws and a bit-identical replayed WAIC.
+            assert_eq!(reference.residual_draws, tolerant.fit.residual_draws);
+            assert_eq!(reference.waic, tolerant.fit.waic);
+            assert_eq!(
+                reference.residual.mean.to_bits(),
+                tolerant.fit.residual.mean.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub use fit::{FaultTolerantFit, Fit, FitConfig};
 pub use multidata::{compare_across_datasets, MultiDatasetResults};
 pub use ppc::{posterior_predictive_check, PpcResult};
 pub use predict::{predict_from_fit, Prediction};
-pub use tuning::{tuned_fit, tuned_fit_traced, TunedFit};
+pub use tuning::{tuned_fit, TunedFit};

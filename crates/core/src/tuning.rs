@@ -9,7 +9,7 @@ use srm_data::BugCountData;
 use srm_mcmc::gibbs::PriorSpec;
 use srm_mcmc::runner::McmcConfig;
 use srm_model::{DetectionModel, ZetaBounds};
-use srm_obs::{Recorder, Span, NOOP};
+use srm_obs::{Recorder, Span};
 use srm_select::grid::{GridSearch, GridSearchResult};
 
 /// A fit whose hyper-prior limits were selected by grid search.
@@ -25,23 +25,11 @@ pub struct TunedFit {
 /// the supplied (usually longer) MCMC configuration.
 ///
 /// `poisson_prior` selects the prior family; the winning grid cell
-/// fixes `λ_max`/`α_max` and `θ_max`.
+/// fixes `λ_max`/`α_max` and `θ_max`. The grid search and the final
+/// refit run under `grid-search` / `final-fit` phase [`Span`]s of
+/// `recorder`; the result does not depend on the recorder.
 #[must_use]
 pub fn tuned_fit(
-    poisson_prior: bool,
-    model: DetectionModel,
-    data: &BugCountData,
-    search: &GridSearch,
-    final_mcmc: McmcConfig,
-) -> TunedFit {
-    tuned_fit_traced(poisson_prior, model, data, search, final_mcmc, &NOOP)
-}
-
-/// [`tuned_fit`] with instrumentation: the grid search and the final
-/// refit run under `grid-search` / `final-fit` phase [`Span`]s. With
-/// a disabled recorder the result is bit-identical to [`tuned_fit`].
-#[must_use]
-pub fn tuned_fit_traced(
     poisson_prior: bool,
     model: DetectionModel,
     data: &BugCountData,
@@ -109,6 +97,7 @@ mod tests {
                 thin: 1,
                 seed: 72,
             },
+            &srm_obs::NOOP,
         );
         assert_eq!(tuned.search.cells.len(), 2);
         match tuned.fit.prior {
@@ -146,6 +135,7 @@ mod tests {
                 thin: 1,
                 seed: 74,
             },
+            &srm_obs::NOOP,
         );
         assert!(matches!(
             tuned.fit.prior,

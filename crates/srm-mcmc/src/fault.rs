@@ -258,12 +258,6 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// An injector that never fires.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// Whether any faults are still pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -17,8 +17,9 @@
 //! posterior of the paper's hierarchical model.
 
 use crate::chain::Chain;
-use crate::fault::{ChainFailure, FaultInjector, FaultKind, RecoveryLog, RetryPolicy, SrmError};
+use crate::fault::{ChainFailure, FaultKind, RecoveryLog, SrmError};
 use crate::metropolis::{AdaptiveRw, ParamAcceptance};
+use crate::runner::{McmcConfig, RunOptions};
 use crate::slice::{try_slice_sample, SliceConfig, SliceError};
 use srm_data::BugCountData;
 use srm_math::special::ln_gamma;
@@ -71,25 +72,6 @@ impl PriorSpec {
             Self::NegBinomial { .. } => "negbinom",
         }
     }
-}
-
-/// One kept sweep, handed to observers (WAIC accumulators, tracers).
-#[derive(Debug, Clone, Copy)]
-pub struct SweepRecord<'a> {
-    /// Current initial bug content `N`.
-    pub n: u64,
-    /// Current residual `R = N − s_k`.
-    pub residual: u64,
-    /// Current detection parameters `ζ`.
-    pub zeta: &'a [f64],
-    /// Current `λ0` (NaN under the NB prior).
-    pub lambda0: f64,
-    /// Current `α0` (NaN under the Poisson prior).
-    pub alpha0: f64,
-    /// Current `β0` (NaN under the Poisson prior).
-    pub beta0: f64,
-    /// The detection schedule `p_1..p_k` at the current `ζ`.
-    pub probs: &'a [f64],
 }
 
 /// Which non-informative hyper-prior to place on the prior's
@@ -574,12 +556,10 @@ impl GibbsSampler {
         )
     }
 
-    /// Runs one chain, returning the kept draws. `observer` is called
-    /// once per kept draw (after thinning) with the full sweep state.
-    ///
-    /// Thin wrapper over [`GibbsSampler::try_run_chain`] with no retry
-    /// and no fault injection: any sampler fault aborts the process.
-    /// Bit-identical to the fault-tolerant path on fault-free runs.
+    /// Runs one chain on `rng` with no retry, no fault injection and
+    /// no instrumentation, returning the kept draws. The runner's
+    /// chain `i` is exactly this call on the `i`-th jump stream of the
+    /// run's seed.
     ///
     /// # Panics
     ///
@@ -590,94 +570,67 @@ impl GibbsSampler {
         burn_in: usize,
         samples: usize,
         thin: usize,
-        observer: &mut dyn FnMut(&SweepRecord<'_>),
     ) -> Chain {
-        assert!(samples > 0, "samples must be positive");
-        assert!(thin > 0, "thin must be positive");
-        match self.try_run_chain(
-            rng,
+        let config = McmcConfig {
+            chains: 1,
             burn_in,
             samples,
             thin,
-            &RetryPolicy::none(),
-            &mut FaultInjector::empty(),
-            observer,
-        ) {
+            seed: 0,
+        };
+        match self.chain_loop(rng, &config, &RunOptions::none(), 0, &NOOP) {
             Ok((chain, _)) => chain,
             Err(failure) => panic!("{}", failure.fault),
         }
     }
 
-    /// Runs one chain with bounded retry and optional fault injection,
-    /// returning the kept draws plus a [`RecoveryLog`].
+    /// The one sweep loop: runs chain `chain_id` on `rng` for
+    /// `config`'s burn-in, kept samples and thinning (its `chains`
+    /// and `seed` are the caller's business), returning the kept
+    /// draws plus a [`RecoveryLog`].
     ///
-    /// A faulted sweep is retried up to `retry.max_retries` times
-    /// (per chain): the sampler state is restored to its value at the
-    /// start of the failed sweep, but the RNG is **not** rewound, so
-    /// the retry consumes fresh draws from the chain's deterministic
-    /// stream. With no faults this path consumes the RNG identically
-    /// to [`GibbsSampler::run_chain`], so fault-free output is
-    /// bit-identical.
-    ///
-    /// `injector` fires scheduled faults at the start of their sweep
-    /// (consume-once, so a retried sweep runs clean).
+    /// A faulted sweep is retried up to `options.retry.max_retries`
+    /// times (per chain): the sampler state is restored to its value
+    /// at the start of the failed sweep, but the RNG is **not**
+    /// rewound, so the retry consumes fresh draws from the chain's
+    /// deterministic stream. With no faults every retry budget
+    /// consumes the RNG identically, so fault-free output is
+    /// bit-identical. Faults scheduled for `chain_id` in
+    /// `options.fault_plan` fire at the start of their sweep
+    /// (consume-once, so a retried sweep runs clean);
     /// [`FaultKind::Panic`] deliberately panics the calling thread to
     /// exercise the runner's containment.
+    ///
+    /// Typed events (tagged with `chain_id`) go to `recorder` for
+    /// sweep progress, fault injections, faults, retries, Metropolis
+    /// decisions and chain completion. The recorder never touches
+    /// `rng`, so draws are bit-identical for any recorder; with a
+    /// disabled one no event is even constructed. With
+    /// `options.checkpoint_every > 0` and an enabled recorder, streaming
+    /// convergence accumulators over the kept rows emit a
+    /// [`Event::DiagnosticCheckpoint`] every that many sweeps (plus a
+    /// final one at chain completion); they too never touch `rng`.
     ///
     /// # Errors
     ///
     /// Returns a [`ChainFailure`] when the configuration is invalid or
     /// a sweep still faults after the retry budget is spent.
-    #[allow(clippy::too_many_arguments)] // mirrors run_chain + the three fault knobs
-    pub fn try_run_chain<R: Rng + ?Sized>(
+    pub(crate) fn chain_loop<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        burn_in: usize,
-        samples: usize,
-        thin: usize,
-        retry: &RetryPolicy,
-        injector: &mut FaultInjector,
-        observer: &mut dyn FnMut(&SweepRecord<'_>),
-    ) -> Result<(Chain, RecoveryLog), ChainFailure> {
-        self.try_run_chain_traced(
-            rng, burn_in, samples, thin, retry, injector, observer, 0, &NOOP, 0,
-        )
-    }
-
-    /// [`GibbsSampler::try_run_chain`] with instrumentation: typed
-    /// events are emitted to `recorder` (tagged with `chain_id`) for
-    /// sweep progress, fault injections, faults, retries, Metropolis
-    /// decisions and chain completion.
-    ///
-    /// The recorder never touches `rng`, so for any recorder the
-    /// draws are bit-identical to the untraced call; with a disabled
-    /// recorder (`enabled() == false`) no event is even constructed
-    /// and the only cost is one branch per sweep.
-    ///
-    /// `checkpoint_every > 0` additionally maintains streaming
-    /// convergence accumulators over the kept draws and emits a
-    /// [`Event::DiagnosticCheckpoint`] every that many sweeps (plus a
-    /// final one at chain completion). The accumulators read only rows
-    /// the chain already kept and never touch `rng`, so checkpointed
-    /// runs remain bit-identical too.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`GibbsSampler::try_run_chain`].
-    #[allow(clippy::too_many_arguments)] // the traced superset of try_run_chain
-    pub fn try_run_chain_traced<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        burn_in: usize,
-        samples: usize,
-        thin: usize,
-        retry: &RetryPolicy,
-        injector: &mut FaultInjector,
-        observer: &mut dyn FnMut(&SweepRecord<'_>),
+        config: &McmcConfig,
+        options: &RunOptions,
         chain_id: usize,
         recorder: &dyn Recorder,
-        checkpoint_every: usize,
     ) -> Result<(Chain, RecoveryLog), ChainFailure> {
+        let McmcConfig {
+            burn_in,
+            samples,
+            thin,
+            ..
+        } = *config;
+        let (retry, checkpoint_every) = (options.retry, options.checkpoint_every);
+        let mut injector = options.fault_plan.injector_for(chain_id);
         let invalid = |detail: String| ChainFailure {
             fault: SrmError::InvalidConfig { detail },
             retries: 0,
@@ -773,25 +726,12 @@ impl GibbsSampler {
             let outcome = {
                 let _sweep_span = profile::span("sweep");
                 self.try_sweep(&mut state, &zeta_bounds, rng, sweep, forced, &cache)
-            }
-            .and_then(|residual| {
-                if will_record {
-                    let probs = self.model.probs(&state.zeta, self.horizon).map_err(|e| {
-                        SrmError::DegeneratePosterior {
-                            detail: format!("detection schedule at kept draw: {e:?}"),
-                            sweep,
-                        }
-                    })?;
-                    Ok((residual, Some(probs)))
-                } else {
-                    Ok((residual, None))
-                }
-            });
+            };
 
             match outcome {
-                Ok((residual, probs)) => {
-                    let n = self.total + residual;
-                    if let Some(probs) = probs {
+                Ok(residual) => {
+                    if will_record {
+                        let n = self.total + residual;
                         let mut row: Vec<f64> = vec![residual as f64, n as f64];
                         match self.prior {
                             PriorSpec::Poisson { .. } => row.push(state.lambda0),
@@ -806,15 +746,6 @@ impl GibbsSampler {
                         if let Some(acc) = streaming.as_mut() {
                             acc.push_row(&row);
                         }
-                        observer(&SweepRecord {
-                            n,
-                            residual,
-                            zeta: &state.zeta,
-                            lambda0: state.lambda0,
-                            alpha0: state.alpha0,
-                            beta0: state.beta0,
-                            probs: &probs,
-                        });
                     }
                     // The ζ parameters update exactly once per sweep,
                     // so before/after comparison is the kernel's
@@ -910,15 +841,7 @@ impl GibbsSampler {
             recorder.record(&Event::ChainDone {
                 chain: chain_id,
                 retries: log.retries as u64,
-                accept: log
-                    .accept
-                    .iter()
-                    .map(|t| srm_obs::AcceptStat {
-                        parameter: t.parameter.to_string(),
-                        steps: t.steps,
-                        accepted: t.accepted,
-                    })
-                    .collect(),
+                accept: accept_stats(&log.accept),
             });
         }
         Ok((chain, log))
@@ -1319,7 +1242,7 @@ mod tests {
     ) -> Chain {
         let sampler = GibbsSampler::new(prior, model, ZetaBounds::default(), data);
         let mut rng = Xoshiro256StarStar::seed_from(seed);
-        sampler.run_chain(&mut rng, 300, samples, 1, &mut |_| {})
+        sampler.run_chain(&mut rng, 300, samples, 1)
     }
 
     #[test]
@@ -1417,7 +1340,7 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_kept_draw() {
+    fn every_kept_draw_is_stored_with_consistent_columns() {
         let data = small_data();
         let sampler = GibbsSampler::new(
             PriorSpec::Poisson { lambda_max: 1e3 },
@@ -1426,16 +1349,18 @@ mod tests {
             &data,
         );
         let mut rng = Xoshiro256StarStar::seed_from(11);
-        let mut seen = 0usize;
-        let chain = sampler.run_chain(&mut rng, 50, 120, 2, &mut |rec| {
-            seen += 1;
-            assert_eq!(rec.n, data.total() + rec.residual);
-            assert_eq!(rec.probs.len(), data.len());
-            assert!(rec.lambda0.is_finite());
-            assert!(rec.alpha0.is_nan() && rec.beta0.is_nan());
-        });
-        assert_eq!(seen, 120);
+        let chain = sampler.run_chain(&mut rng, 50, 120, 2);
         assert_eq!(chain.len(), 120);
+        let (residual, n) = (chain.draws("residual").unwrap(), chain.draws("n").unwrap());
+        for (&r, &n) in residual.iter().zip(n) {
+            assert_eq!(n, data.total() as f64 + r);
+        }
+        assert!(chain
+            .draws("lambda0")
+            .unwrap()
+            .iter()
+            .all(|l| l.is_finite()));
+        assert!(chain.draws("alpha0").is_none() && chain.draws("beta0").is_none());
     }
 
     #[test]
@@ -1478,7 +1403,7 @@ mod tests {
             .with_hyper_prior(HyperPrior::Jeffreys);
             assert_eq!(sampler.hyper_prior().label(), "jeffreys");
             let mut rng = Xoshiro256StarStar::seed_from(201);
-            let chain = sampler.run_chain(&mut rng, 200, 300, 1, &mut |_| {});
+            let chain = sampler.run_chain(&mut rng, 200, 300, 1);
             for &r in chain.draws("residual").unwrap() {
                 assert!(r >= 0.0);
             }
@@ -1499,7 +1424,7 @@ mod tests {
             )
             .with_hyper_prior(hyper);
             let mut rng = Xoshiro256StarStar::seed_from(seed);
-            let chain = sampler.run_chain(&mut rng, 500, 1_500, 1, &mut |_| {});
+            let chain = sampler.run_chain(&mut rng, 500, 1_500, 1);
             let d = chain.draws("residual").unwrap();
             d.iter().sum::<f64>() / d.len() as f64
         };
@@ -1525,7 +1450,7 @@ mod tests {
             )
             .with_zeta_kernel(kernel);
             let mut rng = Xoshiro256StarStar::seed_from(seed);
-            let chain = sampler.run_chain(&mut rng, 800, 3_000, 1, &mut |_| {});
+            let chain = sampler.run_chain(&mut rng, 800, 3_000, 1);
             let d = chain.draws("residual").unwrap();
             d.iter().sum::<f64>() / d.len() as f64
         };
@@ -1549,7 +1474,7 @@ mod tests {
         .with_hyper_prior(HyperPrior::Jeffreys)
         .with_sweep_kind(SweepKind::Naive);
         let mut rng = Xoshiro256StarStar::seed_from(204);
-        let chain = sampler.run_chain(&mut rng, 200, 300, 1, &mut |_| {});
+        let chain = sampler.run_chain(&mut rng, 200, 300, 1);
         for &b in chain.draws("beta0").unwrap() {
             assert!(b > 0.0 && b < 1.0);
         }
@@ -1608,7 +1533,7 @@ mod tests {
                 assert!(!build(false).cached_stats());
                 let run = |sampler: GibbsSampler| {
                     let mut rng = Xoshiro256StarStar::seed_from(4_040);
-                    sampler.run_chain(&mut rng, 100, 150, 1, &mut |_| {})
+                    sampler.run_chain(&mut rng, 100, 150, 1)
                 };
                 assert_eq!(
                     run(build(true)),
@@ -1635,7 +1560,7 @@ mod tests {
         });
         assert!(!sampler.fixed_params().is_empty());
         let mut rng = Xoshiro256StarStar::seed_from(606);
-        let chain = sampler.run_chain(&mut rng, 0, 200, 1, &mut |_| {});
+        let chain = sampler.run_chain(&mut rng, 0, 200, 1);
         for &l in chain.draws("lambda0").unwrap() {
             assert_eq!(l.to_bits(), 120.0f64.to_bits());
         }
@@ -1701,7 +1626,7 @@ mod tests {
         );
         let mut rng = Xoshiro256StarStar::seed_from(1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sampler.run_chain(&mut rng, 10, 10, 0, &mut |_| {})
+            sampler.run_chain(&mut rng, 10, 10, 0)
         }));
         assert!(result.is_err());
     }

@@ -59,8 +59,7 @@ pub use fault::{
     RetryPolicy, SrmError,
 };
 pub use gibbs::{
-    FixedParams, GibbsSampler, GibbsState, HyperPrior, PriorSpec, SweepKind, SweepRecord,
-    ZetaKernel,
+    FixedParams, GibbsSampler, GibbsState, HyperPrior, PriorSpec, SweepKind, ZetaKernel,
 };
 pub use metropolis::ParamAcceptance;
 pub use runner::{

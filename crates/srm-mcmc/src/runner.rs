@@ -19,7 +19,7 @@
 
 use crate::chain::Chain;
 use crate::fault::{panic_message, ChainReport, FaultPlan, RecoveryLog, RetryPolicy, SrmError};
-use crate::gibbs::{GibbsSampler, SweepRecord};
+use crate::gibbs::GibbsSampler;
 use srm_obs::{Event, Recorder, NOOP};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -501,8 +501,6 @@ pub fn run_chain_task(
 ) -> ChainOutcome {
     let on = recorder.enabled();
     let mut rng = base.split_stream(i as u64);
-    let mut injector = options.fault_plan.injector_for(i);
-    let retry = options.retry;
     let buffer = BufferRecorder::new(recorder);
     let chain_recorder: &dyn Recorder = if on { &buffer } else { &NOOP };
     // Install (a no-op when this worker already carries the profiler
@@ -512,18 +510,7 @@ pub fn run_chain_task(
     let _chain_span = srm_obs::profile::span("chain");
     let started = Instant::now();
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        sampler.try_run_chain_traced(
-            &mut rng,
-            config.burn_in,
-            config.samples,
-            config.thin,
-            &retry,
-            &mut injector,
-            &mut |_| {},
-            i,
-            chain_recorder,
-            options.checkpoint_every,
-        )
+        sampler.chain_loop(&mut rng, config, options, i, chain_recorder)
     }));
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let (chain, report) = match caught {
@@ -583,10 +570,7 @@ pub fn run_chain_task(
 }
 
 /// Runs `config.chains` chains of `sampler` in parallel and collects
-/// them. Observers are not supported on the parallel path — use
-/// [`run_chains_observed`] when WAIC accumulators must see each draw.
-///
-/// Thin strict wrapper over [`run_chains_fault_tolerant`] with no
+/// them. Thin strict wrapper over [`run_chains_fault_tolerant`] with no
 /// retry and no injection: bit-identical output on fault-free runs,
 /// and any fault aborts the process.
 ///
@@ -607,34 +591,6 @@ pub fn run_chains(sampler: &GibbsSampler, config: &McmcConfig) -> McmcOutput {
     }
 }
 
-/// Runs the chains *serially*, invoking `observer` on every kept draw
-/// of every chain (chain order, then draw order). Deterministic and
-/// identical to [`run_chains`] in the produced chains.
-///
-/// # Panics
-///
-/// Panics if `config.chains == 0`.
-pub fn run_chains_observed(
-    sampler: &GibbsSampler,
-    config: &McmcConfig,
-    observer: &mut dyn FnMut(&SweepRecord<'_>),
-) -> McmcOutput {
-    assert!(config.chains > 0, "at least one chain is required");
-    let base = srm_rand::Xoshiro256StarStar::seed_from(config.seed);
-    let mut chains = Vec::with_capacity(config.chains);
-    for i in 0..config.chains {
-        let mut rng = base.split_stream(i as u64);
-        chains.push(sampler.run_chain(
-            &mut rng,
-            config.burn_in,
-            config.samples,
-            config.thin,
-            observer,
-        ));
-    }
-    McmcOutput { chains }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
+    fn chain_i_is_a_lone_chain_on_jump_stream_i() {
         let data = datasets::musa_cc96().truncated(25).unwrap();
         let s = sampler(&data);
         let config = McmcConfig {
@@ -662,9 +618,13 @@ mod tests {
             thin: 1,
             seed: 99,
         };
-        let par = run_chains(&s, &config);
-        let ser = run_chains_observed(&s, &config, &mut |_| {});
-        assert_eq!(par, ser);
+        let out = run_chains(&s, &config);
+        let base = srm_rand::Xoshiro256StarStar::seed_from(config.seed);
+        for (i, chain) in out.chains.iter().enumerate() {
+            let mut rng = base.split_stream(i as u64);
+            let lone = s.run_chain(&mut rng, config.burn_in, config.samples, config.thin);
+            assert_eq!(*chain, lone, "chain {i}");
+        }
     }
 
     #[test]
@@ -738,19 +698,19 @@ mod tests {
     }
 
     #[test]
-    fn observer_counts_total_draws() {
+    fn output_stores_every_thinned_kept_draw() {
         let data = datasets::musa_cc96().truncated(25).unwrap();
         let s = sampler(&data);
         let config = McmcConfig {
             chains: 2,
             burn_in: 50,
             samples: 80,
-            thin: 1,
+            thin: 3,
             seed: 5,
         };
-        let mut seen = 0usize;
-        let _ = run_chains_observed(&s, &config, &mut |_| seen += 1);
-        assert_eq!(seen, 160);
+        let out = run_chains(&s, &config);
+        assert!(out.chains.iter().all(|c| c.len() == 80));
+        assert_eq!(out.pooled("n").len(), 160);
     }
 
     #[test]
@@ -809,8 +769,10 @@ mod tests {
             thin: 1,
             seed: 4_321,
         };
-        let serial = run_chains_observed(&s, &config, &mut |_| {});
-        for threads in [1usize, 2, 4, 0] {
+        let serial = run_chains_fault_tolerant(&s, &config, &RunOptions::with_threads(1))
+            .unwrap()
+            .output;
+        for threads in [2usize, 4, 0] {
             let run =
                 run_chains_fault_tolerant(&s, &config, &RunOptions::with_threads(threads)).unwrap();
             assert_eq!(run.output, serial, "threads={threads} diverged");

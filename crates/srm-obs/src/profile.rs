@@ -4,7 +4,8 @@
 //! (typed events, streamed); this module answers *where the time
 //! went* (aggregates, collected). A [`Profiler`] is a shared sink of
 //! per-phase statistics; code under measurement opens RAII
-//! [`Span`]s named after the phase they time. Spans nest — a span
+//! [`SpanGuard`]s (via [`span`]) named after the phase they time.
+//! Spans nest — a span
 //! opened while another is running becomes its child, and the
 //! aggregate is keyed by the full `/`-joined path
 //! (`chain/sweep/likelihood/suffstats`), so the report separates a

@@ -7,12 +7,12 @@
 
 use srm_data::datasets;
 use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-use srm_mcmc::runner::run_chains_observed;
+use srm_mcmc::runner::run_chains;
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_report::Table;
 use srm_select::dic::dic_from_output;
-use srm_select::loo::LooAccumulator;
-use srm_select::waic::WaicAccumulator;
+use srm_select::loo::loo_from_output;
+use srm_select::waic::waic_from_output;
 
 fn main() {
     let data = datasets::musa_cc96().truncated(48).expect("valid day");
@@ -33,14 +33,9 @@ fn main() {
         );
         for model in DetectionModel::ALL {
             let sampler = GibbsSampler::new(prior, model, ZetaBounds::default(), &data);
-            let mut waic_acc = WaicAccumulator::new(&data);
-            let mut loo_acc = LooAccumulator::new(&data);
-            let output = run_chains_observed(&sampler, &mcmc, &mut |rec| {
-                waic_acc.observe(rec);
-                loo_acc.observe(rec);
-            });
-            let waic = waic_acc.finish();
-            let loo = loo_acc.finish();
+            let output = run_chains(&sampler, &mcmc);
+            let waic = waic_from_output(&sampler, &output, &srm_obs::NOOP).expect("WAIC replay");
+            let loo = loo_from_output(&sampler, &output).expect("LOO replay");
             let dic = dic_from_output(&output, model, &data);
             table.row(
                 model.name(),

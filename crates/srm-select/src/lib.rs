@@ -6,8 +6,9 @@
 //! 2010) drives both the detection-model ranking (Table I) and the
 //! choice of the hyper-prior limits `λ_max`, `α_max`, `θ_max`.
 //!
-//! * [`waic`] — streaming WAIC accumulation over MCMC draws
-//!   (Eqs. (23)–(25));
+//! * [`waic`] — WAIC (Eqs. (23)–(25)) replayed from stored MCMC
+//!   draws;
+//! * [`loo`] — importance-sampling LOO-CV over the same replay;
 //! * [`dic`] — the deviance information criterion, as a secondary
 //!   check;
 //! * [`grid`] — hyper-parameter grid search minimising WAIC.
@@ -41,5 +42,5 @@ pub mod loo;
 pub mod waic;
 
 pub use grid::{GridSearch, GridSearchResult};
-pub use loo::{loo_for, Loo, LooAccumulator};
-pub use waic::{waic_for, waic_for_traced, Waic, WaicAccumulator};
+pub use loo::{loo_for, loo_from_output, Loo, LooAccumulator};
+pub use waic::{waic_for, waic_from_output, Waic, WaicAccumulator};

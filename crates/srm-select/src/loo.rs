@@ -13,8 +13,10 @@
 //! we stabilise them by truncation at `√S · mean` (Ionides 2008),
 //! the standard pre-PSIS remedy.
 
-use srm_mcmc::gibbs::{GibbsSampler, SweepRecord};
-use srm_mcmc::runner::{run_chains_observed, McmcConfig};
+use crate::waic::{reconstruct_data, replay};
+use srm_mcmc::gibbs::GibbsSampler;
+use srm_mcmc::runner::{run_chains, McmcConfig, McmcOutput};
+use srm_mcmc::SrmError;
 use srm_model::GroupedLikelihood;
 
 /// Streaming IS-LOO accumulator over posterior draws.
@@ -46,11 +48,6 @@ impl LooAccumulator {
         for day in 1..=self.lik.horizon() {
             self.log_terms[day - 1].push(self.lik.ln_pointwise(n, probs, day));
         }
-    }
-
-    /// Observer form for the MCMC runner.
-    pub fn observe(&mut self, record: &SweepRecord<'_>) {
-        self.add_draw(record.n, record.probs);
     }
 
     /// Number of draws consumed.
@@ -105,15 +102,32 @@ impl Loo {
     }
 }
 
-/// Runs the sampler with a LOO observer and returns the estimate.
+/// Runs the chains (see [`run_chains`]) and returns IS-LOO replayed
+/// from their stored draws.
+///
+/// # Panics
+///
+/// Panics if a chain faults or the replay fails.
 #[must_use]
 pub fn loo_for(sampler: &GibbsSampler, config: &McmcConfig) -> Loo {
-    // The sampler can only be built from non-empty data.
-    let data = srm_data::BugCountData::new(sampler.likelihood().counts().to_vec())
-        .unwrap_or_else(|_| unreachable!());
-    let mut acc = LooAccumulator::new(&data);
-    let _ = run_chains_observed(sampler, config, &mut |rec| acc.observe(rec));
-    acc.finish()
+    match loo_from_output(sampler, &run_chains(sampler, config)) {
+        Ok(loo) => loo,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// Replays recorded chains through a fresh LOO accumulator — the same
+/// stored-draw replay as [`crate::waic::waic_from_output`], so both
+/// criteria see identical draws in identical order.
+///
+/// # Errors
+///
+/// As [`crate::waic::waic_from_output`]: a missing `n` or `ζ` column,
+/// a stored `ζ` outside the model's domain, or no draws at all.
+pub fn loo_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<Loo, SrmError> {
+    let mut acc = LooAccumulator::new(&reconstruct_data(sampler));
+    replay(sampler, output, "LOO", |n, probs| acc.add_draw(n, probs))?;
+    Ok(acc.finish())
 }
 
 #[cfg(test)]

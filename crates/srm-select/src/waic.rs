@@ -1,8 +1,10 @@
-//! WAIC (Eqs. (23)–(25)) computed by streaming over MCMC draws.
+//! WAIC (Eqs. (23)–(25)) replayed from stored MCMC draws.
 //!
 //! The pointwise model probability is the binomial factor of Eq. (1),
 //! `p(x_i | ω) = Binom(x_i; N − s_{i−1}, p_i)`, evaluated at each
-//! posterior draw `ω = (N, ζ)`. Two accumulators run per observation:
+//! posterior draw `ω = (N, ζ)`, with the detection schedule `p_i`
+//! recomputed from the draw's stored `ζ`. Two accumulators run per
+//! observation:
 //! a streaming log-sum-exp for `ln Ê_ω[p(x_i | ω)]` (learning loss)
 //! and Welford moments of `ln p(x_i | ω)` (functional variance).
 //!
@@ -15,13 +17,11 @@
 
 use srm_math::accum::RunningMoments;
 use srm_math::logsumexp::StreamingLogSumExp;
-use srm_mcmc::gibbs::{GibbsSampler, SweepRecord};
-use srm_mcmc::runner::{
-    run_chains_fault_tolerant_traced, run_chains_observed, McmcConfig, McmcOutput, RunOptions,
-};
+use srm_mcmc::gibbs::GibbsSampler;
+use srm_mcmc::runner::{run_chains, McmcConfig, McmcOutput};
 use srm_mcmc::SrmError;
 use srm_model::GroupedLikelihood;
-use srm_obs::{Event, Recorder, Span};
+use srm_obs::{Event, Recorder, Span, NOOP};
 
 /// Streaming WAIC accumulator over posterior draws.
 #[derive(Debug, Clone)]
@@ -55,12 +55,6 @@ impl WaicAccumulator {
             // (N ≥ s_k) but is clamped defensively for the variance.
             self.log_terms[day - 1].push(ln_p.max(-1e300));
         }
-    }
-
-    /// Feeds one [`SweepRecord`] (the observer form used with the
-    /// MCMC runner).
-    pub fn observe(&mut self, record: &SweepRecord<'_>) {
-        self.add_draw(record.n, record.probs);
     }
 
     /// Number of draws consumed.
@@ -160,40 +154,37 @@ impl Waic {
     }
 }
 
-/// Runs the sampler with a WAIC observer and returns the criterion
-/// (chains run serially so the observer sees every kept draw).
+/// Runs the chains (see [`run_chains`]) and returns WAIC replayed
+/// from their stored draws.
+///
+/// # Panics
+///
+/// Panics if a chain faults or the replay fails.
 #[must_use]
 pub fn waic_for(sampler: &GibbsSampler, config: &McmcConfig) -> Waic {
-    waic_and_chains(sampler, config).0
+    match waic_from_output(sampler, &run_chains(sampler, config), &NOOP) {
+        Ok(waic) => waic,
+        Err(e) => panic!("{e}"),
+    }
 }
 
-/// [`waic_for`] with instrumentation: wraps the evaluation in a
-/// `waic` phase span and emits an [`Event::Waic`] when the recorder
-/// is enabled. The criterion itself is bit-identical to the untraced
-/// path — the recorder never touches the sampler's RNG.
-#[must_use]
-pub fn waic_for_traced(
-    sampler: &GibbsSampler,
-    config: &McmcConfig,
-    recorder: &dyn Recorder,
-) -> Waic {
-    let span = Span::enter(recorder, "waic");
-    let (waic, output) = {
-        let _profile = srm_obs::profile::span("waic");
-        waic_and_chains(sampler, config)
-    };
-    span.end();
-    emit_waic(sampler, &waic, draws_in(&output), recorder);
-    waic
-}
-
-/// [`waic_from_output`] with instrumentation: wraps the replay in a
-/// `waic` phase span and emits an [`Event::Waic`] on success.
+/// Replays recorded chains through a fresh WAIC accumulator: every
+/// stored draw, in chain order then draw order, with its detection
+/// schedule recomputed from its stored `ζ`. The schedule is a pure
+/// function of `ζ`, so the criterion is bit-identical for any thread
+/// count, and the fault-tolerant pipeline computes it from whatever
+/// chains survived a degraded run. The replay runs under a `waic`
+/// phase span (and profiler span), and an enabled `recorder` receives
+/// an [`Event::Waic`] on success; the criterion itself does not depend
+/// on the recorder.
 ///
 /// # Errors
 ///
-/// Propagates the same errors as [`waic_from_output`].
-pub fn waic_from_output_traced(
+/// Returns [`SrmError::MissingParameter`] when a chain lacks `n` or a
+/// detection parameter, [`SrmError::DegeneratePosterior`] when a
+/// stored `ζ` is outside the model's domain, and
+/// [`SrmError::InvalidConfig`] when `output` holds no draws at all.
+pub fn waic_from_output(
     sampler: &GibbsSampler,
     output: &McmcOutput,
     recorder: &dyn Recorder,
@@ -201,47 +192,12 @@ pub fn waic_from_output_traced(
     let span = Span::enter(recorder, "waic");
     let result = {
         let _profile = srm_obs::profile::span("waic");
-        waic_from_output(sampler, output)
+        let mut acc = WaicAccumulator::new(&reconstruct_data(sampler));
+        replay(sampler, output, "WAIC", |n, probs| acc.add_draw(n, probs))
+            .map(|draws| (acc.finish(), draws))
     };
     span.end();
-    if let Ok(waic) = &result {
-        emit_waic(sampler, waic, draws_in(output), recorder);
-    }
-    result
-}
-
-/// Runs the chains across the parallel worker pool and computes WAIC
-/// by replaying the merged output.
-///
-/// For a fault-free run this is bit-identical to [`waic_for`] /
-/// [`waic_for_traced`]: the parallel runner merges the same per-chain
-/// draws in chain order, and the replay recomputes each draw's
-/// detection schedule deterministically from its stored `ζ`, feeding
-/// the accumulator in the same order as the streaming observer.
-///
-/// # Errors
-///
-/// Returns the runner's error when every chain is lost, and the
-/// replay errors of [`waic_from_output`].
-pub fn waic_parallel_traced(
-    sampler: &GibbsSampler,
-    config: &McmcConfig,
-    options: &RunOptions,
-    recorder: &dyn Recorder,
-) -> Result<Waic, SrmError> {
-    let run = run_chains_fault_tolerant_traced(sampler, config, options, recorder)?;
-    waic_from_output_traced(sampler, &run.output, recorder)
-}
-
-fn draws_in(output: &McmcOutput) -> usize {
-    output
-        .chains
-        .iter()
-        .map(|c| c.draws("n").map_or(0, <[f64]>::len))
-        .sum()
-}
-
-fn emit_waic(sampler: &GibbsSampler, waic: &Waic, draws: usize, recorder: &dyn Recorder) {
+    let (waic, draws) = result?;
     if recorder.enabled() {
         recorder.record(&Event::Waic {
             model: sampler.model().name().to_owned(),
@@ -250,56 +206,45 @@ fn emit_waic(sampler: &GibbsSampler, waic: &Waic, draws: usize, recorder: &dyn R
             draws,
         });
     }
+    Ok(waic)
 }
 
-/// Runs the sampler once, returning both WAIC and the chains — the
-/// experiment pipeline needs both without paying for two runs.
-#[must_use]
-pub fn waic_and_chains(sampler: &GibbsSampler, config: &McmcConfig) -> (Waic, McmcOutput) {
-    let data = reconstruct_data(sampler);
-    let mut acc = WaicAccumulator::new(&data);
-    let output = run_chains_observed(sampler, config, &mut |rec| acc.observe(rec));
-    (acc.finish(), output)
-}
-
-/// Replays recorded chains through a fresh WAIC accumulator,
-/// recomputing each draw's detection schedule from its stored `ζ`.
-///
-/// Because the schedule is a deterministic function of `ζ`, the result
-/// is bit-identical to the streaming observer over the same chains —
-/// which lets the fault-tolerant pipeline compute WAIC from whatever
-/// chains survived a degraded run.
+/// The replay loop shared by [`waic_from_output`] and
+/// [`crate::loo::loo_from_output`]: feeds every stored draw of
+/// `output` — chain order, then draw order — to `add_draw` as
+/// `(N, p_1..p_k)`, recomputing the detection schedule from the
+/// draw's stored `ζ`. Returns the number of draws replayed.
 ///
 /// # Errors
 ///
-/// Returns [`SrmError::MissingParameter`] when a chain lacks `n` or a
-/// detection parameter, [`SrmError::DegeneratePosterior`] when a
-/// stored `ζ` is outside the model's domain, and
-/// [`SrmError::InvalidConfig`] when `output` holds no draws at all.
-pub fn waic_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<Waic, SrmError> {
-    let data = reconstruct_data(sampler);
-    let mut acc = WaicAccumulator::new(&data);
+/// As [`waic_from_output`]; the empty-output error names
+/// `criterion`.
+pub(crate) fn replay(
+    sampler: &GibbsSampler,
+    output: &McmcOutput,
+    criterion: &str,
+    mut add_draw: impl FnMut(u64, &[f64]),
+) -> Result<usize, SrmError> {
     let model = sampler.model();
     let zeta_names = model.param_names();
-    let horizon = data.len();
+    let horizon = sampler.likelihood().horizon();
     let mut zeta = vec![0.0; zeta_names.len()];
+    let mut draws = 0;
     for (ci, chain) in output.chains.iter().enumerate() {
-        let n_draws = chain.draws("n").ok_or_else(|| SrmError::MissingParameter {
-            parameter: "n".into(),
-            chain: ci,
-        })?;
+        let column = |name: &str| {
+            chain.draws(name).ok_or_else(|| SrmError::MissingParameter {
+                parameter: name.to_owned(),
+                chain: ci,
+            })
+        };
+        let n_draws = column("n")?;
         let zeta_cols: Vec<&[f64]> = zeta_names
             .iter()
-            .map(|nm| {
-                chain.draws(nm).ok_or_else(|| SrmError::MissingParameter {
-                    parameter: (*nm).to_owned(),
-                    chain: ci,
-                })
-            })
+            .map(|name| column(name))
             .collect::<Result<_, _>>()?;
-        for t in 0..n_draws.len() {
-            for (j, col) in zeta_cols.iter().enumerate() {
-                zeta[j] = col[t];
+        for (t, &n) in n_draws.iter().enumerate() {
+            for (slot, col) in zeta.iter_mut().zip(&zeta_cols) {
+                *slot = col[t];
             }
             let probs = model
                 .probs(&zeta, horizon)
@@ -307,20 +252,21 @@ pub fn waic_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<W
                     detail: format!("replayed zeta outside model domain: {e:?}"),
                     sweep: t,
                 })?;
-            acc.add_draw(n_draws[t] as u64, &probs);
+            add_draw(n as u64, &probs);
         }
+        draws += n_draws.len();
     }
-    if acc.draws() == 0 {
+    if draws == 0 {
         return Err(SrmError::InvalidConfig {
-            detail: "WAIC replay over empty output".into(),
+            detail: format!("{criterion} replay over empty output"),
         });
     }
-    Ok(acc.finish())
+    Ok(draws)
 }
 
 /// The sampler holds its data only through the likelihood evaluator;
-/// rebuild an equivalent `BugCountData` for the accumulator.
-fn reconstruct_data(sampler: &GibbsSampler) -> srm_data::BugCountData {
+/// rebuild an equivalent `BugCountData` for the accumulators.
+pub(crate) fn reconstruct_data(sampler: &GibbsSampler) -> srm_data::BugCountData {
     // The sampler can only be built from non-empty data.
     srm_data::BugCountData::new(sampler.likelihood().counts().to_vec())
         .unwrap_or_else(|_| unreachable!())
@@ -331,6 +277,7 @@ mod tests {
     use super::*;
     use srm_data::datasets;
     use srm_mcmc::gibbs::PriorSpec;
+    use srm_mcmc::runner::{run_chains_fault_tolerant, RunOptions};
     use srm_model::{DetectionModel, ZetaBounds};
 
     fn smoke_waic(prior: PriorSpec, model: DetectionModel, day: usize, seed: u64) -> Waic {
@@ -433,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_waic_is_bit_identical_to_streaming() {
+    fn replayed_waic_is_bit_identical_across_thread_counts() {
         let data = datasets::musa_cc96().truncated(20).unwrap();
         let sampler = GibbsSampler::new(
             PriorSpec::Poisson {
@@ -450,17 +397,43 @@ mod tests {
             thin: 1,
             seed: 707,
         };
-        let serial = waic_for(&sampler, &config);
-        for threads in [1usize, 4] {
-            let parallel = waic_parallel_traced(
-                &sampler,
-                &config,
-                &RunOptions::with_threads(threads),
-                &srm_obs::NOOP,
-            )
-            .unwrap();
-            assert_eq!(parallel, serial, "threads={threads}");
+        let replay_at = |threads| {
+            let run =
+                run_chains_fault_tolerant(&sampler, &config, &RunOptions::with_threads(threads))
+                    .unwrap();
+            waic_from_output(&sampler, &run.output, &srm_obs::NOOP).unwrap()
+        };
+        let reference = replay_at(1);
+        assert_eq!(waic_for(&sampler, &config), reference);
+        for threads in [2usize, 4] {
+            assert_eq!(replay_at(threads), reference, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn replay_rejects_empty_output_and_missing_columns() {
+        let data = datasets::musa_cc96().truncated(20).unwrap();
+        let sampler = GibbsSampler::new(
+            PriorSpec::Poisson {
+                lambda_max: 2_000.0,
+            },
+            DetectionModel::Constant,
+            ZetaBounds::default(),
+            &data,
+        );
+        let empty = McmcOutput { chains: Vec::new() };
+        let err = waic_from_output(&sampler, &empty, &srm_obs::NOOP).unwrap_err();
+        assert!(matches!(err, SrmError::InvalidConfig { .. }));
+        let mut chain = srm_mcmc::Chain::new(&["n"]);
+        chain.push(&[200.0]);
+        let missing = McmcOutput {
+            chains: vec![chain],
+        };
+        let err = waic_from_output(&sampler, &missing, &srm_obs::NOOP).unwrap_err();
+        assert!(matches!(
+            err,
+            SrmError::MissingParameter { ref parameter, chain: 0 } if parameter == "mu"
+        ));
     }
 
     #[test]

@@ -92,7 +92,8 @@ impl AccessLog {
                 ),
             );
         }
-        let line = value.to_json();
+        let mut line = value.to_json();
+        line.push('\n');
         if let Err(e) = self.append(&line) {
             self.errors.incr();
             eprintln!(
@@ -104,9 +105,12 @@ impl AccessLog {
         }
     }
 
+    /// Appends one newline-terminated `line` in a single `write_all`
+    /// on an `O_APPEND` handle, so concurrent handlers never splice
+    /// two records onto one line.
     fn append(&self, line: &str) -> std::io::Result<()> {
         let size = std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
-        if size > 0 && size + line.len() as u64 + 1 > self.max_bytes {
+        if size > 0 && size + line.len() as u64 > self.max_bytes {
             std::fs::rename(&self.path, self.path.with_extension("jsonl.1"))?;
             self.rotations.incr();
         }
@@ -114,7 +118,7 @@ impl AccessLog {
             .create(true)
             .append(true)
             .open(&self.path)?;
-        writeln!(file, "{line}")
+        file.write_all(line.as_bytes())
     }
 }
 
@@ -168,6 +172,32 @@ mod tests {
                 .and_then(Value::as_f64),
             Some(404.0)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_loggers_never_splice_lines() {
+        let dir = temp_dir("concurrent");
+        let log = AccessLog::new(dir.join("access.jsonl"), DEFAULT_ACCESS_LOG_MAX_BYTES);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8u16 {
+                let (log, start) = (&log, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        log.log("cafe", &access_event(200 + t));
+                    }
+                });
+            }
+        });
+        assert_eq!(log.stats().lines, 1_600);
+        let text = std::fs::read_to_string(log.path()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1_600);
+        for line in lines {
+            assert!(parse(line).is_ok(), "{line}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,7 +2,8 @@
 //!
 //! Each kind maps onto the exact code path its CLI counterpart uses —
 //! [`Fit::try_run_traced`] for `fit` and `predict`,
-//! [`waic_parallel_traced`] for `select` — with the CLI's default
+//! [`run_chains_fault_tolerant_traced`] plus [`waic_from_output`] for
+//! `select` — with the CLI's default
 //! [`RunOptions`] (retry budget 3, no fault injection). That is what
 //! makes HTTP results bit-identical to a same-seed command-line run:
 //! there is one engine, and the server is just another caller.
@@ -17,12 +18,12 @@ use std::time::Instant;
 
 use srm_core::{predict_from_fit, FaultTolerantFit, Fit, FitConfig};
 use srm_mcmc::gibbs::GibbsSampler;
-use srm_mcmc::runner::RunOptions;
+use srm_mcmc::runner::{run_chains_fault_tolerant_traced, RunOptions};
 use srm_mcmc::{PosteriorSummary, RetryPolicy, SrmError};
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_obs::json::Value;
 use srm_obs::{dataset_hash, Recorder, RunManifest};
-use srm_select::waic::waic_parallel_traced;
+use srm_select::waic::waic_from_output;
 
 use crate::job::{JobKind, JobSpec};
 
@@ -233,7 +234,8 @@ fn run_select(
             return Err(JobError::Timeout);
         }
         let sampler = GibbsSampler::new(spec.prior, model, bounds, &spec.data);
-        let waic = waic_parallel_traced(&sampler, &spec.mcmc, &options, recorder)?;
+        let run = run_chains_fault_tolerant_traced(&sampler, &spec.mcmc, &options, recorder)?;
+        let waic = waic_from_output(&sampler, &run.output, recorder)?;
         if best.is_none_or(|(_, w)| waic.total() < w) {
             best = Some((model, waic.total()));
         }

@@ -2,11 +2,10 @@
 //!
 //! Two layers feed the page: the server's own counters (requests,
 //! submissions, completions, rejections, job wall-time histogram) and
-//! the engine-level aggregates from the global
-//! [`StatsCollector`](srm_obs::StatsCollector) every job's recorder
-//! tees into (retries, contained panics, event volume). Exposition
-//! format 0.0.4 — counters end in `_total`, histograms emit
-//! `_bucket`/`_sum`/`_count`.
+//! the engine-level aggregates from the global [`StatsCollector`]
+//! every job's recorder tees into (retries, contained panics, event
+//! volume). Exposition format 0.0.4 — counters end in `_total`,
+//! histograms emit `_bucket`/`_sum`/`_count`.
 
 use std::fmt::Write as _;
 

@@ -327,3 +327,15 @@ fn full_queue_gets_429_and_accepted_jobs_drain_on_shutdown() {
     assert_eq!((done, failed, cancelled), (2, 0, 0));
     assert!(state.queue.is_empty());
 }
+
+#[test]
+fn deeply_nested_body_is_a_400_not_a_crash() {
+    let server = Server::start(ServerConfig::default()).expect("start");
+    let addr = server.addr();
+    let (status, _, payload) = http(addr, "POST", "/v1/jobs", &"[".repeat(20_000));
+    assert_eq!(status, 400, "{payload}");
+    let (status, _, _) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    server.request_shutdown();
+    let _ = server.join();
+}

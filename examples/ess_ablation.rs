@@ -26,7 +26,7 @@ fn ess_of(prior: PriorSpec, sweep: SweepKind, kernel: ZetaKernel, seed: u64) -> 
     .with_sweep_kind(sweep)
     .with_zeta_kernel(kernel);
     let mut rng = Xoshiro256StarStar::seed_from(seed);
-    let chain = sampler.run_chain(&mut rng, 500, 2_000, 1, &mut |_| {});
+    let chain = sampler.run_chain(&mut rng, 500, 2_000, 1);
     let residual = effective_sample_size(chain.draws("residual").unwrap());
     let hyper = match prior {
         PriorSpec::Poisson { .. } => effective_sample_size(chain.draws("lambda0").unwrap()),

@@ -1,12 +1,12 @@
 //! Reproducibility: identical seeds must give bit-identical results
-//! through every layer of the stack, and the parallel runner must
-//! match the serial runner.
+//! through every layer of the stack, and any worker count must match
+//! the single-threaded runner.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers
 
 use srm::core::{Experiment, ExperimentConfig};
 use srm::data::{datasets, ObservationPlan};
-use srm::mcmc::runner::{run_chains, run_chains_observed, McmcConfig};
+use srm::mcmc::runner::{run_chains, run_chains_fault_tolerant, McmcConfig, RunOptions};
 use srm::prelude::*;
 
 fn small_config(seed: u64) -> McmcConfig {
@@ -46,9 +46,17 @@ fn parallel_equals_serial() {
         ZetaBounds::default(),
         &data,
     );
-    let par = run_chains(&sampler, &small_config(777));
-    let ser = run_chains_observed(&sampler, &small_config(777), &mut |_| {});
-    assert_eq!(par, ser);
+    let config = small_config(777);
+    let ser = run_chains_fault_tolerant(&sampler, &config, &RunOptions::with_threads(1))
+        .unwrap()
+        .output;
+    for threads in [2usize, 3] {
+        let par = run_chains_fault_tolerant(&sampler, &config, &RunOptions::with_threads(threads))
+            .unwrap()
+            .output;
+        assert_eq!(par, ser, "threads={threads}");
+    }
+    assert_eq!(run_chains(&sampler, &config), ser);
 }
 
 #[test]
@@ -77,7 +85,7 @@ fn experiment_reproducible_end_to_end() {
 }
 
 #[test]
-fn waic_deterministic_via_observer() {
+fn waic_deterministic_via_replay() {
     let data = datasets::musa_cc96().truncated(48).unwrap();
     let sampler = GibbsSampler::new(
         PriorSpec::Poisson {
@@ -90,4 +98,11 @@ fn waic_deterministic_via_observer() {
     let w1 = waic_for(&sampler, &small_config(999));
     let w2 = waic_for(&sampler, &small_config(999));
     assert_eq!(w1, w2);
+    // The same criterion replayed from a single-threaded run's stored
+    // draws.
+    let run = run_chains_fault_tolerant(&sampler, &small_config(999), &RunOptions::with_threads(1))
+        .unwrap();
+    let replayed =
+        srm::select::waic::waic_from_output(&sampler, &run.output, &srm::obs::NOOP).unwrap();
+    assert_eq!(w1, replayed);
 }

@@ -270,7 +270,7 @@ fn stats_collector_matches_experiment_fault_counters() {
     };
 
     let stats = StatsCollector::new();
-    let results = exp.try_run_traced(&options, &stats).unwrap();
+    let results = exp.try_run(&options, &stats).unwrap();
 
     // The collector's counters — the numbers the manifest reports —
     // must equal the engine's own aggregation exactly.
@@ -331,7 +331,7 @@ fn stats_collector_counts_whole_cell_failures_once() {
     };
 
     let stats = StatsCollector::new();
-    let results = exp.try_run_traced(&options, &stats).unwrap();
+    let results = exp.try_run(&options, &stats).unwrap();
     assert!(results.cells().is_empty());
     assert_eq!(results.failures().len(), 2); // 2 priors × 1 model × 1 day
 

@@ -91,7 +91,7 @@ fn gibbs_residual_moments(
     )
     .with_sweep_kind(kind);
     let mut rng = Xoshiro256StarStar::seed_from(seed);
-    let chain = sampler.run_chain(&mut rng, 1_000, 6_000, 1, &mut |_| {});
+    let chain = sampler.run_chain(&mut rng, 1_000, 6_000, 1);
     let draws = chain.draws("residual").expect("column exists");
     let mean = draws.iter().sum::<f64>() / draws.len() as f64;
     let sd = (draws.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / draws.len() as f64).sqrt();
@@ -144,7 +144,7 @@ fn collapsed_and_naive_agree_for_nb_prior() {
         )
         .with_sweep_kind(kind);
         let mut rng = Xoshiro256StarStar::seed_from(seed);
-        let chain = sampler.run_chain(&mut rng, 1_500, 8_000, 1, &mut |_| {});
+        let chain = sampler.run_chain(&mut rng, 1_500, 8_000, 1);
         let draws = chain.draws("residual").unwrap();
         draws.iter().sum::<f64>() / draws.len() as f64
     };

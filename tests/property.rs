@@ -335,9 +335,9 @@ fn random_sampler(rng: &mut SplitMix64, data: &BugCountData) -> srm::mcmc::Gibbs
     srm::mcmc::GibbsSampler::new(prior, model, srm::model::ZetaBounds::default(), data)
 }
 
-/// Parallel execution is bit-identical to the serial path for any
-/// seed, prior/model pairing and worker count: chain `i` is a pure
-/// function of `(seed, i)` regardless of scheduling.
+/// Any worker count is bit-identical to the single-threaded run for
+/// any seed, prior/model pairing: chain `i` is a pure function of
+/// `(seed, i)` regardless of scheduling.
 #[test]
 fn parallel_chains_bit_identical_to_serial() {
     use srm::mcmc::runner::{run_chains, run_chains_fault_tolerant, McmcConfig, RunOptions};
@@ -357,8 +357,11 @@ fn parallel_chains_bit_identical_to_serial() {
             thin: 1,
             seed: rng.next_below(1 << 40),
         };
-        let serial = run_chains(&sampler, &config);
-        for threads in [1usize, 4] {
+        let serial = run_chains_fault_tolerant(&sampler, &config, &RunOptions::with_threads(1))
+            .unwrap()
+            .output;
+        assert_eq!(run_chains(&sampler, &config), serial);
+        for threads in [2usize, 4] {
             let run =
                 run_chains_fault_tolerant(&sampler, &config, &RunOptions::with_threads(threads))
                     .unwrap();
