@@ -309,8 +309,11 @@ mod tests {
     use super::*;
     use std::io::Write as _;
 
-    fn write_csv() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join("srm_cli_fit_test.csv");
+    /// Writes the 30-day Musa window to a CSV of the calling test's
+    /// own: tests run in parallel, and a file another test is reading
+    /// must not be truncated under it.
+    fn write_csv(test: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("srm_cli_{test}_{}.csv", std::process::id()));
         let mut f = std::fs::File::create(&path).unwrap();
         writeln!(f, "day,count").unwrap();
         for (day, count) in srm_data::datasets::musa_cc96()
@@ -325,7 +328,7 @@ mod tests {
 
     #[test]
     fn fit_renders_summary() {
-        let path = write_csv();
+        let path = write_csv("fit_renders_summary");
         let raw: Vec<String> = [
             "fit",
             "--data",
@@ -354,7 +357,7 @@ mod tests {
 
     #[test]
     fn fit_with_injected_faults_reports_counters() {
-        let path = write_csv();
+        let path = write_csv("fit_with_injected_faults_reports_counters");
         let raw: Vec<String> = [
             "fit",
             "--data",
@@ -386,7 +389,7 @@ mod tests {
 
     #[test]
     fn fit_writes_trace_and_manifest() {
-        let path = write_csv();
+        let path = write_csv("fit_writes_trace_and_manifest");
         let trace = std::env::temp_dir().join("srm_cli_fit_trace.jsonl");
         let manifest = std::env::temp_dir().join("srm_cli_fit_manifest.json");
         let raw: Vec<String> = [

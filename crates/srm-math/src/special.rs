@@ -94,12 +94,17 @@ fn ln_fact_cache() -> &'static RwLock<Vec<f64>> {
     })
 }
 
+/// Arguments of [`ln_factorial`] below this limit are served from its
+/// cache; larger ones are computed by [`ln_gamma`] without taking the
+/// cache's lock, so the cache never holds more than this many entries.
+pub const LN_FACTORIAL_CACHE_LIMIT: u64 = 1 << 20;
+
 /// Natural logarithm of the factorial, `ln n!`.
 ///
 /// Served from a lazily grown cache (exact recurrence, so every cached
-/// value has only accumulated rounding from `ln`); arguments beyond
-/// 2^20 fall back to [`ln_gamma`]`(n + 1)` rather than growing the
-/// cache without bound.
+/// value has only accumulated rounding from `ln`); arguments from
+/// [`LN_FACTORIAL_CACHE_LIMIT`] on fall back to [`ln_gamma`]`(n + 1)`
+/// rather than growing the cache without bound.
 ///
 /// # Examples
 ///
@@ -110,8 +115,7 @@ fn ln_fact_cache() -> &'static RwLock<Vec<f64>> {
 /// ```
 #[must_use]
 pub fn ln_factorial(n: u64) -> f64 {
-    const CACHE_LIMIT: u64 = 1 << 20;
-    if n >= CACHE_LIMIT {
+    if n >= LN_FACTORIAL_CACHE_LIMIT {
         return ln_gamma(n as f64 + 1.0);
     }
     let idx = n as usize;
@@ -151,10 +155,86 @@ pub fn ln_factorial(n: u64) -> f64 {
 /// ```
 #[must_use]
 pub fn ln_binomial(n: u64, k: u64) -> f64 {
+    binomial_from(n, k, ln_factorial)
+}
+
+/// `ln C(n, k)` from a source of `ln m!`: the one formula behind
+/// [`ln_binomial`] and [`LnFactorialTable::ln_binomial`].
+#[inline]
+fn binomial_from(n: u64, k: u64, ln_fact: impl Fn(u64) -> f64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+    ln_fact(n) - ln_fact(k) - ln_fact(n - k)
+}
+
+/// A private copy of a prefix of [`ln_factorial`]'s cache, for loops
+/// that read `ln k!` millions of times: a lookup takes no lock.
+///
+/// The table grows on demand ([`LnFactorialTable::cover`]) but never
+/// past [`LN_FACTORIAL_CACHE_LIMIT`] entries; larger arguments go to
+/// [`ln_factorial`], which serves them from [`ln_gamma`] without a
+/// lock. Every value equals [`ln_factorial`]'s bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use srm_math::special::{ln_binomial, LnFactorialTable};
+/// let mut table = LnFactorialTable::default();
+/// table.cover(40);
+/// assert_eq!(table.ln_binomial(40, 7).to_bits(), ln_binomial(40, 7).to_bits());
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LnFactorialTable {
+    table: Vec<f64>,
+}
+
+impl LnFactorialTable {
+    /// Grows the table to hold `ln k!` for every `k <= n`, capped at
+    /// [`LN_FACTORIAL_CACHE_LIMIT`] entries. Only a new maximum `n`
+    /// copies anything, and then only the missing entries.
+    pub fn cover(&mut self, n: u64) {
+        let len = self.table.len();
+        let want = n.saturating_add(1).min(LN_FACTORIAL_CACHE_LIMIT) as usize;
+        if want <= len {
+            return;
+        }
+        // Grow the shared cache first, then copy under one read lock.
+        let _ = ln_factorial(want as u64 - 1);
+        let cache = ln_fact_cache()
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.table.extend_from_slice(&cache[len..want]);
+    }
+
+    /// Number of cached entries (`ln 0!` … `ln (len−1)!`).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Whether the table holds no entry yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// `ln k!`, bit-identical to [`ln_factorial`].
+    #[inline]
+    #[must_use]
+    pub fn ln_factorial(&self, k: u64) -> f64 {
+        match usize::try_from(k).ok().and_then(|i| self.table.get(i)) {
+            Some(&v) => v,
+            None => ln_factorial(k),
+        }
+    }
+
+    /// `ln C(n, k)`, bit-identical to [`ln_binomial`].
+    #[inline]
+    #[must_use]
+    pub fn ln_binomial(&self, n: u64, k: u64) -> f64 {
+        binomial_from(n, k, |m| self.ln_factorial(m))
+    }
 }
 
 /// Log of the generalised binomial coefficient
@@ -315,6 +395,37 @@ mod tests {
     fn ln_factorial_beyond_cache_limit_uses_ln_gamma() {
         let n = (1u64 << 20) + 7;
         assert!(approx_eq(ln_factorial(n), ln_gamma(n as f64 + 1.0), 1e-12));
+    }
+
+    #[test]
+    fn ln_factorial_table_is_bit_identical_and_bounded() {
+        let mut table = LnFactorialTable::default();
+        assert!(table.is_empty());
+        table.cover(5_000);
+        assert_eq!(table.len(), 5_001);
+        for k in (0..6_000u64).chain([(1 << 20) - 1, 1 << 20, u64::MAX]) {
+            assert_eq!(table.ln_factorial(k).to_bits(), ln_factorial(k).to_bits());
+        }
+        for (n, k) in [(5_000, 17), (9_000, 8_999), (3, 5), ((1 << 20) + 9, 4)] {
+            assert_eq!(
+                table.ln_binomial(n, k).to_bits(),
+                ln_binomial(n, k).to_bits()
+            );
+        }
+        table.cover(17);
+        assert_eq!(table.len(), 5_001);
+        table.cover(9_999);
+        assert_eq!(table.len(), 10_000);
+        // Huge arguments stop at the shared cache's own limit.
+        table.cover(u64::from(u32::MAX) * 2);
+        assert_eq!(table.len() as u64, LN_FACTORIAL_CACHE_LIMIT);
+        table.cover(u64::MAX);
+        assert_eq!(table.len() as u64, LN_FACTORIAL_CACHE_LIMIT);
+        let big = u64::from(u32::MAX) * 2;
+        assert_eq!(
+            table.ln_binomial(big, 1 << 21).to_bits(),
+            ln_binomial(big, 1 << 21).to_bits()
+        );
     }
 
     #[test]

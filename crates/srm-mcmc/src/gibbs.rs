@@ -44,7 +44,7 @@ fn accept_stats(tally: &[ParamAcceptance]) -> Vec<srm_obs::AcceptStat> {
         })
         .collect()
 }
-use srm_model::{DetectionModel, GroupedLikelihood, ZetaBounds};
+use srm_model::{DayTables, DetectionModel, GroupedLikelihood, ZetaBounds};
 use srm_rand::{Beta, Distribution, NegativeBinomial, Poisson, Rng, TruncatedGamma};
 
 /// Which prior (and hyper-prior upper limit) the sampler runs with.
@@ -172,7 +172,8 @@ impl FixedParams {
 }
 
 /// One-entry memo of [`GibbsSampler::collapsed_stats`] keyed on the
-/// exact bit pattern of `ζ`.
+/// exact bit pattern of `ζ`, plus model4's exponents keyed on the bits
+/// of `ω`.
 ///
 /// Within a sweep the same `ζ` vector is evaluated repeatedly — the
 /// hyper-parameter step, the first evaluation of each coordinate's
@@ -180,13 +181,17 @@ impl FixedParams {
 /// so a single-entry cache removes the duplicate passes over the
 /// schedule without any invalidation protocol: a stored entry is a
 /// pure function of its key, so stale entries are merely unused, never
-/// wrong (retry/restore included).
+/// wrong (retry/restore included). The same holds for the exponents
+/// `i^ω − (i−1)^ω`: every `μ` probe of model4 shares the current `ω`,
+/// so it reads them instead of paying two extra `powf` per day.
 #[derive(Debug, Clone, Default)]
 struct SuffStatsCache {
     zeta_bits: Vec<u64>,
     sum_x_ln_w: f64,
     ln_q: f64,
     valid: bool,
+    omega_bits: Option<u64>,
+    weibull_exponents: Vec<f64>,
 }
 
 impl SuffStatsCache {
@@ -207,6 +212,16 @@ impl SuffStatsCache {
         self.ln_q = ln_q;
         self.valid = true;
     }
+
+    /// model4's exponents at `omega`, recomputed only when its bits
+    /// change.
+    fn weibull_exponents(&mut self, tables: &DayTables, omega: f64) -> &[f64] {
+        if self.omega_bits != Some(omega.to_bits()) {
+            tables.weibull_exponents(omega, &mut self.weibull_exponents);
+            self.omega_bits = Some(omega.to_bits());
+        }
+        &self.weibull_exponents
+    }
 }
 
 /// The Gibbs sampler for one (prior, detection-model, dataset)
@@ -220,12 +235,13 @@ pub struct GibbsSampler {
     model: DetectionModel,
     bounds: ZetaBounds,
     lik: GroupedLikelihood,
+    /// The detection curves' day factors, built once for the horizon.
+    tables: DayTables,
     cumulative: Vec<u64>,
     /// Daily counts as exact `f64`s (values < 2^53), precomputed so
     /// the sweep's hot loops skip the integer conversions.
     counts_f: Vec<f64>,
     total: u64,
-    horizon: usize,
     slice_config: SliceConfig,
     sweep_kind: SweepKind,
     hyper_prior: HyperPrior,
@@ -248,10 +264,10 @@ impl GibbsSampler {
             model,
             bounds,
             lik: GroupedLikelihood::new(data),
+            tables: DayTables::new(data.len()),
             cumulative: data.cumulative().to_vec(),
             counts_f: data.counts().iter().map(|&c| c as f64).collect(),
             total: data.total(),
-            horizon: data.len(),
             slice_config: SliceConfig::default(),
             sweep_kind: SweepKind::default(),
             hyper_prior: HyperPrior::default(),
@@ -400,33 +416,34 @@ impl GibbsSampler {
     /// `ζ` for fixed `N` (the slice-sampling target).
     fn zeta_log_target(&self, zeta: &[f64], n: u64) -> f64 {
         let mut ll = 0.0;
-        for (i, (&count_f, &cum)) in self.counts_f.iter().zip(&self.cumulative).enumerate() {
-            let p = self.model.prob_unchecked(zeta, (i + 1) as u64);
-            let q = 1.0 - p;
-            ll += count_f * p.ln() + (n - cum) as f64 * q.ln();
-        }
+        self.tables.pass(self.model, zeta, None, |i, day| {
+            ll += self.counts_f[i] * day.ln_p() + (n - self.cumulative[i]) as f64 * day.ln_q();
+        });
         ll
     }
 
     fn ln_survival(&self, zeta: &[f64]) -> f64 {
-        (1..=self.horizon as u64)
-            .map(|i| (1.0 - self.model.prob_unchecked(zeta, i)).ln())
-            .sum()
+        let mut ln_q = 0.0;
+        self.tables
+            .pass(self.model, zeta, None, |_, day| ln_q += day.ln_q());
+        ln_q
     }
 
     /// One pass over the schedule yielding `(Σ x_i ln w_i, ln Π q_i)`
     /// with `w_i = p_i Π_{j<i} q_j` — the sufficient statistics of
-    /// the collapsed (N-marginalised) likelihood.
-    fn collapsed_stats(&self, zeta: &[f64]) -> (f64, f64) {
+    /// the collapsed (N-marginalised) likelihood. `weibull_exponents`
+    /// are model4's memoised exponents at `ζ[1]`, if any.
+    fn collapsed_stats(&self, zeta: &[f64], weibull_exponents: Option<&[f64]>) -> (f64, f64) {
         let mut cum_ln_q = 0.0;
         let mut sum_x_ln_w = 0.0;
-        for (i, &count_f) in self.counts_f.iter().enumerate() {
-            let p = self.model.prob_unchecked(zeta, (i + 1) as u64);
-            if count_f > 0.0 {
-                sum_x_ln_w += count_f * (p.ln() + cum_ln_q);
-            }
-            cum_ln_q += (1.0 - p).ln();
-        }
+        self.tables
+            .pass(self.model, zeta, weibull_exponents, |i, day| {
+                let count_f = self.counts_f[i];
+                if count_f > 0.0 {
+                    sum_x_ln_w += count_f * (day.ln_p() + cum_ln_q);
+                }
+                cum_ln_q += day.ln_q();
+            });
         (sum_x_ln_w, cum_ln_q)
     }
 
@@ -434,20 +451,27 @@ impl GibbsSampler {
     ///
     /// Bit-identical to the direct call: a hit returns values the
     /// direct call produced earlier for the *same* `ζ` bit pattern,
-    /// and `collapsed_stats` is deterministic. The second component
-    /// equals [`GibbsSampler::ln_survival`] bit-for-bit (same
-    /// sequential accumulation over the same days; asserted in tests),
-    /// which is what lets the `N`-step share the memo.
+    /// `collapsed_stats` is deterministic, and the memoised model4
+    /// exponents are the ones its pass would compute. The second
+    /// component equals [`GibbsSampler::ln_survival`] bit-for-bit
+    /// (same sequential accumulation over the same days; asserted in
+    /// tests), which is what lets the `N`-step share the memo.
     fn stats_cached(&self, zeta: &[f64], cache: &RefCell<SuffStatsCache>) -> (f64, f64) {
         let _span = profile::span("suffstats");
         if !self.cache_stats {
-            return self.collapsed_stats(zeta);
+            return self.collapsed_stats(zeta, None);
         }
         if let Some(hit) = cache.borrow().lookup(zeta) {
             return hit;
         }
-        let stats = self.collapsed_stats(zeta);
-        cache.borrow_mut().store(zeta, stats);
+        let mut cache = cache.borrow_mut();
+        let stats = if self.model == DetectionModel::Weibull {
+            let exponents = cache.weibull_exponents(&self.tables, zeta[1]);
+            self.collapsed_stats(zeta, Some(exponents))
+        } else {
+            self.collapsed_stats(zeta, None)
+        };
+        cache.store(zeta, stats);
         stats
     }
 
@@ -1501,12 +1525,162 @@ mod tests {
                     .map(|&(lo, hi)| lo + (hi - lo) * rng.next_f64())
                     .collect();
                 let direct = sampler.ln_survival(&zeta);
-                let (_, via_stats) = sampler.collapsed_stats(&zeta);
+                let (_, via_stats) = sampler.collapsed_stats(&zeta, None);
                 assert_eq!(
                     direct.to_bits(),
                     via_stats.to_bits(),
                     "{model:?} at {zeta:?}"
                 );
+            }
+        }
+    }
+
+    /// The pre-table `collapsed_stats`: one `prob_unchecked` call per
+    /// day. The independent reference for the per-curve passes.
+    fn reference_stats(model: DetectionModel, zeta: &[f64], counts: &[u64]) -> (f64, f64) {
+        let mut cum_ln_q = 0.0;
+        let mut sum_x_ln_w = 0.0;
+        for (i, &count) in counts.iter().enumerate() {
+            let p = model.prob_unchecked(zeta, (i + 1) as u64);
+            if count > 0 {
+                sum_x_ln_w += count as f64 * (p.ln() + cum_ln_q);
+            }
+            cum_ln_q += (1.0 - p).ln();
+        }
+        (sum_x_ln_w, cum_ln_q)
+    }
+
+    /// The pre-table `zeta_log_target`.
+    fn reference_log_target(
+        model: DetectionModel,
+        zeta: &[f64],
+        data: &BugCountData,
+        n: u64,
+    ) -> f64 {
+        let mut ll = 0.0;
+        for (i, (&count, &cum)) in data.counts().iter().zip(data.cumulative()).enumerate() {
+            let p = model.prob_unchecked(zeta, (i + 1) as u64);
+            let q = 1.0 - p;
+            ll += count as f64 * p.ln() + (n - cum) as f64 * q.ln();
+        }
+        ll
+    }
+
+    /// Datasets at horizons 1, 146 and 10,000, with zero-count days.
+    fn horizon_datasets() -> Vec<BugCountData> {
+        vec![
+            BugCountData::new(vec![4]).unwrap(),
+            datasets::musa_cc96().extended_with_zeros(50),
+            BugCountData::new((0..10_000u64).map(|i| (i * 7 + 3) % 5).collect()).unwrap(),
+        ]
+    }
+
+    /// ζ at the edges and midpoints of each curve's sampling box.
+    fn edge_zetas(model: DetectionModel) -> Vec<Vec<f64>> {
+        let limits = ZetaBounds::default();
+        let mus = [OPEN_EPS, 0.5, 1.0 - OPEN_EPS];
+        let seconds: Vec<f64> = match model {
+            DetectionModel::Constant | DetectionModel::Pareto => {
+                return mus.iter().map(|&mu| vec![mu]).collect();
+            }
+            DetectionModel::PadgettSpurrier => {
+                vec![OPEN_EPS, 0.5 * limits.theta_max, limits.theta_max]
+            }
+            DetectionModel::LogLogistic => vec![-limits.gamma_max, 0.0, limits.gamma_max],
+            DetectionModel::Weibull => vec![OPEN_EPS, 1e-3, 0.5, 1.0 - OPEN_EPS],
+        };
+        mus.iter()
+            .flat_map(|&mu| seconds.iter().map(move |&x| vec![mu, x]))
+            .collect()
+    }
+
+    #[test]
+    fn passes_match_prob_unchecked_reference_loops() {
+        let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+        for data in horizon_datasets() {
+            for model in DetectionModel::ALL {
+                let build = |cached| {
+                    GibbsSampler::new(
+                        PriorSpec::Poisson { lambda_max: 1e3 },
+                        model,
+                        ZetaBounds::default(),
+                        &data,
+                    )
+                    .with_cached_stats(cached)
+                };
+                let (cached, uncached) = (build(true), build(false));
+                let memo = RefCell::new(SuffStatsCache::default());
+                for zeta in edge_zetas(model) {
+                    let at = format!("{model} {zeta:?} horizon {}", data.len());
+                    let reference = reference_stats(model, &zeta, data.counts());
+                    assert_eq!(
+                        bits(cached.stats_cached(&zeta, &memo)),
+                        bits(reference),
+                        "{at}"
+                    );
+                    // A second visit is a memo hit.
+                    assert_eq!(
+                        bits(cached.stats_cached(&zeta, &memo)),
+                        bits(reference),
+                        "{at}"
+                    );
+                    let fresh = RefCell::new(SuffStatsCache::default());
+                    assert_eq!(
+                        bits(uncached.stats_cached(&zeta, &fresh)),
+                        bits(reference),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        cached.ln_survival(&zeta).to_bits(),
+                        reference.1.to_bits(),
+                        "{at}"
+                    );
+                    for n in [data.total(), data.total() + 37] {
+                        assert_eq!(
+                            cached.zeta_log_target(&zeta, n).to_bits(),
+                            reference_log_target(model, &zeta, &data, n).to_bits(),
+                            "{at} n {n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weibull_exponent_memo_survives_mu_omega_mu_probes() {
+        // A slice update of μ probes many μ at one ω (memo hits), the
+        // ω update then moves ω (memo refill), and the next μ update
+        // probes at the new ω; returning to an old ω refills again.
+        let model = DetectionModel::Weibull;
+        for data in horizon_datasets() {
+            let sampler = GibbsSampler::new(
+                PriorSpec::NegBinomial { alpha_max: 50.0 },
+                model,
+                ZetaBounds::default(),
+                &data,
+            );
+            let memo = RefCell::new(SuffStatsCache::default());
+            let probes = [
+                [0.3, 0.4],
+                [0.7, 0.4],
+                [OPEN_EPS, 0.4],
+                [0.7, 1e-3],
+                [0.7, 1.0 - OPEN_EPS],
+                [0.2, 1.0 - OPEN_EPS],
+                [1.0 - OPEN_EPS, 1.0 - OPEN_EPS],
+                [0.2, 0.4],
+            ];
+            for zeta in probes {
+                let reference = reference_stats(model, &zeta, data.counts());
+                let got = sampler.stats_cached(&zeta, &memo);
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (reference.0.to_bits(), reference.1.to_bits()),
+                    "{zeta:?} horizon {}",
+                    data.len()
+                );
+                assert_eq!(memo.borrow().omega_bits, Some(zeta[1].to_bits()));
             }
         }
     }

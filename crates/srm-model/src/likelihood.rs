@@ -14,7 +14,7 @@
 
 use crate::detection::DetectionModel;
 use srm_data::BugCountData;
-use srm_math::special::{ln_binomial, ln_factorial};
+use srm_math::special::{ln_binomial, ln_factorial, LnFactorialTable};
 
 /// Precomputed sufficient statistics for evaluating Eq. (2) quickly
 /// during MCMC: the samplers evaluate the likelihood thousands of
@@ -139,6 +139,35 @@ impl GroupedLikelihood {
     /// Panics if `day` is 0 or beyond the horizon.
     #[must_use]
     pub fn ln_pointwise(&self, n: u64, probs: &[f64], day: usize) -> f64 {
+        self.pointwise(n, probs, day, ln_binomial)
+    }
+
+    /// [`GroupedLikelihood::ln_pointwise`] with `ln k!` read from
+    /// `table`, bit-identical to it: for loops over many draws, which
+    /// then take no lock per term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `day` is 0 or beyond the horizon.
+    #[must_use]
+    pub fn ln_pointwise_with(
+        &self,
+        n: u64,
+        probs: &[f64],
+        day: usize,
+        table: &LnFactorialTable,
+    ) -> f64 {
+        self.pointwise(n, probs, day, |m, k| table.ln_binomial(m, k))
+    }
+
+    #[inline]
+    fn pointwise(
+        &self,
+        n: u64,
+        probs: &[f64],
+        day: usize,
+        ln_binomial: impl Fn(u64, u64) -> f64,
+    ) -> f64 {
         assert!(
             day >= 1 && day <= self.counts.len(),
             "day {day} out of range"

@@ -185,9 +185,11 @@ pub struct AggregateDiagnostic {
     pub ess: f64,
     /// Aggregate MCSE: `sqrt(pooled variance / total ESS)`.
     pub mcse: f64,
-    /// Total ESS per total chain wall-clock second (ESS per
-    /// CPU-second of sampling: chains running in parallel sum their
-    /// clocks). 0 before any chain's clock has advanced.
+    /// Total ESS divided by the sum of the chains' wall-clock seconds.
+    /// Chains running in parallel sum their clocks, but a chain that
+    /// shares a core with another keeps its clock running while it
+    /// waits, so on an oversubscribed host this is below ESS per
+    /// CPU-second. 0 before any chain's clock has advanced.
     pub ess_per_sec: f64,
 }
 

@@ -14,6 +14,7 @@
 //! the standard pre-PSIS remedy.
 
 use crate::waic::{reconstruct_data, replay};
+use srm_math::special::LnFactorialTable;
 use srm_mcmc::gibbs::GibbsSampler;
 use srm_mcmc::runner::{run_chains, McmcConfig, McmcOutput};
 use srm_mcmc::SrmError;
@@ -27,6 +28,8 @@ use srm_model::GroupedLikelihood;
 #[derive(Debug, Clone)]
 pub struct LooAccumulator {
     lik: GroupedLikelihood,
+    /// `ln k!` for the pointwise terms, read without a lock.
+    ln_fact: LnFactorialTable,
     /// `ln p(x_i | ω)` per observation per draw.
     log_terms: Vec<Vec<f64>>,
 }
@@ -39,14 +42,16 @@ impl LooAccumulator {
         let k = lik.horizon();
         Self {
             lik,
+            ln_fact: LnFactorialTable::default(),
             log_terms: vec![Vec::new(); k],
         }
     }
 
     /// Feeds one posterior draw.
     pub fn add_draw(&mut self, n: u64, probs: &[f64]) {
+        self.ln_fact.cover(n);
         for day in 1..=self.lik.horizon() {
-            self.log_terms[day - 1].push(self.lik.ln_pointwise(n, probs, day));
+            self.log_terms[day - 1].push(self.lik.ln_pointwise_with(n, probs, day, &self.ln_fact));
         }
     }
 
@@ -199,6 +204,32 @@ mod tests {
     fn empty_accumulator_panics() {
         let data = datasets::musa_cc96().truncated(5).unwrap();
         let _ = LooAccumulator::new(&data).finish();
+    }
+
+    #[test]
+    fn replayed_terms_equal_ln_pointwise_bit_for_bit() {
+        use crate::waic::reference;
+        use srm_math::special::LN_FACTORIAL_CACHE_LIMIT;
+        for (sampler, output) in reference::cases() {
+            let mut acc = LooAccumulator::new(&reconstruct_data(&sampler));
+            replay(&sampler, &output, "LOO", |n, probs| acc.add_draw(n, probs)).unwrap();
+            let terms = reference::pointwise(&sampler, &output);
+            assert_eq!(acc.draws(), terms.len());
+            for (day, column) in acc.log_terms.iter().enumerate() {
+                for (draw, ln_p) in column.iter().enumerate() {
+                    assert_eq!(
+                        ln_p.to_bits(),
+                        terms[draw][day].to_bits(),
+                        "{} draw {draw} day {}",
+                        sampler.model(),
+                        day + 1
+                    );
+                }
+            }
+            assert!(acc.ln_fact.len() as u64 <= LN_FACTORIAL_CACHE_LIMIT);
+            let loo = loo_from_output(&sampler, &output).unwrap();
+            assert_eq!(format!("{loo:?}"), format!("{:?}", acc.finish()));
+        }
     }
 
     #[test]

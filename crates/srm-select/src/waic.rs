@@ -17,16 +17,19 @@
 
 use srm_math::accum::RunningMoments;
 use srm_math::logsumexp::StreamingLogSumExp;
+use srm_math::special::LnFactorialTable;
 use srm_mcmc::gibbs::GibbsSampler;
 use srm_mcmc::runner::{run_chains, McmcConfig, McmcOutput};
 use srm_mcmc::SrmError;
-use srm_model::GroupedLikelihood;
+use srm_model::{DayTables, GroupedLikelihood};
 use srm_obs::{Event, Recorder, Span, NOOP};
 
 /// Streaming WAIC accumulator over posterior draws.
 #[derive(Debug, Clone)]
 pub struct WaicAccumulator {
     lik: GroupedLikelihood,
+    /// `ln k!` for the pointwise terms, read without a lock.
+    ln_fact: LnFactorialTable,
     predictive: Vec<StreamingLogSumExp>,
     log_terms: Vec<RunningMoments>,
 }
@@ -39,6 +42,7 @@ impl WaicAccumulator {
         let k = lik.horizon();
         Self {
             lik,
+            ln_fact: LnFactorialTable::default(),
             predictive: vec![StreamingLogSumExp::new(); k],
             log_terms: vec![RunningMoments::new(); k],
         }
@@ -47,8 +51,10 @@ impl WaicAccumulator {
     /// Feeds one posterior draw: the current `N` and detection
     /// schedule.
     pub fn add_draw(&mut self, n: u64, probs: &[f64]) {
+        // Day 1 has the most trials (N); later days reuse the table.
+        self.ln_fact.cover(n);
         for day in 1..=self.lik.horizon() {
-            let ln_p = self.lik.ln_pointwise(n, probs, day);
+            let ln_p = self.lik.ln_pointwise_with(n, probs, day, &self.ln_fact);
             self.predictive[day - 1].add(ln_p);
             // A −inf pointwise term would put zero predictive mass on
             // observed data; it cannot arise from valid sampler states
@@ -213,7 +219,9 @@ pub fn waic_from_output(
 /// [`crate::loo::loo_from_output`]: feeds every stored draw of
 /// `output` — chain order, then draw order — to `add_draw` as
 /// `(N, p_1..p_k)`, recomputing the detection schedule from the
-/// draw's stored `ζ`. Returns the number of draws replayed.
+/// draw's stored `ζ`. The day tables are built once per call and every
+/// draw, once its `ζ` is validated, refills one schedule buffer.
+/// Returns the number of draws replayed.
 ///
 /// # Errors
 ///
@@ -227,7 +235,8 @@ pub(crate) fn replay(
 ) -> Result<usize, SrmError> {
     let model = sampler.model();
     let zeta_names = model.param_names();
-    let horizon = sampler.likelihood().horizon();
+    let tables = DayTables::new(sampler.likelihood().horizon());
+    let mut probs = Vec::with_capacity(tables.horizon());
     let mut zeta = vec![0.0; zeta_names.len()];
     let mut draws = 0;
     for (ci, chain) in output.chains.iter().enumerate() {
@@ -246,12 +255,13 @@ pub(crate) fn replay(
             for (slot, col) in zeta.iter_mut().zip(&zeta_cols) {
                 *slot = col[t];
             }
-            let probs = model
-                .probs(&zeta, horizon)
+            model
+                .validate(&zeta)
                 .map_err(|e| SrmError::DegeneratePosterior {
                     detail: format!("replayed zeta outside model domain: {e:?}"),
                     sweep: t,
                 })?;
+            tables.fill_probs(model, &zeta, &mut probs);
             add_draw(n as u64, &probs);
         }
         draws += n_draws.len();
@@ -270,6 +280,112 @@ pub(crate) fn reconstruct_data(sampler: &GibbsSampler) -> srm_data::BugCountData
     // The sampler can only be built from non-empty data.
     srm_data::BugCountData::new(sampler.likelihood().counts().to_vec())
         .unwrap_or_else(|_| unreachable!())
+}
+
+/// Replay cases and their day-by-day reference terms, shared by the
+/// WAIC and LOO bit-identity tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use srm_data::BugCountData;
+    use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
+    use srm_mcmc::runner::McmcOutput;
+    use srm_mcmc::Chain;
+    use srm_model::detection::OPEN_EPS;
+    use srm_model::{DetectionModel, ZetaBounds};
+
+    /// One chain of hand-set draws `(N, ζ)` in the sampler's layout.
+    fn chain(sampler: &GibbsSampler, draws: &[(u64, Vec<f64>)]) -> Chain {
+        let names = sampler.param_names();
+        let mut chain = Chain::new(&names);
+        let hypers = names.len() - 2 - sampler.model().dim();
+        for (n, zeta) in draws {
+            let mut row = vec![*n as f64 - sampler.total() as f64, *n as f64];
+            row.extend(std::iter::repeat_n(0.5, hypers));
+            row.extend_from_slice(zeta);
+            chain.push(&row);
+        }
+        chain
+    }
+
+    /// Every curve on a series with zero-count days, fed draws with
+    /// `N = s_k`, `N > s_k` and `N` below a day's cumulative count
+    /// (an impossible day, −∞); then two curves on daily counts of
+    /// `u32::MAX`, where `N ≈ 8.6·10⁹` is far past the `ln k!` cache.
+    pub(crate) fn cases() -> Vec<(GibbsSampler, McmcOutput)> {
+        let mut cases = Vec::new();
+        let small = BugCountData::new(vec![3, 0, 5, 0, 0, 2]).unwrap_or_else(|e| panic!("{e}"));
+        for model in DetectionModel::ALL {
+            let sampler = GibbsSampler::new(
+                PriorSpec::Poisson { lambda_max: 1e3 },
+                model,
+                ZetaBounds::default(),
+                &small,
+            );
+            let zetas: Vec<Vec<f64>> = match model.dim() {
+                1 => vec![vec![0.3], vec![OPEN_EPS], vec![1.0 - OPEN_EPS]],
+                _ => vec![
+                    vec![0.3, 0.4],
+                    vec![OPEN_EPS, 0.9],
+                    vec![1.0 - OPEN_EPS, OPEN_EPS],
+                ],
+            };
+            let first: Vec<(u64, Vec<f64>)> = [10u64, 11, 25, 7, 3, 0]
+                .iter()
+                .zip(zetas.iter().cycle())
+                .map(|(&n, z)| (n, z.clone()))
+                .collect();
+            let second: Vec<(u64, Vec<f64>)> = zetas.iter().map(|z| (10, z.clone())).collect();
+            let output = McmcOutput {
+                chains: vec![chain(&sampler, &first), chain(&sampler, &second)],
+            };
+            cases.push((sampler, output));
+        }
+        let huge = u64::from(u32::MAX);
+        let big = BugCountData::new(vec![huge, huge]).unwrap_or_else(|e| panic!("{e}"));
+        let s_k = 2 * huge;
+        for (model, zeta) in [
+            (DetectionModel::Constant, vec![0.6]),
+            (DetectionModel::Weibull, vec![0.6, 0.3]),
+        ] {
+            let sampler = GibbsSampler::new(
+                PriorSpec::NegBinomial { alpha_max: 100.0 },
+                model,
+                ZetaBounds::default(),
+                &big,
+            );
+            let draws: Vec<(u64, Vec<f64>)> = [s_k, s_k + 1, s_k + (1 << 21), s_k - 1, 5]
+                .iter()
+                .map(|&n| (n, zeta.clone()))
+                .collect();
+            let output = McmcOutput {
+                chains: vec![chain(&sampler, &draws)],
+            };
+            cases.push((sampler, output));
+        }
+        cases
+    }
+
+    /// `GroupedLikelihood::ln_pointwise` on a `DetectionModel::probs`
+    /// schedule for every stored draw (chain order, then draw order),
+    /// one row of day terms per draw.
+    pub(crate) fn pointwise(sampler: &GibbsSampler, output: &McmcOutput) -> Vec<Vec<f64>> {
+        let model = sampler.model();
+        let lik = sampler.likelihood();
+        let mut rows = Vec::new();
+        for chain in &output.chains {
+            let column = |name: &str| chain.draws(name).unwrap_or_else(|| panic!("{name}"));
+            let n = column("n");
+            let zeta_cols: Vec<&[f64]> = model.param_names().iter().map(|p| column(p)).collect();
+            for (t, &n) in n.iter().enumerate() {
+                let zeta: Vec<f64> = zeta_cols.iter().map(|c| c[t]).collect();
+                let probs = model
+                    .probs(&zeta, lik.horizon())
+                    .unwrap_or_else(|e| panic!("{e}"));
+                rows.push(lik.ln_pointwise_all(n as u64, &probs));
+            }
+        }
+        rows
+    }
 }
 
 #[cfg(test)]
@@ -434,6 +550,62 @@ mod tests {
             err,
             SrmError::MissingParameter { ref parameter, chain: 0 } if parameter == "mu"
         ));
+    }
+
+    #[test]
+    fn replayed_terms_equal_ln_pointwise_bit_for_bit() {
+        use srm_math::special::LN_FACTORIAL_CACHE_LIMIT;
+        let mut impossible = 0;
+        for (sampler, output) in reference::cases() {
+            let data = reconstruct_data(&sampler);
+            let mut acc = WaicAccumulator::new(&data);
+            replay(&sampler, &output, "WAIC", |n, probs| acc.add_draw(n, probs)).unwrap();
+            let terms = reference::pointwise(&sampler, &output);
+            let mut predictive = vec![StreamingLogSumExp::new(); data.len()];
+            let mut log_terms = vec![RunningMoments::new(); data.len()];
+            for row in &terms {
+                for (day, &ln_p) in row.iter().enumerate() {
+                    impossible += usize::from(ln_p == f64::NEG_INFINITY);
+                    predictive[day].add(ln_p);
+                    log_terms[day].push(ln_p.max(-1e300));
+                }
+            }
+            // Debug prints every f64 in its shortest round-trip form,
+            // so equal strings mean equal bits.
+            let model = sampler.model();
+            assert_eq!(
+                format!("{:?}", acc.predictive),
+                format!("{predictive:?}"),
+                "{model}"
+            );
+            assert_eq!(
+                format!("{:?}", acc.log_terms),
+                format!("{log_terms:?}"),
+                "{model}"
+            );
+            assert!(acc.ln_fact.len() as u64 <= LN_FACTORIAL_CACHE_LIMIT);
+            let waic = waic_from_output(&sampler, &output, &NOOP).unwrap();
+            assert_eq!(
+                format!("{waic:?}"),
+                format!("{:?}", acc.finish()),
+                "{model}"
+            );
+        }
+        assert!(impossible > 0, "the cases must include impossible days");
+    }
+
+    #[test]
+    fn replay_still_validates_each_draw() {
+        let (sampler, mut output) = reference::cases().swap_remove(1);
+        let mut chain = srm_mcmc::Chain::new(&sampler.param_names());
+        chain.push(&[0.0, 10.0, 1.0, 0.5, 0.2]);
+        chain.push(&[0.0, 10.0, 1.0, 0.5, -0.2]); // θ must be > 0
+        output.chains.push(chain);
+        let err = waic_from_output(&sampler, &output, &NOOP).unwrap_err();
+        assert!(
+            matches!(err, SrmError::DegeneratePosterior { sweep: 1, ref detail } if detail.contains("theta")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -330,7 +330,7 @@ fn job_progress_gauges(out: &mut String, store: &JobStore) {
     let _ = writeln!(out, "# TYPE srm_job_ess gauge");
     let _ = writeln!(
         out,
-        "# HELP srm_job_ess_per_sec Effective samples per CPU-second of sampling at the latest checkpoint."
+        "# HELP srm_job_ess_per_sec Effective samples per second of summed chain wall time at the latest checkpoint (below ESS per CPU-second when chains share a core)."
     );
     let _ = writeln!(out, "# TYPE srm_job_ess_per_sec gauge");
     for (id, stats) in &running {

@@ -645,7 +645,7 @@ fn checkpoint_ess_per_sec_is_consistent_with_post_hoc_rate() {
         }
     }
 
-    // The aggregate rate (total ESS per CPU-second of sampling) must
+    // The aggregate rate (total ESS per summed chain wall second) must
     // agree with the post-hoc diagnostics' ESS over the same wall
     // clock within the streaming layer's documented 2% ESS tolerance.
     let total_wall_secs: f64 = latest.iter().map(|c| c.wall_ms / 1e3).sum();
