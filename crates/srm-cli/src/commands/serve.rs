@@ -12,10 +12,10 @@
 //!
 //! Request correlation (DESIGN.md §17): `--access-log FILE` writes
 //! one JSONL line per request with the trace id and a latency
-//! breakdown (rotated at `--access-log-max-mb`), and
-//! `--flight-recorder` keeps a bounded in-memory ring of recent
-//! events (`--flightrec-capacity` per thread) that is dumped to the
-//! state dir on panic, engine failure, drain, or on demand via
+//! breakdown (rotated to `FILE.1` at `--access-log-max-mb`), and
+//! `--flight-recorder` keeps one bounded in-memory ring of the last
+//! 4096 events across the process that is dumped to the state dir on
+//! panic, engine failure, drain, or on demand via
 //! `POST /v1/debug/flightrec`.
 
 use crate::args::{ArgError, Args};
@@ -39,7 +39,6 @@ const FLAGS: &[&str] = &[
     "conn-backlog",
     "access-log",
     "access-log-max-mb",
-    "flightrec-capacity",
 ];
 
 const SWITCHES: &[&str] = &["flight-recorder"];
@@ -87,9 +86,6 @@ fn build_config(args: &Args) -> Result<ServerConfig, ArgError> {
             * 1024
             * 1024,
         flight_recorder: args.has_switch("flight-recorder"),
-        flightrec_capacity: args
-            .get_parsed("flightrec-capacity", srm_obs::DEFAULT_FLIGHTREC_CAPACITY)?
-            .max(1),
         watch_signals: true,
         gate: None,
     })
@@ -203,8 +199,6 @@ mod tests {
             "--access-log-max-mb",
             "4",
             "--flight-recorder",
-            "--flightrec-capacity",
-            "128",
         ]
         .iter()
         .map(|s| (*s).to_owned())
@@ -214,7 +208,6 @@ mod tests {
         assert_eq!(config.access_log.as_deref(), Some("/tmp/access.jsonl"));
         assert_eq!(config.access_log_max_bytes, 4 * 1024 * 1024);
         assert!(config.flight_recorder);
-        assert_eq!(config.flightrec_capacity, 128);
 
         // Defaults: tracing extras are off unless asked for.
         let bare = Args::parse(&["serve".to_owned()], FLAGS, SWITCHES).unwrap();
@@ -225,10 +218,6 @@ mod tests {
             srm_serve::DEFAULT_ACCESS_LOG_MAX_BYTES
         );
         assert!(!config.flight_recorder);
-        assert_eq!(
-            config.flightrec_capacity,
-            srm_obs::DEFAULT_FLIGHTREC_CAPACITY
-        );
     }
 
     #[test]

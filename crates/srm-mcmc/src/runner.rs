@@ -377,9 +377,9 @@ pub fn run_chains_fault_tolerant_traced(
                     done
                 };
                 // Named workers so diagnostics that attribute by
-                // thread (the srm-obs flight recorder's per-thread
-                // rings, panic messages) read `srm-chain-N` instead
-                // of `<unnamed>`. Naming is best-effort: the worker
+                // thread (the `thread` field of srm-obs flight
+                // recorder lines, panic messages) read `srm-chain-N`
+                // instead of `<unnamed>`. Naming is best-effort: the worker
                 // closure only borrows, so it can be respawned
                 // anonymously if the named spawn fails.
                 std::thread::Builder::new()

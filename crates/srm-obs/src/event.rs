@@ -4,9 +4,10 @@
 //! Sinks receive events by reference and decide independently what to
 //! do with them (format a progress line, append a JSONL record, bump a
 //! counter). Serialisation lives here — `kind()` gives the stable
-//! kebab-case discriminator written to the `"type"` field, and
-//! `to_value()` the full JSON payload — so every sink shares a single
-//! formatting path.
+//! kebab-case discriminator written to the `"type"` field,
+//! `to_value()` the full JSON payload, and `to_line()` the schema-v7
+//! line (payload plus `trace_id` and the writer's stamps) — so every
+//! sink shares a single formatting path.
 
 use crate::checkpoint::ChainCheckpoint;
 use crate::json::Value;
@@ -400,8 +401,8 @@ pub enum Event {
         /// Time spent serialising responses/results, ms.
         serialize_ms: f64,
     },
-    /// The flight recorder dumped its rings to disk. Written as the
-    /// first line of every `flightrec-<ts>.jsonl` file.
+    /// The flight recorder dumped its ring to disk. Written as the
+    /// first line of every `flightrec-<ts>-<n>.jsonl` file.
     FlightRecDump {
         /// Why the dump happened (`panic`, `engine-failure`,
         /// `sigterm`, `on-demand`, …).
@@ -849,6 +850,24 @@ impl Event {
         }
         Value::Obj(pairs)
     }
+
+    /// One schema-v7 line as every writer emits it: `type`, then
+    /// `trace_id`, then the writer's own `stamps` (a sink's `ms`, the
+    /// flight recorder's `seq` and `thread`), then the payload.
+    pub fn to_line<'a>(
+        &self,
+        trace_id: &str,
+        stamps: impl IntoIterator<Item = (&'a str, Value)>,
+    ) -> Value {
+        let mut value = self.to_value();
+        if let Value::Obj(pairs) = &mut value {
+            let head = std::iter::once(("trace_id", Value::Str(trace_id.to_owned())))
+                .chain(stamps)
+                .map(|(key, v)| (key.to_owned(), v));
+            pairs.splice(1..1, head);
+        }
+        value
+    }
 }
 
 /// The non-`type` fields required for a given event kind, for schema
@@ -1213,5 +1232,23 @@ mod tests {
         let parsed = crate::json::parse(&text).unwrap();
         let back = ChainCheckpoint::from_value(&parsed).unwrap();
         assert_eq!(back, checkpoint);
+    }
+
+    #[test]
+    fn lines_put_type_then_trace_id_then_stamps_then_payload() {
+        let retry = Event::Retry {
+            chain: 1,
+            sweep: 7,
+            retries: 2,
+        };
+        let stamps = [("seq", Value::Num(3.0)), ("thread", Value::Str("w".into()))];
+        assert_eq!(
+            retry.to_line("beef", stamps).to_json(),
+            r#"{"type":"retry","trace_id":"beef","seq":3,"thread":"w","chain":1,"sweep":7,"retries":2}"#
+        );
+        assert_eq!(
+            retry.to_line("beef", []).to_json(),
+            r#"{"type":"retry","trace_id":"beef","chain":1,"sweep":7,"retries":2}"#
+        );
     }
 }

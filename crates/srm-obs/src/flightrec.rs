@@ -1,19 +1,20 @@
-//! Crash/error flight recorder: a bounded ring of recent events per
-//! thread, dumpable to disk when something goes wrong.
+//! Crash/error flight recorder: one bounded ring of recent events for
+//! the whole process, dumpable to disk when something goes wrong.
 //!
 //! The recorder answers "what was the system doing just before the
-//! failure?" without paying for a full trace. Each thread that emits
-//! events gets its own ring of the last N recorded lines, registered
-//! in a process-wide registry; the record path locks only the calling
-//! thread's own ring (uncontended in steady state), so the cost is a
-//! few atomics and one cheap mutex. When disabled — the default —
-//! recording is a single relaxed atomic load.
+//! failure?" without paying for a full trace. Every thread records
+//! into the same ring of the last N event lines behind one mutex, and
+//! each line's `seq` is assigned under that lock, so the ring is in
+//! capture order and its size never exceeds N however many threads
+//! come and go. When disabled — the default — recording is a single
+//! relaxed atomic load.
 //!
-//! Dumps (`flightrec-<ts>.jsonl` in the chosen directory) are written
-//! on panic, on engine failure, on SIGTERM drain, and on demand via
-//! `GET /v1/debug/events`. Dump I/O follows the workspace degradation
-//! policy: a failed write bumps an error counter and the process
-//! keeps serving.
+//! Dumps (`flightrec-<ts>-<n>.jsonl` in the chosen directory, `n`
+//! counting this process's dumps) are written on panic, on engine
+//! failure, on SIGTERM drain, and on demand via
+//! `POST /v1/debug/flightrec`. Dump I/O follows the workspace
+//! degradation policy: a failed write bumps an error counter and the
+//! process keeps serving.
 //!
 //! The recorder observes the run and never feeds anything back: it
 //! has no access to the sampler's RNG, so draws are bit-identical
@@ -24,7 +25,7 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use crate::event::Event;
 use crate::json::Value;
@@ -32,8 +33,8 @@ use crate::recorder::{Counter, Recorder};
 use crate::sinks::JsonlSink;
 use crate::trace_id::TraceId;
 
-/// Default per-thread ring capacity.
-pub const DEFAULT_FLIGHTREC_CAPACITY: usize = 256;
+/// Default ring capacity, in events across every thread.
+pub const DEFAULT_FLIGHTREC_CAPACITY: usize = 4096;
 
 fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
@@ -41,21 +42,12 @@ fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One captured event line.
-#[derive(Debug, Clone)]
-struct Captured {
-    /// Global capture sequence number (total order across threads).
-    seq: u64,
-    /// The event's JSON payload with `trace_id`, `seq`, and `thread`
-    /// already injected.
-    value: Value,
-}
-
-/// One thread's bounded ring.
-#[derive(Debug)]
-struct ThreadRing {
-    thread: String,
-    slots: Mutex<VecDeque<Captured>>,
+/// The captured lines, oldest first. `recorded` counts every capture
+/// since boot, evicted ones included, and is the next line's `seq`.
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<Value>,
+    recorded: u64,
 }
 
 /// Process-wide recorder state.
@@ -63,9 +55,9 @@ struct ThreadRing {
 struct Registry {
     enabled: AtomicBool,
     capacity: AtomicUsize,
-    seq: AtomicU64,
-    rings: Mutex<Vec<Arc<ThreadRing>>>,
-    recorded: Counter,
+    ring: Mutex<Ring>,
+    /// Dump attempts started; numbers each dump file.
+    dump_seq: AtomicU64,
     dumps: Counter,
     dump_errors: Counter,
 }
@@ -75,36 +67,15 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         enabled: AtomicBool::new(false),
         capacity: AtomicUsize::new(DEFAULT_FLIGHTREC_CAPACITY),
-        seq: AtomicU64::new(0),
-        rings: Mutex::new(Vec::new()),
-        recorded: Counter::new(),
+        ring: Mutex::new(Ring::default()),
+        dump_seq: AtomicU64::new(0),
         dumps: Counter::new(),
         dump_errors: Counter::new(),
     })
 }
 
-thread_local! {
-    static RING: OnceLock<Arc<ThreadRing>> = const { OnceLock::new() };
-}
-
-fn own_ring() -> Arc<ThreadRing> {
-    RING.with(|cell| {
-        Arc::clone(cell.get_or_init(|| {
-            let name = std::thread::current().name().map_or_else(
-                || format!("{:?}", std::thread::current().id()),
-                str::to_owned,
-            );
-            let ring = Arc::new(ThreadRing {
-                thread: name,
-                slots: Mutex::new(VecDeque::new()),
-            });
-            lock_ignoring_poison(&registry().rings).push(Arc::clone(&ring));
-            ring
-        }))
-    })
-}
-
-/// Turns the recorder on with the given per-thread capacity.
+/// Turns the recorder on with the given ring capacity (events in
+/// total, not per thread).
 pub fn enable(capacity: usize) {
     let reg = registry();
     reg.capacity
@@ -112,7 +83,7 @@ pub fn enable(capacity: usize) {
     reg.enabled.store(true, Ordering::Relaxed);
 }
 
-/// Turns the recorder off. Rings keep their contents (a dump after
+/// Turns the recorder off. The ring keeps its contents (a dump after
 /// disable still shows the run-up).
 pub fn disable() {
     registry().enabled.store(false, Ordering::Relaxed);
@@ -124,12 +95,9 @@ pub fn enabled() -> bool {
     registry().enabled.load(Ordering::Relaxed)
 }
 
-/// Empties every ring (tests and targeted debugging sessions).
+/// Empties the ring (tests and targeted debugging sessions).
 pub fn clear() {
-    let rings: Vec<Arc<ThreadRing>> = lock_ignoring_poison(&registry().rings).clone();
-    for ring in rings {
-        lock_ignoring_poison(&ring.slots).clear();
-    }
+    lock_ignoring_poison(&registry().ring).events.clear();
 }
 
 /// Captures one event under the given trace id. A no-op when the
@@ -139,22 +107,25 @@ pub fn record_event(event: &Event, trace_id: &str) {
     if !reg.enabled.load(Ordering::Relaxed) {
         return;
     }
-    let ring = own_ring();
-    let seq = reg.seq.fetch_add(1, Ordering::Relaxed);
-    let mut value = event.to_value();
-    if let Value::Obj(pairs) = &mut value {
-        pairs.insert(1, ("trace_id".to_owned(), Value::Str(trace_id.to_owned())));
-        pairs.insert(2, ("seq".to_owned(), Value::Num(seq as f64)));
-        pairs.insert(3, ("thread".to_owned(), Value::Str(ring.thread.clone())));
-    }
+    let current = std::thread::current();
+    let thread = current
+        .name()
+        .map_or_else(|| format!("{:?}", current.id()), str::to_owned);
     let capacity = reg.capacity.load(Ordering::Relaxed);
-    let mut slots = lock_ignoring_poison(&ring.slots);
-    while slots.len() >= capacity {
-        slots.pop_front();
+    let mut ring = lock_ignoring_poison(&reg.ring);
+    let seq = ring.recorded;
+    ring.recorded += 1;
+    let line = event.to_line(
+        trace_id,
+        [
+            ("seq", Value::Num(seq as f64)),
+            ("thread", Value::Str(thread)),
+        ],
+    );
+    while ring.events.len() >= capacity {
+        ring.events.pop_front();
     }
-    slots.push_back(Captured { seq, value });
-    drop(slots);
-    reg.recorded.incr();
+    ring.events.push_back(line);
 }
 
 /// A [`Recorder`] that feeds a job's events into the flight recorder
@@ -188,16 +159,14 @@ impl Recorder for FlightRecorder {
     }
 }
 
-/// The merged contents of every ring, in capture order.
+/// The ring's contents, in capture order.
 #[must_use]
 pub fn snapshot() -> Vec<Value> {
-    let rings: Vec<Arc<ThreadRing>> = lock_ignoring_poison(&registry().rings).clone();
-    let mut all: Vec<Captured> = Vec::new();
-    for ring in rings {
-        all.extend(lock_ignoring_poison(&ring.slots).iter().cloned());
-    }
-    all.sort_by_key(|c| c.seq);
-    all.into_iter().map(|c| c.value).collect()
+    lock_ignoring_poison(&registry().ring)
+        .events
+        .iter()
+        .cloned()
+        .collect()
 }
 
 /// Counters for `/metrics` and the debug endpoints.
@@ -205,10 +174,8 @@ pub fn snapshot() -> Vec<Value> {
 pub struct FlightRecStats {
     /// Whether capture is on.
     pub enabled: bool,
-    /// Per-thread ring capacity.
+    /// Ring capacity, in events across every thread.
     pub capacity: usize,
-    /// Threads with a registered ring.
-    pub threads: usize,
     /// Events captured since boot (including since-evicted ones).
     pub recorded: u64,
     /// Dumps written successfully.
@@ -224,16 +191,17 @@ pub fn stats() -> FlightRecStats {
     FlightRecStats {
         enabled: enabled(),
         capacity: reg.capacity.load(Ordering::Relaxed),
-        threads: lock_ignoring_poison(&reg.rings).len(),
-        recorded: reg.recorded.get(),
+        recorded: lock_ignoring_poison(&reg.ring).recorded,
         dumps: reg.dumps.get(),
         dump_errors: reg.dump_errors.get(),
     }
 }
 
-/// Writes every captured event to `dir/flightrec-<ts>.jsonl`, newest
-/// rings merged in capture order, preceded by one `flightrec-dump`
-/// line recording why the dump happened. Returns the path written.
+/// Writes every captured event to `dir/flightrec-<ts>-<n>.jsonl` in
+/// capture order, preceded by one `flightrec-dump` line recording why
+/// the dump happened. `n` numbers this process's dumps, so two dumps
+/// in the same millisecond never share a file. Returns the path
+/// written.
 ///
 /// # Errors
 ///
@@ -241,11 +209,13 @@ pub fn stats() -> FlightRecStats {
 /// the error counter is bumped either way, so callers can treat the
 /// result as advisory (degradation policy: log, count, keep serving).
 pub fn dump_to_dir(dir: &Path, reason: &str) -> io::Result<PathBuf> {
+    let reg = registry();
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis())
         .unwrap_or(0);
-    let path = dir.join(format!("flightrec-{ts}.jsonl"));
+    let n = reg.dump_seq.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("flightrec-{ts}-{n}.jsonl"));
     let events = snapshot();
     let write = (|| -> io::Result<()> {
         let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
@@ -253,17 +223,8 @@ pub fn dump_to_dir(dir: &Path, reason: &str) -> io::Result<PathBuf> {
             reason: reason.to_owned(),
             events: events.len() as u64,
         };
-        let mut header_value = header.to_value();
-        if let Value::Obj(pairs) = &mut header_value {
-            pairs.insert(
-                1,
-                (
-                    "trace_id".to_owned(),
-                    Value::Str(crate::trace_id::process_trace_id().to_hex()),
-                ),
-            );
-        }
-        writeln!(file, "{}", header_value.to_json())?;
+        let trace_id = crate::trace_id::process_trace_id().to_hex();
+        writeln!(file, "{}", header.to_line(&trace_id, []).to_json())?;
         for event in &events {
             writeln!(file, "{}", event.to_json())?;
         }
@@ -271,17 +232,17 @@ pub fn dump_to_dir(dir: &Path, reason: &str) -> io::Result<PathBuf> {
     })();
     match write {
         Ok(()) => {
-            registry().dumps.incr();
+            reg.dumps.incr();
             Ok(path)
         }
         Err(e) => {
-            registry().dump_errors.incr();
+            reg.dump_errors.incr();
             Err(e)
         }
     }
 }
 
-/// Installs a panic hook that dumps the rings to `dir` before
+/// Installs a panic hook that dumps the ring to `dir` before
 /// delegating to the previous hook. Idempotent in effect (each call
 /// layers one more dump attempt; the server installs it once).
 pub fn install_panic_hook(dir: PathBuf) {
@@ -296,7 +257,7 @@ pub fn install_panic_hook(dir: PathBuf) {
 mod tests {
     use super::*;
 
-    /// The registry is process-global, so every assertion that spans
+    /// The ring is process-global, so every assertion that spans
     /// enable/record/dump runs under this lock to keep tests from
     /// interleaving.
     fn test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -323,23 +284,34 @@ mod tests {
     }
 
     #[test]
-    fn rings_are_bounded_and_snapshot_merges_in_order() {
+    fn ring_is_bounded_across_threads_and_ordered_by_seq() {
         let _guard = test_lock();
-        enable(4);
+        enable(64);
         clear();
-        for sweep in 0..10 {
-            record_event(&sample_event(sweep), "bb");
-        }
+        // Short-lived threads, like a fit's scoped chain workers: the
+        // ring's bound is a total, whatever the number of threads.
+        std::thread::scope(|scope| {
+            for _ in 0..100 {
+                scope.spawn(|| {
+                    for sweep in 0..10 {
+                        record_event(&sample_event(sweep), "bb");
+                    }
+                });
+            }
+        });
         let events = snapshot();
-        assert_eq!(events.len(), 4, "ring must keep only the last 4");
-        let sweeps: Vec<f64> = events
+        assert_eq!(events.len(), 64, "ring must keep only the last 64");
+        let seqs: Vec<f64> = events
             .iter()
-            .map(|e| e.get("sweep").and_then(Value::as_f64).unwrap())
+            .map(|e| e.get("seq").and_then(Value::as_f64).unwrap())
             .collect();
-        assert_eq!(sweeps, vec![6.0, 7.0, 8.0, 9.0]);
+        assert!(
+            seqs.windows(2).all(|w| w[0] < w[1]),
+            "seq must strictly increase: {seqs:?}"
+        );
+        assert_eq!(seqs[63], (stats().recorded - 1) as f64, "newest kept");
         for event in &events {
             assert_eq!(event.get("trace_id").and_then(Value::as_str), Some("bb"));
-            assert!(event.get("seq").is_some());
             assert!(event.get("thread").is_some());
         }
         disable();
@@ -390,6 +362,28 @@ mod tests {
         assert_eq!(header.get("events").and_then(Value::as_f64), Some(1.0));
         let event = crate::json::parse(lines[1]).unwrap();
         assert_eq!(event.get("trace_id").and_then(Value::as_str), Some("cc"));
+        disable();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn back_to_back_dumps_each_get_their_own_file() {
+        let _guard = test_lock();
+        enable(8);
+        clear();
+        record_event(&sample_event(1), "ee");
+        let dir = std::env::temp_dir().join(format!("srm_flightrec_twins_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let before = stats().dumps;
+        // Far faster than a millisecond apiece, so the timestamp alone
+        // would name several of them alike.
+        for _ in 0..10 {
+            dump_to_dir(&dir, "unit-test").unwrap();
+        }
+        let files = std::fs::read_dir(&dir).unwrap().count() as u64;
+        assert_eq!(files, 10);
+        assert_eq!(stats().dumps - before, files);
         disable();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -28,7 +28,7 @@
 //! | [`ChainCheckpoint`] / [`aggregate`] | streaming `diagnostic-checkpoint` payloads and their cross-chain R̂/ESS aggregation |
 //! | [`profile`] | hierarchical span profiler: per-phase count/total/min/max/histogram aggregates |
 //! | [`trace_id`] | 128-bit request-correlation ids (schema v7 `trace_id` field) |
-//! | [`flightrec`] | bounded per-thread rings of recent events, dumped on panic/failure |
+//! | [`flightrec`] | one bounded process-wide ring of recent events, dumped on panic/failure |
 //! | [`json`] | dependency-free JSON writer + parser |
 
 #![forbid(unsafe_code)]
@@ -56,7 +56,7 @@ pub use flightrec::{FlightRecStats, FlightRecorder, DEFAULT_FLIGHTREC_CAPACITY};
 pub use manifest::{
     build_info_value, dataset_hash, fnv1a_hex, ManifestChain, RunManifest, MANIFEST_SCHEMA_VERSION,
 };
-pub use profile::{PhaseSnapshot, Profiler, TracedInterval, HIST_BUCKETS, RECENT_INTERVALS};
+pub use profile::{PhaseSnapshot, Profiler, HIST_BUCKETS};
 pub use recorder::{Counter, FixedHistogram, NoopRecorder, Recorder, Span, Tee, NOOP};
 pub use sinks::{JsonlSink, ProgressSink};
 pub use stats::{DiagnosticStat, StatsCollector};

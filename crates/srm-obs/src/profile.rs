@@ -195,33 +195,6 @@ impl PhaseSnapshot {
     }
 }
 
-/// One directly-recorded interval retained for correlation: which
-/// trace id spent `ns` under `path`. See [`Profiler::recent`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TracedInterval {
-    /// `/`-joined phase path, e.g. `serve/queue-wait`.
-    pub path: String,
-    /// Duration in nanoseconds.
-    pub ns: u64,
-    /// Correlation id of the request that spent the time.
-    pub trace_id: String,
-}
-
-impl TracedInterval {
-    /// Serialises to the JSON shape used by `/v1/debug/profile`.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj(vec![
-            ("path", Value::Str(self.path.clone())),
-            ("ns", Value::Num(self.ns as f64)),
-            ("trace_id", Value::Str(self.trace_id.clone())),
-        ])
-    }
-}
-
-/// How many traced intervals a profiler retains (newest win).
-pub const RECENT_INTERVALS: usize = 128;
-
 /// A shared sink of per-phase timing aggregates.
 ///
 /// Cheap to share (`Arc`), safe from any thread. See the module docs
@@ -229,7 +202,6 @@ pub const RECENT_INTERVALS: usize = 128;
 #[derive(Debug, Default)]
 pub struct Profiler {
     merged: Mutex<BTreeMap<String, Agg>>,
-    recent: Mutex<Vec<TracedInterval>>,
 }
 
 impl Profiler {
@@ -244,35 +216,10 @@ impl Profiler {
     /// wait) where no single scope contains the interval. Takes the
     /// shared lock; not for per-sweep hot paths.
     pub fn record_ns(&self, path: &str, ns: u64) {
-        self.record_ns_for(path, ns, None);
-    }
-
-    /// Like [`Profiler::record_ns`], additionally retaining the
-    /// interval in a bounded recent-intervals ring keyed by the
-    /// request's correlation id (surfaced by `/v1/debug/profile`).
-    pub fn record_ns_for(&self, path: &str, ns: u64, trace_id: Option<&str>) {
-        {
-            let mut merged = lock_ignoring_poison(&self.merged);
-            merged.entry(path.to_owned()).or_default().observe(ns);
-        }
-        if let Some(trace_id) = trace_id {
-            let mut recent = lock_ignoring_poison(&self.recent);
-            if recent.len() >= RECENT_INTERVALS {
-                recent.remove(0);
-            }
-            recent.push(TracedInterval {
-                path: path.to_owned(),
-                ns,
-                trace_id: trace_id.to_owned(),
-            });
-        }
-    }
-
-    /// The retained traced intervals, oldest first (bounded at
-    /// [`RECENT_INTERVALS`]).
-    #[must_use]
-    pub fn recent(&self) -> Vec<TracedInterval> {
-        lock_ignoring_poison(&self.recent).clone()
+        lock_ignoring_poison(&self.merged)
+            .entry(path.to_owned())
+            .or_default()
+            .observe(ns);
     }
 
     /// The current aggregates, sorted by path.
@@ -610,30 +557,6 @@ mod tests {
         assert_eq!(snapshot[0].total_ns, 4_000);
         assert_eq!(snapshot[0].min_ns, 1_000);
         assert_eq!(snapshot[0].max_ns, 3_000);
-    }
-
-    #[test]
-    fn record_ns_for_retains_a_bounded_traced_ring() {
-        let profiler = Profiler::new();
-        profiler.record_ns_for("serve/engine", 10, Some("aaaa"));
-        profiler.record_ns("serve/engine", 20); // untagged: aggregate only
-        for i in 0..RECENT_INTERVALS {
-            profiler.record_ns_for("serve/queue-wait", i as u64, Some("bbbb"));
-        }
-        let recent = profiler.recent();
-        assert_eq!(recent.len(), RECENT_INTERVALS);
-        // The oldest ("aaaa") interval was evicted by the flood.
-        assert!(recent.iter().all(|i| i.trace_id == "bbbb"));
-        let value = recent[0].to_value();
-        assert_eq!(value.get("trace_id").unwrap().as_str(), Some("bbbb"));
-        assert_eq!(
-            value.get("path").unwrap().as_str(),
-            Some("serve/queue-wait")
-        );
-        // Aggregates saw both the tagged and untagged observations.
-        let snapshot = profiler.snapshot();
-        let engine = snapshot.iter().find(|p| p.path == "serve/engine").unwrap();
-        assert_eq!(engine.count, 2);
     }
 
     #[test]

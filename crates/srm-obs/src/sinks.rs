@@ -100,20 +100,8 @@ impl Recorder for JsonlSink {
         if !self.wants(event) {
             return;
         }
-        let mut value = event.to_value();
-        if let Value::Obj(pairs) = &mut value {
-            pairs.insert(
-                1,
-                ("trace_id".to_string(), Value::Str(self.trace_id.clone())),
-            );
-            pairs.insert(
-                2,
-                (
-                    "ms".to_string(),
-                    Value::Num(self.started.elapsed().as_secs_f64() * 1e3),
-                ),
-            );
-        }
+        let ms = self.started.elapsed().as_secs_f64() * 1e3;
+        let value = event.to_line(&self.trace_id, [("ms", Value::Num(ms))]);
         let mut out = lock_ignoring_poison(&self.out);
         let _ = writeln!(out, "{}", value.to_json());
     }

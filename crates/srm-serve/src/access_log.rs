@@ -2,9 +2,10 @@
 //!
 //! Each line is an [`Event::Access`] payload — trace id, method,
 //! path, status, response bytes, cache-hit flag, and the
-//! queue-wait/engine/serialize time breakdown from the span profiler
-//! — so the file lints with `srm trace lint --strict` and stitches
-//! into job traces via `srm trace grep --trace-id`.
+//! queue-wait/engine/serialize time breakdown the handler measured —
+//! laid out by [`Event::to_line`] like every other event line, so the
+//! file lints with `srm trace lint --strict` and stitches into job
+//! traces via `srm trace grep --trace-id`.
 //!
 //! Rotation is by size: when the file would exceed the configured
 //! cap, it is renamed to `<path>.1` (replacing any previous rotation)
@@ -81,18 +82,8 @@ impl AccessLog {
     /// contract: failures degrade to a counted error (the accept loop
     /// must never die because the log disk did).
     pub fn log(&self, trace_id: &str, event: &Event) {
-        let mut value = event.to_value();
-        if let Value::Obj(pairs) = &mut value {
-            pairs.insert(1, ("trace_id".to_owned(), Value::Str(trace_id.to_owned())));
-            pairs.insert(
-                2,
-                (
-                    "ms".to_owned(),
-                    Value::Num(self.started.elapsed().as_secs_f64() * 1e3),
-                ),
-            );
-        }
-        let mut line = value.to_json();
+        let ms = self.started.elapsed().as_secs_f64() * 1e3;
+        let mut line = event.to_line(trace_id, [("ms", Value::Num(ms))]).to_json();
         line.push('\n');
         if let Err(e) = self.append(&line) {
             self.errors.incr();
@@ -111,7 +102,9 @@ impl AccessLog {
     fn append(&self, line: &str) -> std::io::Result<()> {
         let size = std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
         if size > 0 && size + line.len() as u64 > self.max_bytes {
-            std::fs::rename(&self.path, self.path.with_extension("jsonl.1"))?;
+            let mut rotated = self.path.clone().into_os_string();
+            rotated.push(".1");
+            std::fs::rename(&self.path, rotated)?;
             self.rotations.incr();
         }
         let mut file = std::fs::OpenOptions::new()
@@ -204,19 +197,21 @@ mod tests {
     #[test]
     fn rotation_renames_the_full_file_and_starts_fresh() {
         let dir = temp_dir("rotate");
-        // A cap small enough that every line triggers rotation.
-        let log = AccessLog::new(dir.join("access.jsonl"), 64);
-        for _ in 0..3 {
-            log.log("beef", &access_event(200));
-        }
-        assert!(log.stats().rotations >= 1, "{:?}", log.stats());
-        assert_eq!(log.stats().errors, 0);
-        let rotated = dir.join("access.jsonl.1");
-        assert!(rotated.exists());
-        // Both generations still parse line-by-line.
-        for path in [log.path().to_path_buf(), rotated] {
-            for line in std::fs::read_to_string(&path).unwrap().lines() {
-                assert!(parse(line).is_ok(), "{line}");
+        for name in ["access.jsonl", "access.log"] {
+            // A cap small enough that every line triggers rotation.
+            let log = AccessLog::new(dir.join(name), 64);
+            for _ in 0..3 {
+                log.log("beef", &access_event(200));
+            }
+            assert!(log.stats().rotations >= 1, "{:?}", log.stats());
+            assert_eq!(log.stats().errors, 0);
+            let rotated = dir.join(format!("{name}.1"));
+            assert!(rotated.exists(), "{name} rotated elsewhere");
+            // Both generations still parse line-by-line.
+            for path in [log.path().to_path_buf(), rotated] {
+                for line in std::fs::read_to_string(&path).unwrap().lines() {
+                    assert!(parse(line).is_ok(), "{line}");
+                }
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -609,12 +609,6 @@ pub fn render_prometheus(
         "Whether the flight recorder is capturing (1) or not (0).",
         if flightrec.enabled { 1.0 } else { 0.0 },
     );
-    gauge(
-        &mut out,
-        "srm_flightrec_threads",
-        "Threads with a registered flight-recorder ring.",
-        flightrec.threads as f64,
-    );
     counter(
         &mut out,
         "srm_flightrec_recorded_total",
@@ -818,7 +812,6 @@ mod tests {
                 flightrec: srm_obs::FlightRecStats {
                     enabled: true,
                     capacity: 256,
-                    threads: 3,
                     recorded: 17,
                     dumps: 1,
                     dump_errors: 0,
@@ -848,7 +841,6 @@ mod tests {
         assert!(page.contains("srm_serve_access_log_errors_total 1"));
         assert!(page.contains("srm_serve_access_log_rotations_total 2"));
         assert!(page.contains("srm_flightrec_enabled 1"));
-        assert!(page.contains("srm_flightrec_threads 3"));
         assert!(page.contains("srm_flightrec_recorded_total 17"));
         assert!(page.contains("srm_flightrec_dumps_total 1"));
         assert!(page.contains("srm_flightrec_dump_errors_total 0"));

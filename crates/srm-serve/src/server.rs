@@ -215,8 +215,6 @@ pub struct ServerConfig {
     /// Turn on the process-global flight recorder (see
     /// [`srm_obs::flightrec`]) and tee every job's events into it.
     pub flight_recorder: bool,
-    /// Per-thread flight-recorder ring capacity.
-    pub flightrec_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -240,7 +238,6 @@ impl Default for ServerConfig {
             access_log: None,
             access_log_max_bytes: DEFAULT_ACCESS_LOG_MAX_BYTES,
             flight_recorder: false,
-            flightrec_capacity: srm_obs::DEFAULT_FLIGHTREC_CAPACITY,
         }
     }
 }
@@ -424,7 +421,7 @@ impl Server {
             .or_else(|| config.trace_dir.clone())
             .map(std::path::PathBuf::from);
         if config.flight_recorder {
-            flightrec::enable(config.flightrec_capacity);
+            flightrec::enable(srm_obs::DEFAULT_FLIGHTREC_CAPACITY);
             if let Some(dir) = &flightrec_dir {
                 // One hook per process: every server sharing the
                 // process also shares the global recorder.
@@ -672,15 +669,9 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, queue_wait
     let _ = response.write_to(&mut stream);
     let serialize_ns = u64::try_from(serialize_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let queue_ns = u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX);
-    state
-        .profiler
-        .record_ns_for("http/queue-wait", queue_ns, Some(&trace_hex));
-    state
-        .profiler
-        .record_ns_for("http/handle", handle_ns, Some(&trace_hex));
-    state
-        .profiler
-        .record_ns_for("http/serialize", serialize_ns, Some(&trace_hex));
+    state.profiler.record_ns("http/queue-wait", queue_ns);
+    state.profiler.record_ns("http/handle", handle_ns);
+    state.profiler.record_ns("http/serialize", serialize_ns);
     let access = Event::Access {
         method,
         path,
@@ -802,7 +793,7 @@ fn health(state: &Arc<ServerState>) -> Response {
 }
 
 /// `GET /v1/debug/profile` — the live span-profiler state: per-phase
-/// aggregates plus the bounded ring of recent trace-tagged intervals.
+/// aggregates.
 fn debug_profile(state: &Arc<ServerState>) -> Response {
     state.metrics.debug_requests.incr();
     let phases: Vec<Value> = state
@@ -820,23 +811,11 @@ fn debug_profile(state: &Arc<ServerState>) -> Response {
             ])
         })
         .collect();
-    let recent: Vec<Value> = state
-        .profiler
-        .recent()
-        .iter()
-        .map(srm_obs::TracedInterval::to_value)
-        .collect();
-    Response::json(
-        200,
-        &Value::obj(vec![
-            ("phases", Value::Arr(phases)),
-            ("recent", Value::Arr(recent)),
-        ]),
-    )
+    Response::json(200, &Value::obj(vec![("phases", Value::Arr(phases))]))
 }
 
 /// `GET /v1/debug/events` — the flight recorder's counters and the
-/// merged contents of every thread ring, in capture order.
+/// ring's contents, in capture order.
 fn debug_events(state: &Arc<ServerState>) -> Response {
     state.metrics.debug_requests.incr();
     let stats = flightrec::stats();
@@ -845,7 +824,6 @@ fn debug_events(state: &Arc<ServerState>) -> Response {
         &Value::obj(vec![
             ("enabled", Value::Bool(stats.enabled)),
             ("capacity", Value::Num(stats.capacity as f64)),
-            ("threads", Value::Num(stats.threads as f64)),
             ("recorded", Value::Num(stats.recorded as f64)),
             ("dumps", Value::Num(stats.dumps as f64)),
             ("dump_errors", Value::Num(stats.dump_errors as f64)),
@@ -962,7 +940,7 @@ fn submit_job(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Respon
     }
 
     let trace = open_trace(state, &id, ctx.trace_id);
-    let recorder = job_recorder(state, trace.as_ref(), ctx.trace_id);
+    let recorder = job_recorder(state, trace.as_ref(), ctx.trace_id, None);
     recorder.record(&Event::JobStart {
         job_id: id.clone(),
         kind: spec.kind.label().to_owned(),
@@ -1059,7 +1037,7 @@ fn cache_served_job(
     state.metrics.jobs_done.incr();
 
     let trace = open_trace(state, &id, trace_id_of(spec));
-    let recorder = job_recorder(state, trace.as_ref(), trace_id_of(spec));
+    let recorder = job_recorder(state, trace.as_ref(), trace_id_of(spec), None);
     recorder.record(&Event::JobStart {
         job_id: id.clone(),
         kind: spec.kind.label().to_owned(),
@@ -1093,16 +1071,25 @@ fn open_trace(state: &Arc<ServerState>, id: &str, trace_id: TraceId) -> Option<A
         .map(|sink| Arc::new(sink.with_trace_id(&trace_id.to_hex())))
 }
 
+/// Every sink a job's events go to: the server-wide collector, the
+/// job's own collector while it runs, its JSONL trace, and the flight
+/// recorder while capture is on.
 fn job_recorder(
     state: &Arc<ServerState>,
     trace: Option<&Arc<JsonlSink>>,
     trace_id: TraceId,
+    per_job: Option<&Arc<StatsCollector>>,
 ) -> Tee {
     let mut sinks: Vec<Arc<dyn Recorder>> = vec![Arc::clone(&state.stats) as Arc<dyn Recorder>];
+    if let Some(collector) = per_job {
+        sinks.push(Arc::clone(collector) as Arc<dyn Recorder>);
+    }
     if let Some(sink) = trace {
         sinks.push(Arc::clone(sink) as Arc<dyn Recorder>);
     }
-    sinks.push(Arc::new(FlightRecorder::new(trace_id)) as Arc<dyn Recorder>);
+    if flightrec::enabled() {
+        sinks.push(Arc::new(FlightRecorder::new(trace_id)) as Arc<dyn Recorder>);
+    }
     Tee::new(sinks)
 }
 
@@ -1335,7 +1322,7 @@ fn submit_batch(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Resp
                     persister.record_submit(&id, &spec);
                 }
                 let trace = open_trace(state, &id, ctx.trace_id);
-                let recorder = job_recorder(state, trace.as_ref(), ctx.trace_id);
+                let recorder = job_recorder(state, trace.as_ref(), ctx.trace_id, None);
                 recorder.record(&Event::JobStart {
                     job_id: id.clone(),
                     kind: spec.kind.label().to_owned(),
@@ -1582,16 +1569,19 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
     // persist_terminal all land in the same profile; the engine
     // forwards it to its chain workers via `profile::current()`.
     let _profile_guard = srm_obs::profile::install(Some(&state.profiler));
-    let trace_id = trace_id_of(&job.spec);
-    let trace_hex = trace_id.to_hex();
     // Queue wait is a cross-thread interval (submit happened on a
     // handler thread), so it is recorded directly rather than spanned.
-    state.profiler.record_ns_for(
+    state.profiler.record_ns(
         "queue-wait",
         u64::try_from(job.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        Some(&trace_hex),
     );
-    let recorder = job_recorder(state, job.trace.as_ref(), trace_id);
+    let per_job = Arc::new(StatsCollector::new());
+    let recorder = job_recorder(
+        state,
+        job.trace.as_ref(),
+        trace_id_of(&job.spec),
+        Some(&per_job),
+    );
     // Claim the job; a DELETE that landed while it was queued already
     // moved it to Cancelled (and counted it), so just acknowledge.
     let claimed = state
@@ -1617,26 +1607,16 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
     }
 
     state.running.fetch_add(1, Ordering::SeqCst);
-    let per_job = Arc::new(StatsCollector::new());
     // Attach the job's collector to its record so the progress
     // endpoint and the per-job /metrics gauges can read the streaming
     // checkpoints while the sampler runs.
     state.store.with(&job.id, |record| {
         record.progress = Some(Arc::clone(&per_job));
     });
-    let mut sinks: Vec<Arc<dyn Recorder>> = vec![
-        Arc::clone(&state.stats) as Arc<dyn Recorder>,
-        Arc::clone(&per_job) as Arc<dyn Recorder>,
-    ];
-    if let Some(sink) = &job.trace {
-        sinks.push(Arc::clone(sink) as Arc<dyn Recorder>);
-    }
-    sinks.push(Arc::new(FlightRecorder::new(trace_id)) as Arc<dyn Recorder>);
-    let engine_recorder = Tee::new(sinks);
     let started = Instant::now();
     let outcome = {
         let _fit_span = srm_obs::profile::span("fit");
-        run_job(&job.spec, job.deadline, &engine_recorder)
+        run_job(&job.spec, job.deadline, &recorder)
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
     state.running.fetch_sub(1, Ordering::SeqCst);
@@ -1687,7 +1667,7 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
             state.metrics.jobs_failed.incr();
             note_batch_terminal(state, &job.id);
             // An engine failure is exactly the moment the recent event
-            // history matters: capture it before the rings move on.
+            // history matters: capture it before the ring moves on.
             let _ = state.dump_flightrec("engine-failure");
             finish(job, &recorder, "failed", wall_ms);
         }
@@ -1854,7 +1834,6 @@ mod tests {
         assert_eq!(status, 200);
         let doc = parse(&body).unwrap();
         assert!(doc.get("phases").is_some());
-        assert!(doc.get("recent").is_some());
         let (status, body) = http(server.addr(), "GET", "/v1/debug/events", "");
         assert_eq!(status, 200);
         let doc = parse(&body).unwrap();
