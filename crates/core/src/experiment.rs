@@ -3,7 +3,7 @@
 use crate::fit::{Fit, FitConfig};
 use srm_data::{BugCountData, ObservationPlan, ObservationPoint};
 use srm_mcmc::gibbs::PriorSpec;
-use srm_mcmc::runner::{McmcConfig, RunOptions};
+use srm_mcmc::runner::{run_pool, McmcConfig, RunOptions};
 use srm_mcmc::{ChainReport, SrmError};
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_obs::{Event, Recorder, NOOP};
@@ -258,12 +258,13 @@ impl Experiment {
     }
 
     /// Runs every design cell under the fault-tolerant pipeline.
-    /// Cells are independent; they run on parallel threads (each fit
-    /// already seeds its chains from the experiment seed plus a
-    /// per-cell offset, so results do not depend on scheduling). A
-    /// cell whose every chain is lost — or that panics outside the
-    /// chain loop — becomes a [`CellFailure`] instead of aborting the
-    /// sweep, so the experiment degrades to partial output.
+    /// Cells are independent; they run on the one work pool
+    /// ([`run_pool`], auto-sized), and each fit seeds its chains from
+    /// the experiment seed plus a per-cell offset, so results do not
+    /// depend on scheduling. A cell whose every chain is lost — or
+    /// that panics outside the chain loop — becomes a [`CellFailure`]
+    /// instead of aborting the sweep, so the experiment degrades to
+    /// partial output.
     ///
     /// Note: `options.fault_plan` addresses chains *within each
     /// fit*, so a plan built for `config.mcmc.chains` chains applies
@@ -321,108 +322,103 @@ impl Experiment {
             }
         }
 
-        let mut slots: Vec<Option<Result<ExperimentCell, CellFailure>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        let jobs_ref = &jobs;
         let config = &self.config;
-        std::thread::scope(|scope| {
-            // Chunk the slots across a bounded worker pool.
-            let chunk = slots.len().div_ceil(threads).max(1);
-            for (chunk_idx, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                        let job = &jobs_ref[chunk_idx * chunk + i];
-                        let fit_config = FitConfig {
-                            mcmc: McmcConfig {
-                                seed: job.seed,
-                                ..config.mcmc
-                            },
-                            zeta_bounds: config.zeta_bounds,
-                        };
-                        let on = recorder.enabled();
-                        let cell_coords = || {
-                            (
-                                job.key.prior.label().to_owned(),
-                                format!("{:?}", job.key.model),
-                                job.key.observation.day(),
-                            )
-                        };
-                        if on {
-                            let (prior, model, day) = cell_coords();
-                            recorder.record(&Event::CellStart { prior, model, day });
-                        }
-                        let started = std::time::Instant::now();
-                        // The chain loop is already panic-contained;
-                        // this guard catches panics from summary /
-                        // diagnostics assembly so one bad cell cannot
-                        // take down the sweep.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            Fit::try_run_traced(
-                                job.key.prior,
-                                job.key.model,
-                                &job.window,
-                                &fit_config,
-                                options,
-                                recorder,
-                            )
-                        }));
-                        let outcome = match outcome {
-                            Ok(Ok(tolerant)) => Ok(ExperimentCell {
-                                key: job.key,
-                                true_residual: job.true_residual,
-                                fit: tolerant.fit,
-                                chain_reports: tolerant.chain_reports,
-                            }),
-                            Ok(Err(error)) => Err(CellFailure {
-                                key: job.key,
-                                error,
-                            }),
-                            Err(payload) => Err(CellFailure {
-                                key: job.key,
-                                error: SrmError::DegeneratePosterior {
-                                    detail: format!(
-                                        "fit assembly panicked: {}",
-                                        srm_mcmc::fault::panic_message(payload.as_ref())
-                                    ),
-                                    sweep: 0,
-                                },
-                            }),
-                        };
-                        if on {
-                            let (prior, model, day) = cell_coords();
-                            match &outcome {
-                                Ok(_) => recorder.record(&Event::CellEnd {
-                                    prior,
-                                    model,
-                                    day,
-                                    wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
-                                }),
-                                Err(failure) => recorder.record(&Event::CellFailure {
-                                    prior,
-                                    model,
-                                    day,
-                                    kind: failure.error.kind().to_owned(),
-                                }),
-                            }
-                        }
-                        *slot = Some(outcome);
-                    }
-                });
+        let slots = run_pool(jobs.len(), 0, |i| {
+            let job = &jobs[i];
+            let fit_config = FitConfig {
+                mcmc: McmcConfig {
+                    seed: job.seed,
+                    ..config.mcmc
+                },
+                zeta_bounds: config.zeta_bounds,
+            };
+            let on = recorder.enabled();
+            let cell_coords = || {
+                (
+                    job.key.prior.label().to_owned(),
+                    format!("{:?}", job.key.model),
+                    job.key.observation.day(),
+                )
+            };
+            if on {
+                let (prior, model, day) = cell_coords();
+                recorder.record(&Event::CellStart { prior, model, day });
             }
+            let started = std::time::Instant::now();
+            // The chain loop is already panic-contained; this guard
+            // catches panics from summary / diagnostics assembly so
+            // the failure keeps its message.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                Fit::try_run_traced(
+                    job.key.prior,
+                    job.key.model,
+                    &job.window,
+                    &fit_config,
+                    options,
+                    recorder,
+                )
+            }));
+            let outcome = match outcome {
+                Ok(Ok(tolerant)) => Ok(ExperimentCell {
+                    key: job.key,
+                    true_residual: job.true_residual,
+                    fit: tolerant.fit,
+                    chain_reports: tolerant.chain_reports,
+                }),
+                Ok(Err(error)) => Err(CellFailure {
+                    key: job.key,
+                    error,
+                }),
+                Err(payload) => Err(cell_panicked(
+                    job.key,
+                    &format!(
+                        "fit assembly panicked: {}",
+                        srm_mcmc::fault::panic_message(payload.as_ref())
+                    ),
+                )),
+            };
+            if on {
+                let (prior, model, day) = cell_coords();
+                match &outcome {
+                    Ok(_) => recorder.record(&Event::CellEnd {
+                        prior,
+                        model,
+                        day,
+                        wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
+                    }),
+                    Err(failure) => recorder.record(&Event::CellFailure {
+                        prior,
+                        model,
+                        day,
+                        kind: failure.error.kind().to_owned(),
+                    }),
+                }
+            }
+            outcome
         });
 
         let mut cells = Vec::new();
         let mut failures = Vec::new();
-        for slot in slots.into_iter().flatten() {
-            match slot {
+        for (job, slot) in jobs.iter().zip(slots) {
+            // A missing slot: the cell panicked outside the guard above
+            // (in a recorder), and is reported like a panicked fit.
+            match slot.unwrap_or_else(|| Err(cell_panicked(job.key, "cell worker panicked"))) {
                 Ok(cell) => cells.push(cell),
                 Err(failure) => failures.push(failure),
             }
         }
         Ok(ExperimentResults { cells, failures })
+    }
+}
+
+/// The failure of a cell that panicked outside the chain loop.
+fn cell_panicked(key: FitKey, detail: &str) -> CellFailure {
+    CellFailure {
+        key,
+        error: SrmError::DegeneratePosterior {
+            detail: detail.to_owned(),
+            sweep: 0,
+        },
     }
 }
 

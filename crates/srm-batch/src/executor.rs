@@ -12,8 +12,9 @@
 //!    ([`crate::spec::item_seed`]), its own sampler, and its own base
 //!    RNG — the same objects a lone `Fit::try_run_traced` with that
 //!    seed would build.
-//! 3. All `primaries × chains` work units go onto one worker pool
-//!    ([`crate::schedule::run_pool`]); unit `u` runs
+//! 3. All `primaries × chains` work units go onto the one worker pool
+//!    ([`srm_mcmc::run_pool`]), so chains of different datasets fill
+//!    it together with no per-dataset barrier; unit `u` runs
 //!    [`srm_mcmc::run_chain_task`] for chain `u % chains` of primary
 //!    `u / chains`. A unit's draws depend only on `(dataset, seed,
 //!    chain index)` — never on the pool size or dispatch order.
@@ -35,8 +36,7 @@ use crate::spec::{content_key, item_seed, BatchSpec};
 use srm_core::Fit;
 use srm_data::BugCountData;
 use srm_mcmc::{
-    assemble_run, effective_threads, run_chain_task, ChainOutcome, GibbsSampler, McmcConfig,
-    SrmError,
+    assemble_run, run_chain_task, run_pool, ChainOutcome, GibbsSampler, McmcConfig, SrmError,
 };
 use srm_obs::{Event, Recorder, NOOP};
 use srm_rand::Xoshiro256StarStar;
@@ -142,11 +142,11 @@ pub fn run_batch_traced(
         .map(|c| Xoshiro256StarStar::seed_from(c.seed))
         .collect();
 
-    // One pool over every (primary, chain) unit.
-    let units = primaries.len() * chains;
-    let workers = effective_threads(spec.options.threads, units);
-    let flat = crate::schedule::run_pool(units, workers, |u| {
-        let (p, c) = crate::schedule::unit_coords(u, chains);
+    // One pool over every (primary, chain) unit: unit `u` is chain
+    // `u % chains` of primary `u / chains`. A unit lost to a panic is
+    // a missing slot, which `assemble_run` reports as a lost chain.
+    let flat = run_pool(primaries.len() * chains, spec.options.threads, |u| {
+        let (p, c) = (u / chains, u % chains);
         run_chain_task(
             &samplers[p],
             &bases[p],

@@ -14,7 +14,7 @@
 //!   stream derives from the batch master seed and the dataset's
 //!   *bytes*, so results are invariant under item reordering and
 //!   duplicate datasets coalesce onto one fit.
-//! * **Cross-dataset scheduling** ([`schedule`]) — all
+//! * **Cross-dataset scheduling** ([`srm_mcmc::run_pool`]) — all
 //!   `items × chains` work units share one worker pool; no
 //!   per-dataset barrier.
 //! * **Bit-identical results** ([`run_batch`]) — each item's draws,
@@ -56,7 +56,6 @@
 pub mod columnar;
 pub mod executor;
 pub mod report;
-pub mod schedule;
 pub mod spec;
 
 pub use columnar::{ColumnGroup, ColumnarBatch};

@@ -3,14 +3,14 @@
 
 use crate::args::{ArgError, Args};
 use crate::commands::{load_data, parse_mcmc, parse_model, parse_prior};
-use crate::obs::{with_obs_flags, with_obs_switches, Observability};
+use crate::obs::Observability;
 use srm_batch::{run_batch_traced, BatchSpec};
 use srm_core::{Fit, FitConfig};
 use srm_mcmc::runner::RunOptions;
 use srm_mcmc::{AcceptanceSummary, FaultPlan, PosteriorSummary, RetryPolicy};
 use srm_obs::RunManifest;
 
-const FLAGS: &[&str] = &[
+pub(super) const FLAGS: &[&str] = &[
     "batch",
     "data",
     "dataset",
@@ -27,7 +27,7 @@ const FLAGS: &[&str] = &[
     "inject-faults",
     "threads",
 ];
-const SWITCHES: &[&str] = &["diagnostics"];
+pub(super) const SWITCHES: &[&str] = &["diagnostics"];
 
 /// Runs the subcommand.
 ///
@@ -36,7 +36,7 @@ const SWITCHES: &[&str] = &["diagnostics"];
 /// Returns [`ArgError`] on bad flags, unreadable data, or when every
 /// chain of the run is lost to faults.
 pub fn run(raw: &[String]) -> Result<String, ArgError> {
-    let args = Args::parse(raw, &with_obs_flags(FLAGS), &with_obs_switches(SWITCHES))?;
+    let args = super::parse_instrumented(raw)?;
     if args.get("batch").is_some() {
         return run_batch_dir(&args);
     }

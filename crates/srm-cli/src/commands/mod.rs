@@ -12,6 +12,7 @@ pub mod trend;
 pub mod version;
 
 use crate::args::{ArgError, Args};
+use crate::obs::{OBS_FLAGS, OBS_SWITCHES};
 use srm_data::BugCountData;
 use srm_mcmc::gibbs::PriorSpec;
 use srm_mcmc::runner::McmcConfig;
@@ -125,6 +126,28 @@ EXAMPLES:
     srm serve --addr 127.0.0.1:0 --port-file srm.port --trace-dir runs/
 "
     .to_owned()
+}
+
+/// Parses the arguments of an instrumented command — `fit`, `select`,
+/// `trend` or `sbc`, the ones that take `--trace-out` — with its own
+/// flags and switches plus the shared observability ones
+/// ([`OBS_FLAGS`], [`OBS_SWITCHES`]). A failed run's `cli-diagnostic`
+/// line re-parses its arguments here to find the run's trace id.
+///
+/// # Errors
+///
+/// Returns [`ArgError`] for any other command and on bad flags.
+pub(crate) fn parse_instrumented(raw: &[String]) -> Result<Args, ArgError> {
+    let (own_flags, own_switches): (&[&str], &[&str]) = match raw.first().map(String::as_str) {
+        Some("fit") => (fit::FLAGS, fit::SWITCHES),
+        Some("select") => (select::FLAGS, &[]),
+        Some("trend") => (trend::FLAGS, trend::SWITCHES),
+        Some("sbc") => (sbc::FLAGS, sbc::SWITCHES),
+        _ => return Err(ArgError("not an instrumented command".into())),
+    };
+    let flags: Vec<&str> = own_flags.iter().chain(OBS_FLAGS).copied().collect();
+    let switches: Vec<&str> = own_switches.iter().chain(OBS_SWITCHES).copied().collect();
+    Args::parse(raw, &flags, &switches)
 }
 
 /// Loads input data: `--data <file.csv>` or `--dataset <name>` (one of

@@ -1,12 +1,12 @@
 //! `srm sbc` — the simulation-based calibration battery.
 
 use crate::args::{ArgError, Args};
-use crate::obs::{with_obs_flags, with_obs_switches, Observability};
+use crate::obs::Observability;
 use srm_mcmc::runner::McmcConfig;
 use srm_obs::{Event, RunManifest};
 use srm_sbc::{run_sbc, GridSpec, SbcConfig};
 
-const FLAGS: &[&str] = &[
+pub(super) const FLAGS: &[&str] = &[
     "grid",
     "reps",
     "out",
@@ -18,7 +18,7 @@ const FLAGS: &[&str] = &[
     "seed",
     "inject-bias",
 ];
-const SWITCHES: &[&str] = &["check"];
+pub(super) const SWITCHES: &[&str] = &["check"];
 
 /// Runs the subcommand.
 ///
@@ -29,7 +29,7 @@ const SWITCHES: &[&str] = &["check"];
 /// cell fails the uniformity gate (after the report is written), so
 /// the process exits nonzero for CI.
 pub fn run(raw: &[String]) -> Result<String, ArgError> {
-    let args = Args::parse(raw, &with_obs_flags(FLAGS), &with_obs_switches(SWITCHES))?;
+    let args = super::parse_instrumented(raw)?;
     let grid = load_grid(&args)?;
     let config = SbcConfig {
         grid,

@@ -1,8 +1,8 @@
 //! `srm select` — WAIC comparison across the five detection models.
 
-use crate::args::{ArgError, Args};
+use crate::args::ArgError;
 use crate::commands::{load_data, parse_mcmc, parse_prior};
-use crate::obs::{with_obs_flags, with_obs_switches, Observability};
+use crate::obs::Observability;
 use srm_mcmc::gibbs::GibbsSampler;
 use srm_mcmc::runner::{run_chains_fault_tolerant_traced, RunOptions};
 use srm_model::{DetectionModel, ZetaBounds};
@@ -10,7 +10,7 @@ use srm_obs::RunManifest;
 use srm_report::Table;
 use srm_select::waic::waic_from_output;
 
-const FLAGS: &[&str] = &[
+pub(super) const FLAGS: &[&str] = &[
     "data",
     "dataset",
     "prior",
@@ -31,7 +31,7 @@ const FLAGS: &[&str] = &[
 ///
 /// Returns [`ArgError`] on bad flags or unreadable data.
 pub fn run(raw: &[String]) -> Result<String, ArgError> {
-    let args = Args::parse(raw, &with_obs_flags(FLAGS), &with_obs_switches(&[]))?;
+    let args = super::parse_instrumented(raw)?;
     let data = load_data(&args)?;
     let prior = parse_prior(&args)?;
     let mcmc = parse_mcmc(&args)?;

@@ -1,14 +1,14 @@
 //! `srm trend` — Laplace trend test and dataset summary.
 
-use crate::args::{ArgError, Args};
+use crate::args::ArgError;
 use crate::commands::load_data;
-use crate::obs::{with_obs_flags, with_obs_switches, Observability};
+use crate::obs::Observability;
 use srm_data::analysis::{laplace_trend, running_laplace_trend, summarize, TrendVerdict};
 use srm_obs::{RunManifest, Span};
 use srm_report::ascii::{bar_chart, line_chart};
 
-const FLAGS: &[&str] = &["data", "dataset"];
-const SWITCHES: &[&str] = &["chart"];
+pub(super) const FLAGS: &[&str] = &["data", "dataset"];
+pub(super) const SWITCHES: &[&str] = &["chart"];
 
 /// Runs the subcommand.
 ///
@@ -16,7 +16,7 @@ const SWITCHES: &[&str] = &["chart"];
 ///
 /// Returns [`ArgError`] on bad flags or unreadable data.
 pub fn run(raw: &[String]) -> Result<String, ArgError> {
-    let args = Args::parse(raw, &with_obs_flags(FLAGS), &with_obs_switches(SWITCHES))?;
+    let args = super::parse_instrumented(raw)?;
     let data = load_data(&args)?;
     let obs = Observability::from_args(&args)?;
     obs.emit_run_start("trend", "-", "-", 0, &data);

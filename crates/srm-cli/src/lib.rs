@@ -45,9 +45,10 @@ pub fn diagnostic_line(e: &ArgError) -> String {
 ///
 /// Returns [`ArgError`] for parse failures and command errors.
 pub fn run(raw: &[String]) -> Result<String, ArgError> {
+    let started = std::time::Instant::now();
     let result = dispatch(raw);
     if let Err(e) = &result {
-        obs::log_cli_diagnostic(raw, "error", &diagnostic_line(e));
+        obs::log_cli_diagnostic(raw, started, "error", &diagnostic_line(e));
     }
     result
 }

@@ -23,12 +23,14 @@
 //! the pipeline runs on its zero-cost no-op path.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::args::{ArgError, Args};
 use srm_data::BugCountData;
+use srm_obs::json::Value;
 use srm_obs::{
-    boot_nonce, dataset_hash, Event, JsonlSink, PhaseSnapshot, Profiler, ProgressSink, Recorder,
-    RunManifest, StatsCollector, Tee, TraceId,
+    boot_nonce, dataset_hash, process_trace_id, Event, JsonlSink, PhaseSnapshot, Profiler,
+    ProgressSink, Recorder, RunManifest, StatsCollector, Tee, TraceId,
 };
 
 /// Flags every instrumented subcommand accepts.
@@ -92,45 +94,38 @@ pub fn render_profile_table(phases: &[PhaseSnapshot], top: usize) -> String {
     out
 }
 
-/// Appends the shared observability flag vocabulary to a command's
-/// own (both are 'static literals).
-#[must_use]
-pub fn with_obs_flags(own: &[&'static str]) -> Vec<&'static str> {
-    let mut all = Vec::with_capacity(own.len() + OBS_FLAGS.len());
-    all.extend_from_slice(own);
-    all.extend_from_slice(OBS_FLAGS);
-    all
-}
-
-/// Appends the shared observability switches to a command's own.
-#[must_use]
-pub fn with_obs_switches(own: &[&'static str]) -> Vec<&'static str> {
-    let mut all = Vec::with_capacity(own.len() + OBS_SWITCHES.len());
-    all.extend_from_slice(own);
-    all.extend_from_slice(OBS_SWITCHES);
-    all
-}
-
 /// Routes a top-level CLI diagnostic through the event sink when the
 /// raw argument vector names a `--trace-out` file: the exact line the
 /// terminal shows is appended as a `cli-diagnostic` event, so the
-/// trace and stderr share one formatting path. Best-effort — an
-/// unwritable trace file never masks the original error.
-pub fn log_cli_diagnostic(raw: &[String], level: &'static str, message: &str) {
+/// trace and stderr share one formatting path. The line is a v7 line
+/// like every other ([`Event::to_line`]): it carries the run's trace
+/// id — `--trace-id` when given, else the id
+/// [`Observability::from_args`] derives for these arguments, else
+/// (arguments that do not parse) the process-wide default — and an
+/// `ms` stamp counted from `started`, the start of the command.
+/// Best-effort — an unwritable trace file never masks the original
+/// error.
+pub fn log_cli_diagnostic(raw: &[String], started: Instant, level: &'static str, message: &str) {
     let Some(path) = trace_out_path(raw) else {
         return;
     };
-    let event = Event::CliDiagnostic {
+    let trace_id = crate::commands::parse_instrumented(raw)
+        .ok()
+        .and_then(|args| run_trace_id(&args).ok())
+        .unwrap_or_else(process_trace_id);
+    let ms = started.elapsed().as_secs_f64() * 1e3;
+    let line = Event::CliDiagnostic {
         level,
         message: message.to_owned(),
-    };
+    }
+    .to_line(&trace_id.to_hex(), [("ms", Value::Num(ms))]);
     if let Ok(mut file) = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
     {
         use std::io::Write as _;
-        let _ = writeln!(file, "{}", event.to_value().to_json());
+        let _ = writeln!(file, "{}", line.to_json());
     }
 }
 
@@ -139,6 +134,20 @@ fn trace_out_path(raw: &[String]) -> Option<&str> {
         .position(|a| a == "--trace-out")
         .and_then(|i| raw.get(i + 1))
         .map(String::as_str)
+}
+
+/// The run's correlation id: `--trace-id` when given (any 1–32 hex
+/// digits, canonicalised to 32), otherwise derived from the
+/// invocation's [`Args::content_hash`] and the per-boot nonce.
+fn run_trace_id(args: &Args) -> Result<TraceId, ArgError> {
+    match args.get("trace-id") {
+        Some(raw) => TraceId::parse(raw).ok_or_else(|| {
+            ArgError(format!(
+                "invalid value `{raw}` for `--trace-id` (want 1-32 hex digits)"
+            ))
+        }),
+        None => Ok(TraceId::derive(args.content_hash(), boot_nonce())),
+    }
 }
 
 /// The sinks assembled for one CLI invocation.
@@ -168,14 +177,7 @@ impl Observability {
     /// `--verbosity` / `--trace-id` is malformed.
     pub fn from_args(args: &Args) -> Result<Self, ArgError> {
         let verbosity: u8 = args.get_parsed("verbosity", 1u8)?;
-        let trace_id = match args.get("trace-id") {
-            Some(raw) => TraceId::parse(raw).ok_or_else(|| {
-                ArgError(format!(
-                    "invalid value `{raw}` for `--trace-id` (want 1-32 hex digits)"
-                ))
-            })?,
-            None => TraceId::derive(args.content_hash(), boot_nonce()),
-        };
+        let trace_id = run_trace_id(args)?;
         let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
         if let Some(path) = args.get("trace-out") {
             let sink = JsonlSink::create(path)
@@ -389,6 +391,39 @@ mod tests {
         assert_eq!(doc.get("trace_id").unwrap().as_str(), Some(pinned));
         let _ = std::fs::remove_file(&trace);
         let _ = std::fs::remove_file(&manifest_path);
+    }
+
+    #[test]
+    fn failed_run_diagnostic_lints_strict_clean_with_the_run_trace_id() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let pinned = dir.join(format!("srm_cli_obs_failed_pinned_{pid}.jsonl"));
+        let derived = dir.join(format!("srm_cli_obs_failed_derived_{pid}.jsonl"));
+        let fail_fit = |trace: &std::path::Path, extra: &[&str]| {
+            let _ = std::fs::remove_file(trace);
+            let mut argv = raw(&["fit", "--data", "/nonexistent.csv", "--trace-out"]);
+            argv.push(trace.to_str().unwrap().to_owned());
+            argv.extend(raw(extra));
+            assert!(crate::run(&argv).is_err());
+            argv
+        };
+        fail_fit(&pinned, &["--trace-id", "beef"]);
+        let argv = fail_fit(&derived, &[]);
+        let args = crate::commands::parse_instrumented(&argv).unwrap();
+        let expected = [
+            (pinned, format!("{}beef", "0".repeat(28))),
+            (derived, run_trace_id(&args).unwrap().to_hex()),
+        ];
+        for (path, id) in expected {
+            let file = path.to_str().unwrap();
+            let lint = crate::run(&raw(&["trace", "lint", "--file", file, "--strict"])).unwrap();
+            assert!(lint.contains("result: clean"), "{lint}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            let line = srm_obs::json::parse(text.trim_end()).unwrap();
+            assert_eq!(line.get("type").unwrap().as_str(), Some("cli-diagnostic"));
+            assert_eq!(line.get("trace_id").unwrap().as_str(), Some(id.as_str()));
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

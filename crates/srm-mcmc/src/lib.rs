@@ -64,8 +64,8 @@ pub use gibbs::{
 pub use metropolis::ParamAcceptance;
 pub use runner::{
     assemble_run, effective_threads, run_chain_task, run_chains, run_chains_fault_tolerant,
-    run_chains_fault_tolerant_traced, ChainOutcome, FaultTolerantRun, McmcConfig, McmcOutput,
-    RunOptions,
+    run_chains_fault_tolerant_traced, run_pool, ChainOutcome, FaultTolerantRun, McmcConfig,
+    McmcOutput, RunOptions,
 };
 pub use streaming::{ChainAccumulator, ParamAccumulator, DEFAULT_LAG_WINDOW};
 pub use summary::{AcceptanceSummary, PosteriorSummary};

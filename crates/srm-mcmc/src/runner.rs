@@ -1,15 +1,17 @@
-//! Multi-chain parallel MCMC driver.
+//! Multi-chain parallel MCMC driver, and the workspace's one work pool.
 //!
-//! Chains run across a bounded pool of std scoped threads
-//! ([`RunOptions::threads`]; default `min(chains, cores)`). Chain `i`
-//! draws from the `i`-th xoshiro256\*\* jump stream of the seed and
-//! workers pull chain indices from an atomic dispenser, so the draws
-//! are bit-identical for any thread count — scheduling decides only
-//! *when* a chain runs, never what it computes. Each worker buffers
-//! its chains' trace events and the driver replays them in chain
-//! order after the pool drains, so recorded traces are deterministic
-//! too (streaming `diagnostic-checkpoint` events alone are delivered
-//! live, in arrival order, so progress can be observed mid-run).
+//! Chains run on [`run_pool`], a bounded pool of named scoped threads
+//! ([`RunOptions::threads`]; default `min(chains, cores)`) that also
+//! runs batch units, SBC replications, experiment cells and WAIC grid
+//! cells. Chain `i` draws from the `i`-th xoshiro256\*\* jump stream
+//! of the seed and workers pull chain indices from an atomic
+//! dispenser, so the draws are bit-identical for any thread count —
+//! scheduling decides only *when* a chain runs, never what it
+//! computes. Each worker buffers its chains' trace events and the
+//! driver replays them in chain order after the pool drains, so
+//! recorded traces are deterministic too (streaming
+//! `diagnostic-checkpoint` events alone are delivered live, in arrival
+//! order, so progress can be observed mid-run).
 //!
 //! [`run_chains_fault_tolerant`] is the panic-contained entry point:
 //! each chain is wrapped in `catch_unwind`, faulted sweeps are
@@ -20,7 +22,7 @@
 use crate::chain::Chain;
 use crate::fault::{panic_message, ChainReport, FaultPlan, RecoveryLog, RetryPolicy, SrmError};
 use crate::gibbs::GibbsSampler;
-use srm_obs::{Event, Recorder, NOOP};
+use srm_obs::{lock_ignoring_poison, Event, Recorder, NOOP};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -168,18 +170,78 @@ impl RunOptions {
     }
 }
 
-/// Resolves a requested worker count against the chain count and the
-/// machine: `0` means auto (`min(chains, available cores)`), anything
-/// else is clamped to `[1, chains]`. More workers than chains would
-/// only idle, so the clamp is loss-free.
+/// Resolves a requested worker count against the number of work units
+/// (chains, batch units, replications, cells) and the machine: `0`
+/// means auto (`min(units, available cores)`), anything else is
+/// clamped to `[1, units]`. More workers than units would only idle,
+/// so the clamp is loss-free. [`run_pool`] sizes itself with this.
 #[must_use]
-pub fn effective_threads(requested: usize, chains: usize) -> usize {
+pub fn effective_threads(requested: usize, units: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if requested == 0 {
-        chains.min(cores).max(1)
+        units.min(cores).max(1)
     } else {
-        requested.min(chains.max(1))
+        requested.min(units.max(1))
     }
+}
+
+/// Runs `task(u)` for every unit `u` in `0..units` on
+/// [`effective_threads`]`(threads, units)` named scoped workers
+/// (`srm-pool-N`) and returns the results in unit order.
+///
+/// This is the workspace's one fan-out: the chains of a run, the
+/// chains of a batch, SBC replications, experiment cells and WAIC
+/// grid cells all run here. Workers take unit indices from one atomic
+/// counter, so a unit whose result depends only on its index yields
+/// the same vector for any worker count and dispatch order. The pool
+/// always spawns, even for one worker, so spans a unit opens (a
+/// chain's `chain` span) are profiler roots, never nested under the
+/// caller's open span.
+///
+/// Each unit runs under `catch_unwind`: a panicking unit leaves its
+/// slot `None` and its worker goes on to the next unit, so the panic
+/// never unwinds the caller. Every worker is joined before return; a
+/// worker that could not be spawned only leaves its share to the
+/// others. The caller decides how to report a `None`.
+pub fn run_pool<T, F>(units: usize, threads: usize, task: F) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let u = next.fetch_add(1, Ordering::Relaxed);
+            if u >= units {
+                return done;
+            }
+            if let Ok(out) = catch_unwind(AssertUnwindSafe(|| task(u))) {
+                done.push((u, out));
+            }
+        }
+    };
+    let mut slots: Vec<Option<T>> = (0..units).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        // Named so the flight recorder's `thread` field and panic
+        // messages say which pool worker ran the unit.
+        let handles: Vec<_> = (0..effective_threads(threads, units))
+            .filter_map(|w| {
+                std::thread::Builder::new()
+                    .name(format!("srm-pool-{w}"))
+                    .spawn_scoped(scope, worker)
+                    .ok()
+            })
+            .collect();
+        for handle in handles {
+            if let Ok(done) = handle.join() {
+                for (u, out) in done {
+                    slots[u] = Some(out);
+                }
+            }
+        }
+    });
+    slots
 }
 
 /// Buffers one chain's trace events on the worker thread so the
@@ -234,10 +296,7 @@ impl Recorder for BufferRecorder<'_> {
             self.inner.record(event);
             return;
         }
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(event.clone());
+        lock_ignoring_poison(&self.events).push(event.clone());
     }
 }
 
@@ -351,50 +410,11 @@ pub fn run_chains_fault_tolerant_traced(
             detail: "at least one chain is required".into(),
         });
     }
+    // The RNG stream, fault plan and events of chain `i` depend only
+    // on `i`, so the pool's dispatch order is free to vary.
     let base = srm_rand::Xoshiro256StarStar::seed_from(config.seed);
-    let pool = effective_threads(options.threads, config.chains);
-    let mut slots: Vec<Option<ChainOutcome>> = (0..config.chains).map(|_| None).collect();
-    // Workers pull chain indices from this dispenser; the RNG stream,
-    // fault plan and events of chain `i` depend only on `i`, so the
-    // pull order is free to vary with scheduling.
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pool)
-            .map(|w| {
-                let (next, base) = (&next, &base);
-                let worker = move || {
-                    let mut done: Vec<(usize, ChainOutcome)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= config.chains {
-                            break;
-                        }
-                        done.push((
-                            i,
-                            run_chain_task(sampler, base, config, options, recorder, i),
-                        ));
-                    }
-                    done
-                };
-                // Named workers so diagnostics that attribute by
-                // thread (the `thread` field of srm-obs flight
-                // recorder lines, panic messages) read `srm-chain-N`
-                // instead of `<unnamed>`. Naming is best-effort: the worker
-                // closure only borrows, so it can be respawned
-                // anonymously if the named spawn fails.
-                std::thread::Builder::new()
-                    .name(format!("srm-chain-{w}"))
-                    .spawn_scoped(scope, worker)
-                    .unwrap_or_else(|_| scope.spawn(worker))
-            })
-            .collect();
-        for handle in handles {
-            if let Ok(done) = handle.join() {
-                for (i, slot) in done {
-                    slots[i] = Some(slot);
-                }
-            }
-        }
+    let slots = run_pool(config.chains, options.threads, |i| {
+        run_chain_task(sampler, &base, config, options, recorder, i)
     });
     assemble_run(config, slots, recorder)
 }
@@ -731,6 +751,43 @@ mod tests {
         // Degenerate inputs stay positive.
         assert_eq!(effective_threads(0, 0), 1);
         assert_eq!(effective_threads(3, 0), 1);
+    }
+
+    #[test]
+    fn pool_runs_every_unit_once_in_slot_order() {
+        for workers in [1, 2, 4, 9] {
+            let hits = AtomicUsize::new(0);
+            let out = run_pool(7, workers, |u| {
+                hits.fetch_add(1, Ordering::Relaxed);
+                u * 10
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), 7, "workers={workers}");
+            let values: Vec<usize> = out.into_iter().map(|s| s.unwrap()).collect();
+            assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60]);
+        }
+    }
+
+    #[test]
+    fn pool_contains_a_panicking_unit_to_its_own_slot() {
+        for workers in [1, 2, 4, 9] {
+            let out = run_pool(7, workers, |u| {
+                assert_ne!(u, 3, "unit 3 panics");
+                u * 10
+            });
+            assert_eq!(out.len(), 7, "workers={workers}");
+            for (u, slot) in out.iter().enumerate() {
+                if u == 3 {
+                    assert_eq!(*slot, None, "workers={workers}");
+                } else {
+                    assert_eq!(*slot, Some(u * 10), "workers={workers} unit={u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_of_zero_units_is_empty() {
+        assert!(run_pool(0, 4, |u| u).is_empty());
     }
 
     #[test]

@@ -29,18 +29,13 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::event::Event;
 use crate::json::Value;
+use crate::lock_ignoring_poison;
 use crate::recorder::{Counter, Recorder};
 use crate::sinks::JsonlSink;
 use crate::trace_id::TraceId;
 
 /// Default ring capacity, in events across every thread.
 pub const DEFAULT_FLIGHTREC_CAPACITY: usize = 4096;
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// The captured lines, oldest first. `recorded` counts every capture
 /// since boot, evicted ones included, and is the next line's `seq`.

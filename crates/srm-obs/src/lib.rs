@@ -61,3 +61,15 @@ pub use recorder::{Counter, FixedHistogram, NoopRecorder, Recorder, Span, Tee, N
 pub use sinks::{JsonlSink, ProgressSink};
 pub use stats::{DiagnosticStat, StatsCollector};
 pub use trace_id::{boot_nonce, process_trace_id, TraceId, TRACE_HEADER};
+
+/// Locks `mutex`, recovering the guard if a panicking holder poisoned
+/// it. This is the workspace's recover-on-poison rule (DESIGN.md §8):
+/// a panic contained on one thread must not turn every later lock of
+/// shared observability or serving state into a second panic. Use it
+/// only for state that every update leaves valid at every step, so
+/// whatever a panicking holder left behind is still consistent.
+pub fn lock_ignoring_poison<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -58,6 +58,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::Value;
+use crate::lock_ignoring_poison;
 
 /// Number of log₂ duration buckets per phase: bucket 0 holds 0 ns,
 /// bucket `k ≥ 1` holds durations in `[2^(k−1), 2^k)` ns, and the
@@ -246,12 +247,6 @@ impl Profiler {
             merged.entry(path).or_default().merge(&agg);
         }
     }
-}
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One interned span node in a thread's local tree.

@@ -10,13 +10,8 @@ use std::time::{Duration, Instant};
 
 use crate::event::Event;
 use crate::json::Value;
+use crate::lock_ignoring_poison;
 use crate::recorder::Recorder;
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Appends one JSON object per event to a writer (`--trace-out`).
 ///

@@ -14,13 +14,8 @@ use std::sync::Mutex;
 
 use crate::checkpoint::ChainCheckpoint;
 use crate::event::{AcceptStat, Event};
+use crate::lock_ignoring_poison;
 use crate::recorder::{Counter, FixedHistogram, Recorder};
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// One parameter's final convergence diagnostics, as collected from
 /// `diagnostic` events.

@@ -2,21 +2,19 @@
 //! aggregation, and the uniformity gate.
 //!
 //! Replications are independent, so the harness parallelizes at the
-//! (cell, rep) granularity with a scoped-thread worker pool pulling
-//! from an atomic task counter; each inner fit runs its chains on the
-//! worker's own thread (`threads: 1`) so the pool never oversubscribes
-//! the machine. Every replication derives everything it needs — data,
-//! fit seed, tie-break — from its own RNG stream
+//! (cell, rep) granularity on the workspace's one work pool
+//! ([`srm_mcmc::run_pool`]); each inner fit runs its chains one at a
+//! time (`threads: 1`) so the pool never oversubscribes the machine.
+//! Every replication derives everything it needs — data, fit seed,
+//! tie-break — from its own RNG stream
 //! ([`crate::generative::rep_stream`]), so the report is bit-identical
 //! under any worker count or scheduling order.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use srm_core::fit::{Fit, FitConfig};
 use srm_math::stats::chi2_gof;
-use srm_mcmc::runner::{McmcConfig, RunOptions};
+use srm_mcmc::runner::{run_pool, McmcConfig, RunOptions};
 use srm_mcmc::{RetryPolicy, SrmError};
 use srm_obs::{Event, Recorder};
 
@@ -77,7 +75,7 @@ struct RepRanks {
 /// Outcome slot of one (cell, rep) task.
 enum RepOutcome {
     Ranked(RepRanks),
-    /// The inner fit errored or survived only degraded.
+    /// The inner fit errored, survived only degraded, or panicked.
     Failed {
         wall_ms: f64,
     },
@@ -113,51 +111,34 @@ pub fn run_sbc(config: &SbcConfig, recorder: &dyn Recorder) -> Result<SbcReport,
         }
     }
 
-    let tasks = cells.len() * reps;
-    let slots: Vec<OnceLock<RepOutcome>> = (0..tasks).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let workers = worker_count(config.threads, tasks);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let task = next.fetch_add(1, Ordering::Relaxed);
-                if task >= tasks {
-                    break;
-                }
-                let cell = &cells[task / reps];
-                let rep = task % reps;
-                let outcome = run_rep(config, cell, rep, num_ranks, m);
-                if recorder.enabled() {
-                    let rank = match &outcome {
-                        RepOutcome::Ranked(r) => r.ranks.first().map_or(num_ranks, |&(_, r)| r),
-                        RepOutcome::Failed { .. } => num_ranks,
-                    };
-                    recorder.record(&Event::SbcRepDone {
-                        prior: cell.prior.label().to_owned(),
-                        model: cell.model.name().to_owned(),
-                        rep,
-                        rank,
-                        num_ranks,
-                    });
-                }
-                // Each task index is claimed exactly once.
-                slots[task].set(outcome).unwrap_or_else(|_| unreachable!());
+    let slots = run_pool(cells.len() * reps, config.threads, |task| {
+        let (cell, rep) = (&cells[task / reps], task % reps);
+        let outcome = run_rep(config, cell, rep, num_ranks, m);
+        if recorder.enabled() {
+            let rank = match &outcome {
+                RepOutcome::Ranked(r) => r.ranks.first().map_or(num_ranks, |&(_, r)| r),
+                RepOutcome::Failed { .. } => num_ranks,
+            };
+            recorder.record(&Event::SbcRepDone {
+                prior: cell.prior.label().to_owned(),
+                model: cell.model.name().to_owned(),
+                rep,
+                rank,
+                num_ranks,
             });
         }
+        outcome
     });
+    // A replication that panicked counts as failed, which fails its
+    // cell's gate like any other failure.
+    let outcomes: Vec<RepOutcome> = slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or(RepOutcome::Failed { wall_ms: 0.0 }))
+        .collect();
 
     let mut cell_reports = Vec::with_capacity(cells.len());
-    for (cell_index, cell) in cells.iter().enumerate() {
-        let outcomes: Vec<&RepOutcome> = (0..reps)
-            .map(|rep| {
-                // Every task slot was filled before the scope ended.
-                slots[cell_index * reps + rep]
-                    .get()
-                    .unwrap_or_else(|| unreachable!())
-            })
-            .collect();
-        let report = aggregate_cell(grid, cell, &outcomes, num_ranks);
+    for (cell, outcomes) in cells.iter().zip(outcomes.chunks(reps)) {
+        let report = aggregate_cell(grid, cell, outcomes, num_ranks);
         if recorder.enabled() {
             let wall_ms = outcomes
                 .iter()
@@ -225,12 +206,6 @@ fn validate(config: &SbcConfig) -> Result<(), SrmError> {
     Ok(())
 }
 
-fn worker_count(requested: usize, tasks: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = if requested == 0 { cores } else { requested };
-    workers.min(tasks).max(1)
-}
-
 /// Draws, fits, and ranks one replication.
 fn run_rep(config: &SbcConfig, cell: &Cell, rep: usize, num_ranks: usize, m: usize) -> RepOutcome {
     let start = Instant::now();
@@ -248,8 +223,8 @@ fn run_rep(config: &SbcConfig, cell: &Cell, rep: usize, num_ranks: usize, m: usi
         retry: RetryPolicy {
             max_retries: REP_RETRIES,
         },
-        // Chains run sequentially on this worker thread — the pool
-        // above already saturates the cores.
+        // One chain at a time — the replication pool already
+        // saturates the cores.
         threads: 1,
         ..RunOptions::none()
     };
@@ -304,7 +279,7 @@ fn run_rep(config: &SbcConfig, cell: &Cell, rep: usize, num_ranks: usize, m: usi
 fn aggregate_cell(
     grid: &GridSpec,
     cell: &Cell,
-    outcomes: &[&RepOutcome],
+    outcomes: &[RepOutcome],
     num_ranks: usize,
 ) -> CellReport {
     let bins = grid.bins;

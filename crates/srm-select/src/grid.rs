@@ -3,13 +3,13 @@
 //! The paper tunes the uniform hyper-prior upper limits
 //! (`λ_max`, `α_max`, `θ_max`) "so as to minimise WAIC". This module
 //! runs the Gibbs sampler for every candidate combination (in
-//! parallel across grid cells) and returns the winner with the full
-//! score table.
+//! parallel across grid cells, on the one work pool) and returns the
+//! winner with the full score table.
 
 use crate::waic::{waic_for, Waic};
 use srm_data::BugCountData;
 use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-use srm_mcmc::runner::McmcConfig;
+use srm_mcmc::runner::{run_pool, McmcConfig};
 use srm_model::{DetectionModel, ZetaBounds};
 
 /// One evaluated grid cell.
@@ -74,11 +74,13 @@ impl GridSearch {
     }
 
     /// Runs the search for one (prior family, detection model, data)
-    /// combination. Cells are evaluated on parallel threads.
+    /// combination. Cells are evaluated on the one work pool
+    /// ([`run_pool`], auto-sized).
     ///
     /// # Panics
     ///
-    /// Panics if either candidate list is empty.
+    /// Panics if either candidate list is empty, or naming the cell
+    /// when a cell's fit panicked (a chain faulted, see [`waic_for`]).
     #[must_use]
     pub fn run(
         &self,
@@ -100,32 +102,32 @@ impl GridSearch {
             }
         }
 
-        let mut cells: Vec<Option<GridCell>> = vec![None; combos.len()];
-        std::thread::scope(|scope| {
-            for (slot, &(limit, theta_max)) in cells.iter_mut().zip(&combos) {
-                let mcmc = self.mcmc;
-                scope.spawn(move || {
-                    let prior = if poisson_prior {
-                        PriorSpec::Poisson { lambda_max: limit }
-                    } else {
-                        PriorSpec::NegBinomial { alpha_max: limit }
-                    };
-                    let bounds = ZetaBounds {
-                        theta_max,
-                        gamma_max: theta_max.max(1.0),
-                    };
-                    let sampler = GibbsSampler::new(prior, model, bounds, data);
-                    let waic = waic_for(&sampler, &mcmc);
-                    *slot = Some(GridCell {
-                        prior_limit: limit,
-                        theta_max,
-                        waic,
-                    });
-                });
+        let cells: Vec<GridCell> = run_pool(combos.len(), 0, |i| {
+            let (limit, theta_max) = combos[i];
+            let prior = if poisson_prior {
+                PriorSpec::Poisson { lambda_max: limit }
+            } else {
+                PriorSpec::NegBinomial { alpha_max: limit }
+            };
+            let bounds = ZetaBounds {
+                theta_max,
+                gamma_max: theta_max.max(1.0),
+            };
+            let sampler = GibbsSampler::new(prior, model, bounds, data);
+            GridCell {
+                prior_limit: limit,
+                theta_max,
+                waic: waic_for(&sampler, &self.mcmc),
             }
-        });
-
-        let cells: Vec<GridCell> = cells.into_iter().flatten().collect();
+        })
+        .into_iter()
+        .zip(&combos)
+        .map(|(cell, (limit, theta_max))| {
+            cell.unwrap_or_else(|| {
+                panic!("WAIC grid cell (limit {limit}, theta_max {theta_max}) panicked")
+            })
+        })
+        .collect();
         // The grid always has at least one cell; the fallback index
         // is unreachable.
         let best = cells

@@ -29,18 +29,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use srm_obs::json::Value;
+use srm_obs::lock_ignoring_poison;
 
 use crate::job::JobSpec;
 
 /// Hard cap on items per batch: bounds parse-time memory and keeps
 /// one request from monopolising the job store.
 pub const MAX_BATCH_ITEMS: usize = 256;
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// One batch item's registry entry: which job computes it.
 #[derive(Debug, Clone)]

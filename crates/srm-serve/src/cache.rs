@@ -22,15 +22,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
 use srm_obs::json::Value;
-use srm_obs::Counter;
+use srm_obs::{lock_ignoring_poison, Counter};
 
 use crate::job::DEFAULT_SHARDS;
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Default number of result documents retained.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;

@@ -18,7 +18,7 @@ use srm_mcmc::gibbs::PriorSpec;
 use srm_mcmc::runner::McmcConfig;
 use srm_model::DetectionModel;
 use srm_obs::json::Value;
-use srm_obs::{dataset_hash, fnv1a_hex, StatsCollector};
+use srm_obs::{dataset_hash, fnv1a_hex, lock_ignoring_poison, StatsCollector};
 
 /// What a job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,12 +467,6 @@ impl JobRecord {
             ),
         ])
     }
-}
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Thread-safe registry of the jobs the server has seen.

@@ -11,6 +11,8 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
+use srm_obs::lock_ignoring_poison;
+
 use crate::job::JobSpec;
 
 /// One accepted job waiting for a worker.
@@ -62,12 +64,6 @@ impl std::fmt::Debug for JobQueue {
             .field("capacity", &self.capacity)
             .finish()
     }
-}
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl JobQueue {

@@ -31,8 +31,9 @@ use std::time::{Duration, Instant};
 
 use srm_obs::json::{parse, Value};
 use srm_obs::{
-    aggregate, build_info_value, flightrec, process_trace_id, ChainCheckpoint, Event,
-    FlightRecorder, JsonlSink, Recorder, StatsCollector, Tee, TraceId, TRACE_HEADER,
+    aggregate, build_info_value, flightrec, lock_ignoring_poison, process_trace_id,
+    ChainCheckpoint, Event, FlightRecorder, JsonlSink, Recorder, StatsCollector, Tee, TraceId,
+    TRACE_HEADER,
 };
 use srm_store::SyncPolicy;
 
@@ -155,12 +156,6 @@ impl Gate {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
-}
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Server construction parameters.
@@ -931,36 +926,9 @@ fn submit_job(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Respon
         return serve_from_cache(state, &spec, &cache_key, result, ctx);
     }
 
-    let id = state.store.allocate_id();
-    let record = JobRecord::new(id.clone(), spec.kind, cache_key.clone(), JobStatus::Queued)
-        .with_trace_id(&spec.trace_id);
-    state.store.insert(record);
-    if let Some(persister) = &state.persister {
-        persister.record_submit(&id, &spec);
-    }
-
-    let trace = open_trace(state, &id, ctx.trace_id);
-    let recorder = job_recorder(state, trace.as_ref(), ctx.trace_id, None);
-    recorder.record(&Event::JobStart {
-        job_id: id.clone(),
-        kind: spec.kind.label().to_owned(),
-        cache_key: cache_key.clone(),
-    });
-    recorder.record(&Event::CacheMiss {
-        cache_key: cache_key.clone(),
-    });
-
-    let deadline = spec
-        .timeout_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let push = state.queue.push(QueuedJob {
-        id: id.clone(),
-        spec,
-        deadline,
-        trace,
-        submitted: Instant::now(),
-    });
-    match push {
+    let job = admit_fresh(state, spec, &cache_key, ctx.trace_id);
+    let id = job.id.clone();
+    match state.queue.push(job) {
         Ok(()) => {
             state.metrics.jobs_submitted.incr();
             Response::json(
@@ -993,6 +961,45 @@ fn submit_job(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Respon
                 }
             }
         }
+    }
+}
+
+/// Admits a job that needs sampling, up to the queue: allocates its
+/// id, inserts the queued record, logs the WAL submit, opens its trace
+/// with `job-start` and `cache-miss`, and builds the [`QueuedJob`].
+/// The caller pushes or requeues it and owns the rollback.
+fn admit_fresh(
+    state: &Arc<ServerState>,
+    spec: JobSpec,
+    cache_key: &str,
+    trace_id: TraceId,
+) -> QueuedJob {
+    let id = state.store.allocate_id();
+    let record = JobRecord::new(id.clone(), spec.kind, cache_key.into(), JobStatus::Queued)
+        .with_trace_id(&spec.trace_id);
+    state.store.insert(record);
+    if let Some(persister) = &state.persister {
+        persister.record_submit(&id, &spec);
+    }
+    let trace = open_trace(state, &id, trace_id);
+    let recorder = job_recorder(state, trace.as_ref(), trace_id, None);
+    recorder.record(&Event::JobStart {
+        job_id: id.clone(),
+        kind: spec.kind.label().to_owned(),
+        cache_key: cache_key.to_owned(),
+    });
+    recorder.record(&Event::CacheMiss {
+        cache_key: cache_key.to_owned(),
+    });
+    let deadline = spec
+        .timeout_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
+    QueuedJob {
+        id,
+        spec,
+        deadline,
+        trace,
+        submitted: Instant::now(),
     }
 }
 
@@ -1313,33 +1320,10 @@ fn submit_batch(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Resp
             }
             ItemPlan::Fresh => {
                 let key = spec.cache_key();
-                let id = state.store.allocate_id();
-                state.store.insert(
-                    JobRecord::new(id.clone(), spec.kind, key.clone(), JobStatus::Queued)
-                        .with_trace_id(&spec.trace_id),
-                );
-                if let Some(persister) = &state.persister {
-                    persister.record_submit(&id, &spec);
-                }
-                let trace = open_trace(state, &id, ctx.trace_id);
-                let recorder = job_recorder(state, trace.as_ref(), ctx.trace_id, None);
-                recorder.record(&Event::JobStart {
-                    job_id: id.clone(),
-                    kind: spec.kind.label().to_owned(),
-                    cache_key: key.clone(),
-                });
-                recorder.record(&Event::CacheMiss { cache_key: key });
+                let job = admit_fresh(state, spec, &key, ctx.trace_id);
                 state.metrics.jobs_submitted.incr();
-                let deadline = spec
-                    .timeout_ms
-                    .map(|ms| Instant::now() + Duration::from_millis(ms));
-                queued.push(QueuedJob {
-                    id: id.clone(),
-                    spec,
-                    deadline,
-                    trace,
-                    submitted: Instant::now(),
-                });
+                let id = job.id.clone();
+                queued.push(job);
                 pending_ids.push(id.clone());
                 items.push(BatchItemRef {
                     label,

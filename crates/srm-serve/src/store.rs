@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use srm_obs::json::{parse, Value};
-use srm_obs::Counter;
+use srm_obs::{lock_ignoring_poison, Counter};
 use srm_store::{crash_point, load_snapshot, read_records, write_snapshot, SyncPolicy, WalWriter};
 
 use crate::batch::{BatchRecord, BatchStore};
@@ -46,12 +46,6 @@ pub const WAL_FILE: &str = "wal.log";
 pub const SNAPSHOT_FILE: &str = "snapshot.srm";
 /// Default number of WAL appends between snapshots.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
-
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn status_from_label(label: &str) -> Option<JobStatus> {
     match label {
