@@ -1,4 +1,4 @@
-//! Benchmarks of the batch tier: the columnar multi-dataset executor
+//! Benchmarks of the batch tier: the multi-dataset executor
 //! (`srm-batch`) and the serve tier's `POST /v1/batches` round trip.
 //!
 //! - `batch_fit/items` — one executor pass over an 8-dataset fleet on

@@ -184,15 +184,6 @@ impl ExperimentResults {
         days.dedup();
         days
     }
-
-    /// Fraction of cells whose diagnostics passed.
-    #[must_use]
-    pub fn convergence_rate(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 1.0;
-        }
-        self.cells.iter().filter(|c| c.fit.converged()).count() as f64 / self.cells.len() as f64
-    }
 }
 
 /// The experiment driver.

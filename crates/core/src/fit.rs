@@ -213,13 +213,6 @@ impl Fit {
     pub fn converged(&self) -> bool {
         self.diagnostics.iter().all(|(_, d)| d.converged())
     }
-
-    /// Deviation of the posterior-mean residual from the true
-    /// residual count (the parenthesised numbers in Tables II–IV).
-    #[must_use]
-    pub fn mean_deviation(&self, true_residual: u64) -> f64 {
-        self.residual.mean - true_residual as f64
-    }
 }
 
 #[cfg(test)]
@@ -251,17 +244,6 @@ mod tests {
         assert!(fit.waic.total().is_finite());
         assert!(!fit.diagnostics.is_empty());
         assert!(fit.diagnostics.iter().any(|(name, _)| name == "residual"));
-    }
-
-    #[test]
-    fn deviation_matches_summary_mean() {
-        let fit = smoke_fit(
-            PriorSpec::NegBinomial { alpha_max: 50.0 },
-            DetectionModel::Constant,
-            52,
-        );
-        let dev = fit.mean_deviation(94);
-        assert!((dev - (fit.residual.mean - 94.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod fit;
 pub mod multidata;
 pub mod ppc;
 pub mod predict;
-pub mod tuning;
 
 pub use experiment::{
     CellFailure, Experiment, ExperimentCell, ExperimentConfig, ExperimentResults, FitKey,
@@ -44,4 +43,3 @@ pub use fit::{FaultTolerantFit, Fit, FitConfig};
 pub use multidata::{compare_across_datasets, MultiDatasetResults};
 pub use ppc::{posterior_predictive_check, PpcResult};
 pub use predict::{predict_from_fit, Prediction};
-pub use tuning::{tuned_fit, TunedFit};

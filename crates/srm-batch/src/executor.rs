@@ -1,13 +1,12 @@
-//! The batch executor: N datasets, one columnar pass, chains
-//! scheduled across datasets, per-item results bit-identical to N
-//! individual fits.
+//! The batch executor: N datasets, one pass, chains scheduled across
+//! datasets, per-item results bit-identical to N individual fits.
 //!
 //! # How a batch runs
 //!
-//! 1. Items are laid out columnar ([`crate::ColumnarBatch`]) and
-//!    fingerprinted; items with byte-identical counts collapse onto
-//!    one **primary** (first occurrence) — duplicates never sample
-//!    (the in-batch cache; see [`BatchReport::cache_hits`]).
+//! 1. Items are fingerprinted; items with byte-identical counts
+//!    collapse onto one **primary** (first occurrence) — duplicates
+//!    never sample (the in-batch cache; see
+//!    [`BatchReport::cache_hits`]).
 //! 2. Each primary gets a content-keyed seed
 //!    ([`crate::spec::item_seed`]), its own sampler, and its own base
 //!    RNG — the same objects a lone `Fit::try_run_traced` with that
@@ -30,7 +29,6 @@
 //! that dataset, bracketed by `batch-start` / `batch-item-done` /
 //! `batch-done` events.
 
-use crate::columnar::ColumnarBatch;
 use crate::report::{BatchReport, ItemReport, ItemStatus};
 use crate::spec::{content_key, item_seed, BatchSpec};
 use srm_core::Fit;
@@ -89,8 +87,7 @@ pub fn run_batch_traced(
         });
     }
 
-    let columnar = ColumnarBatch::from_items(items);
-    let n = columnar.len();
+    let n = items.len();
 
     // Duplicate coalescing: the first item with a given content key
     // is the primary; later identical items alias it.
@@ -113,22 +110,11 @@ pub fn run_batch_traced(
     let slot_of: HashMap<usize, usize> =
         primaries.iter().enumerate().map(|(j, &i)| (i, j)).collect();
 
-    // Materialise each primary from its column and build the exact
-    // sampler + base RNG a lone fit with that item's seed would use.
-    let datas: Vec<BugCountData> = primaries
-        .iter()
-        .map(|&i| {
-            columnar
-                .item_data(i)
-                .ok_or_else(|| SrmError::InvalidConfig {
-                    detail: format!("batch item {i} has no columnar slot"),
-                })
-        })
-        .collect::<Result<_, _>>()?;
+    // Build the exact sampler + base RNG a lone fit with each
+    // primary's seed would use.
     let samplers: Vec<GibbsSampler> = primaries
         .iter()
-        .zip(&datas)
-        .map(|(_, data)| GibbsSampler::new(spec.prior, spec.model, spec.config.zeta_bounds, data))
+        .map(|&i| GibbsSampler::new(spec.prior, spec.model, spec.config.zeta_bounds, &items[i].1))
         .collect();
     let configs: Vec<McmcConfig> = primaries
         .iter()
@@ -179,7 +165,7 @@ pub fn run_batch_traced(
             match assembled {
                 Ok(fit) => ItemReport {
                     index: i,
-                    label: columnar.label(i).to_string(),
+                    label: items[i].0.clone(),
                     dataset_hash: hashes[i].clone(),
                     seed: seeds[i],
                     cached: false,
@@ -194,7 +180,7 @@ pub fn run_batch_traced(
                 },
                 Err(e) => ItemReport {
                     index: i,
-                    label: columnar.label(i).to_string(),
+                    label: items[i].0.clone(),
                     dataset_hash: hashes[i].clone(),
                     seed: seeds[i],
                     cached: false,
@@ -211,7 +197,7 @@ pub fn run_batch_traced(
             let source = &reports[primary];
             ItemReport {
                 index: i,
-                label: columnar.label(i).to_string(),
+                label: items[i].0.clone(),
                 dataset_hash: hashes[i].clone(),
                 seed: seeds[i],
                 cached: true,

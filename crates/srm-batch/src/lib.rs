@@ -7,9 +7,6 @@
 //! fleet as **one** executor pass while keeping the workspace's
 //! determinism contract intact:
 //!
-//! * **Columnar layout** ([`ColumnarBatch`]) — shape-compatible
-//!   datasets share one day grid; each dataset's counts and
-//!   cumulative exposure live in contiguous columns.
 //! * **Content-keyed seeds** ([`item_seed`]) — every item's RNG
 //!   stream derives from the batch master seed and the dataset's
 //!   *bytes*, so results are invariant under item reordering and
@@ -53,12 +50,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod columnar;
 pub mod executor;
 pub mod report;
 pub mod spec;
 
-pub use columnar::{ColumnGroup, ColumnarBatch};
 pub use executor::{run_batch, run_batch_traced};
 pub use report::{BatchReport, ItemReport, ItemStatus};
 pub use spec::{content_key, item_seed, BatchSpec};

@@ -32,7 +32,6 @@ use srm_data::BugCountData;
 use srm_mcmc::{PriorSpec, RunOptions};
 use srm_model::DetectionModel;
 use srm_rand::{Pcg64, Rng};
-use srm_store::fnv1a64;
 
 /// One batch: a shared `(prior, model, fit-config)` triple applied to
 /// every dataset, plus the fault/scheduling options of the run.
@@ -67,7 +66,7 @@ pub fn content_key(data: &BugCountData) -> u64 {
     for &c in data.counts() {
         bytes.extend_from_slice(&c.to_le_bytes());
     }
-    fnv1a64(&bytes)
+    srm_obs::fnv1a64([bytes.as_slice()])
 }
 
 /// Derives an item's seed from the batch's master seed and the item's

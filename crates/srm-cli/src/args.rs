@@ -117,28 +117,16 @@ impl Args {
     /// (DESIGN.md §17).
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash ^= u64::from(0x1fu8);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        eat(self.command.as_bytes());
+        // Every field is followed by a 0x1f unit separator.
+        const SEP: &[u8] = &[0x1f];
         let mut flags: Vec<(&String, &String)> = self.flags.iter().collect();
         flags.sort();
-        for (k, v) in flags {
-            eat(k.as_bytes());
-            eat(v.as_bytes());
-        }
         let mut switches: Vec<&String> = self.switches.iter().collect();
         switches.sort();
-        for s in switches {
-            eat(s.as_bytes());
-        }
-        hash
+        let fields = std::iter::once(&self.command)
+            .chain(flags.into_iter().flat_map(|(k, v)| [k, v]))
+            .chain(switches);
+        srm_obs::fnv1a64(fields.flat_map(|f| [f.as_bytes(), SEP]))
     }
 }
 

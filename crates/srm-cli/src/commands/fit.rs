@@ -182,7 +182,7 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
 }
 
 /// `srm fit --batch dir/` — one spec fanned over every CSV in a
-/// directory through the columnar batch executor, with a per-item
+/// directory through the batch executor, with a per-item
 /// exit table. Each item's fit is bit-identical to a lone
 /// `srm fit --seed <derived>` on the same file.
 fn run_batch_dir(args: &Args) -> Result<String, ArgError> {

@@ -113,7 +113,7 @@ SERVING (srm serve):
     --wal-sync always|off   fsync the WAL on every append       [default: off]
                             (off survives SIGKILL; always also power loss)
     --snapshot-every N      WAL records between snapshots       [default: 256]
-    --shards N              job-store/cache lock shards         [default: 8]
+    --shards N              job-store lock shards               [default: 8]
     --http-handlers N       reusable connection handler threads [default: 8]
     --conn-backlog N        accepted-connection queue; overflow
                             is shed with 503                    [default: 256]

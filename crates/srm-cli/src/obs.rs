@@ -223,12 +223,6 @@ impl Observability {
         &self.stats
     }
 
-    /// Whether a manifest will be written.
-    #[must_use]
-    pub fn writes_manifest(&self) -> bool {
-        self.metrics_out.is_some()
-    }
-
     /// The phase-time profiler, when `--profile` was given — hand it
     /// to `RunOptions` so worker threads feed the same sink.
     #[must_use]
@@ -318,7 +312,6 @@ mod tests {
         let args = Args::parse(&raw(&["fit"]), OBS_FLAGS, OBS_SWITCHES).unwrap();
         let obs = Observability::from_args(&args).unwrap();
         assert!(!obs.recorder().enabled());
-        assert!(!obs.writes_manifest());
     }
 
     #[test]

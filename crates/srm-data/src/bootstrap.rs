@@ -41,14 +41,6 @@ impl BlockBootstrap {
         Self { block_len }
     }
 
-    /// A common default: `⌈k^{1/3}⌉` blocks of roughly cube-root
-    /// length, the standard rate for moving-block bootstraps.
-    #[must_use]
-    pub fn with_default_block(data: &BugCountData) -> Self {
-        let len = (data.len() as f64).powf(1.0 / 3.0).ceil() as usize;
-        Self::new(len.max(1))
-    }
-
     /// The block length.
     #[must_use]
     pub fn block_len(&self) -> usize {
@@ -126,7 +118,7 @@ mod tests {
     #[test]
     fn replicates_differ_but_resemble_original() {
         let data = datasets::musa_cc96();
-        let boot = BlockBootstrap::with_default_block(&data);
+        let boot = BlockBootstrap::new(5);
         let reps = boot.replicates(&data, 11, 30);
         // Not all identical.
         assert!(reps.windows(2).any(|w| w[0] != w[1]));
@@ -151,13 +143,6 @@ mod tests {
             let found = original.windows(chunk.len()).any(|w| w == chunk);
             assert!(found, "chunk {chunk:?} not a contiguous slice");
         }
-    }
-
-    #[test]
-    fn default_block_scales_with_cube_root() {
-        let data = datasets::musa_cc96(); // 96 days
-        let boot = BlockBootstrap::with_default_block(&data);
-        assert_eq!(boot.block_len(), 5); // ceil(96^(1/3)) = 5
     }
 
     #[test]

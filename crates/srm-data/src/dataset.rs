@@ -194,12 +194,6 @@ impl BugCountData {
         Self::new(counts).unwrap_or_else(|_| unreachable!())
     }
 
-    /// Number of days with at least one detection.
-    #[must_use]
-    pub fn active_days(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Largest single-day count.
     #[must_use]
     pub fn max_daily(&self) -> u64 {
@@ -315,7 +309,6 @@ mod tests {
     #[test]
     fn summary_statistics() {
         let d = sample();
-        assert_eq!(d.active_days(), 4);
         assert_eq!(d.max_daily(), 4);
         let shown = d.to_string();
         assert!(shown.contains("10 bugs") && shown.contains("6 days"));

@@ -42,13 +42,6 @@ impl ObservationPoint {
         self.day
     }
 
-    /// Whether this point lies beyond `data` and therefore involves
-    /// virtual (zero-count) testing days.
-    #[must_use]
-    pub fn is_virtual_for(&self, data: &BugCountData) -> bool {
-        self.day > data.len()
-    }
-
     /// The data window visible at this point: a truncation for points
     /// inside the data, the full data plus zero-count padding beyond.
     ///
@@ -186,14 +179,12 @@ mod tests {
         let w = ObservationPoint::new(48).window(&data).unwrap();
         assert_eq!(w.len(), 48);
         assert_eq!(w.total(), 42);
-        assert!(!ObservationPoint::new(48).is_virtual_for(&data));
     }
 
     #[test]
     fn windows_beyond_data_zero_pad() {
         let data = datasets::musa_cc96();
         let p = ObservationPoint::new(146);
-        assert!(p.is_virtual_for(&data));
         let w = p.window(&data).unwrap();
         assert_eq!(w.len(), 146);
         assert_eq!(w.total(), 136);

@@ -64,18 +64,6 @@ impl Extend<f64> for KahanSum {
     }
 }
 
-/// Compensated sum of a slice.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(srm_math::accum::kahan_sum(&[1.0, 2.0, 3.0]), 6.0);
-/// ```
-#[must_use]
-pub fn kahan_sum(values: &[f64]) -> f64 {
-    values.iter().copied().collect::<KahanSum>().sum()
-}
-
 /// Streaming mean/variance via Welford's algorithm.
 ///
 /// # Examples

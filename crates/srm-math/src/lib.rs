@@ -1,8 +1,8 @@
 //! Numerical substrate for the `srm-bayes` workspace.
 //!
 //! This crate provides the special functions, stable accumulation
-//! primitives, root finders and optimisers that the statistical crates
-//! build on. Everything is implemented from scratch so that the whole
+//! primitives and optimisers that the statistical crates build on.
+//! Everything is implemented from scratch so that the whole
 //! reproduction is self-contained and bit-reproducible:
 //!
 //! * [`special`] — `ln Γ`, factorials, binomial coefficients, digamma.
@@ -13,7 +13,6 @@
 //! * [`erf`](mod@crate::erf) — error function, normal CDF and quantile.
 //! * [`logsumexp`] — stable `log Σ exp` reductions used by WAIC.
 //! * [`accum`] — Kahan/Neumaier summation and Welford moments.
-//! * [`roots`] — bisection and Brent root finding, Brent minimisation.
 //! * [`optim`] — Nelder–Mead simplex optimiser (MLE baseline).
 //! * [`quadrature`] — adaptive Simpson integration (model validation).
 //! * [`stats`] — Kolmogorov–Smirnov and chi-square goodness-of-fit tests.
@@ -36,7 +35,6 @@ pub mod incgamma;
 pub mod logsumexp;
 pub mod optim;
 pub mod quadrature;
-pub mod roots;
 pub mod special;
 pub mod stats;
 
@@ -46,9 +44,6 @@ pub use incbeta::{inc_beta_reg, inv_inc_beta_reg};
 pub use incgamma::{inc_gamma_p, inc_gamma_q, inv_inc_gamma_p};
 pub use logsumexp::{log_mean_exp, log_sum_exp};
 pub use special::{ln_binomial, ln_factorial, ln_gamma};
-
-/// Machine-level tolerance used as a default by iterative routines.
-pub const EPS: f64 = 1e-12;
 
 /// Returns `true` when two floats agree within an absolute *and*
 /// relative tolerance; convenient in tests of iterative routines.

@@ -93,29 +93,6 @@ pub fn log_add_exp(a: f64, b: f64) -> f64 {
     hi + log1p_exp(lo - hi)
 }
 
-/// Normalises a slice of log weights in place so `Σ exp(w_i) = 1`;
-/// returns the log normalising constant that was subtracted.
-///
-/// # Examples
-///
-/// ```
-/// use srm_math::logsumexp::normalize_log_weights;
-/// let mut w = [0.0, (2.0_f64).ln()];
-/// let z = normalize_log_weights(&mut w);
-/// let total: f64 = w.iter().map(|v| v.exp()).sum();
-/// assert!((total - 1.0).abs() < 1e-12);
-/// assert!((z - 3.0_f64.ln()).abs() < 1e-12);
-/// ```
-pub fn normalize_log_weights(weights: &mut [f64]) -> f64 {
-    let z = log_sum_exp(weights);
-    if z.is_finite() {
-        for w in weights.iter_mut() {
-            *w -= z;
-        }
-    }
-    z
-}
-
 /// Streaming `log Σ exp` accumulator: feeds one log-value at a time
 /// in O(1) memory, rescaling on a new maximum. WAIC uses one per
 /// observation across tens of thousands of MCMC draws.
@@ -291,13 +268,5 @@ mod tests {
     fn softplus_limits() {
         assert!(approx_eq(log1p_exp(50.0), 50.0, 1e-12));
         assert!(log1p_exp(-800.0) >= 0.0);
-    }
-
-    #[test]
-    fn normalize_produces_distribution() {
-        let mut w = [1.0f64, 2.0, 3.0, -500.0];
-        normalize_log_weights(&mut w);
-        let total: f64 = w.iter().map(|v| v.exp()).sum();
-        assert!(approx_eq(total, 1.0, 1e-12));
     }
 }

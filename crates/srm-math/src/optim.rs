@@ -232,186 +232,10 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
     }
 }
 
-/// Central-difference numerical Hessian of `f` at `x`.
-///
-/// Step sizes are `rel_step · max(|x_i|, 1)` per coordinate; the
-/// matrix is symmetrised. Intended for the small (≤ 4-dimensional)
-/// likelihood Hessians behind MLE standard errors.
-///
-/// # Panics
-///
-/// Panics if `x` is empty or `rel_step <= 0`.
-///
-/// # Examples
-///
-/// ```
-/// use srm_math::optim::numerical_hessian;
-/// // f(x, y) = x² + 3xy + 5y² has Hessian [[2, 3], [3, 10]].
-/// let f = |v: &[f64]| v[0] * v[0] + 3.0 * v[0] * v[1] + 5.0 * v[1] * v[1];
-/// let h = numerical_hessian(f, &[0.3, -0.2], 1e-4);
-/// assert!((h[0][0] - 2.0).abs() < 1e-5);
-/// assert!((h[0][1] - 3.0).abs() < 1e-5);
-/// assert!((h[1][1] - 10.0).abs() < 1e-4);
-/// ```
-pub fn numerical_hessian<F: Fn(&[f64]) -> f64>(f: F, x: &[f64], rel_step: f64) -> Vec<Vec<f64>> {
-    assert!(!x.is_empty(), "hessian of a zero-dimensional function");
-    assert!(rel_step > 0.0, "step must be positive");
-    let n = x.len();
-    let step: Vec<f64> = x.iter().map(|&v| rel_step * v.abs().max(1.0)).collect();
-    let mut point = x.to_vec();
-    let mut eval = |deltas: &[(usize, f64)]| -> f64 {
-        for &(i, d) in deltas {
-            point[i] += d;
-        }
-        let v = f(&point);
-        for &(i, d) in deltas {
-            point[i] -= d;
-        }
-        v
-    };
-
-    let f0 = eval(&[]);
-    let mut h = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        let hi = step[i];
-        // Diagonal: (f(x+h) − 2f(x) + f(x−h)) / h².
-        let fp = eval(&[(i, hi)]);
-        let fm = eval(&[(i, -hi)]);
-        h[i][i] = (fp - 2.0 * f0 + fm) / (hi * hi);
-        for j in (i + 1)..n {
-            let hj = step[j];
-            let fpp = eval(&[(i, hi), (j, hj)]);
-            let fpm = eval(&[(i, hi), (j, -hj)]);
-            let fmp = eval(&[(i, -hi), (j, hj)]);
-            let fmm = eval(&[(i, -hi), (j, -hj)]);
-            let v = (fpp - fpm - fmp + fmm) / (4.0 * hi * hj);
-            h[i][j] = v;
-            h[j][i] = v;
-        }
-    }
-    h
-}
-
-/// Inverts a small symmetric positive-definite matrix by
-/// Gauss–Jordan elimination with partial pivoting; returns `None` if
-/// the matrix is (numerically) singular.
-///
-/// # Panics
-///
-/// Panics on a non-square input.
-///
-/// # Examples
-///
-/// ```
-/// use srm_math::optim::invert_matrix;
-/// let inv = invert_matrix(&[vec![2.0, 0.0], vec![0.0, 4.0]]).unwrap();
-/// assert!((inv[0][0] - 0.5).abs() < 1e-12);
-/// assert!((inv[1][1] - 0.25).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn invert_matrix(matrix: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
-    let n = matrix.len();
-    for row in matrix {
-        assert_eq!(row.len(), n, "matrix must be square");
-    }
-    // Augmented [A | I].
-    let mut a: Vec<Vec<f64>> = matrix
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let mut r = row.clone();
-            r.extend((0..n).map(|j| if i == j { 1.0 } else { 0.0 }));
-            r
-        })
-        .collect();
-    for col in 0..n {
-        // Partial pivot.
-        let pivot_row = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
-        if a[pivot_row][col].abs() < 1e-300 {
-            return None;
-        }
-        a.swap(col, pivot_row);
-        let pivot = a[col][col];
-        for v in &mut a[col] {
-            *v /= pivot;
-        }
-        for row in 0..n {
-            if row == col {
-                continue;
-            }
-            let factor = a[row][col];
-            if factor == 0.0 {
-                continue;
-            }
-            let (upper, lower) = a.split_at_mut(row.max(col));
-            let (src, dst) = if row < col {
-                (&lower[0], &mut upper[row])
-            } else {
-                (&upper[col], &mut lower[0])
-            };
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d -= factor * s;
-            }
-        }
-    }
-    Some(a.into_iter().map(|row| row[n..].to_vec()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
-
-    #[test]
-    fn hessian_of_quadratic_is_exact() {
-        // f = x'Ax/2 with A = [[4, 1, 0], [1, 3, 2], [0, 2, 6]].
-        let a = [[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 6.0]];
-        let f = |v: &[f64]| {
-            let mut acc = 0.0;
-            for i in 0..3 {
-                for j in 0..3 {
-                    acc += 0.5 * a[i][j] * v[i] * v[j];
-                }
-            }
-            acc
-        };
-        let h = numerical_hessian(f, &[0.5, -1.0, 2.0], 1e-4);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(approx_eq(h[i][j], a[i][j], 1e-4), "({i},{j}): {}", h[i][j]);
-            }
-        }
-    }
-
-    #[test]
-    fn inversion_round_trips() {
-        let m = vec![
-            vec![4.0, 1.0, 0.5],
-            vec![1.0, 3.0, 0.2],
-            vec![0.5, 0.2, 6.0],
-        ];
-        let inv = invert_matrix(&m).unwrap();
-        // M · M⁻¹ = I.
-        for (i, row) in m.iter().enumerate() {
-            for (j, _) in inv.iter().enumerate() {
-                let prod: f64 = (0..3).map(|k| row[k] * inv[k][j]).sum();
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!(approx_eq(prod, expected, 1e-10), "({i},{j}): {prod}");
-            }
-        }
-    }
-
-    #[test]
-    fn singular_matrix_returns_none() {
-        let m = vec![vec![1.0, 2.0], vec![2.0, 4.0]];
-        assert!(invert_matrix(&m).is_none());
-    }
-
-    #[test]
-    fn one_by_one_inverse() {
-        let inv = invert_matrix(&[vec![5.0]]).unwrap();
-        assert!(approx_eq(inv[0][0], 0.2, 1e-12));
-    }
 
     #[test]
     fn minimises_sphere() {

@@ -85,16 +85,6 @@ impl Chain {
         Some(&self.draws[idx])
     }
 
-    /// The draws of one parameter by column index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn draws_at(&self, idx: usize) -> &[f64] {
-        &self.draws[idx]
-    }
-
     /// Reserves capacity for `additional` more draws per parameter.
     pub fn reserve(&mut self, additional: usize) {
         for col in &mut self.draws {
@@ -150,7 +140,7 @@ mod tests {
         c.push(&[4.0, 5.0, 6.0]);
         assert_eq!(c.len(), 2);
         assert_eq!(c.draws("b").unwrap(), &[2.0, 5.0]);
-        assert_eq!(c.draws_at(2), &[3.0, 6.0]);
+        assert_eq!(c.draws("c").unwrap(), &[3.0, 6.0]);
         assert!(c.draws("missing").is_none());
     }
 

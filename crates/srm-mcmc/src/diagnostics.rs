@@ -11,7 +11,9 @@
 //!   ([`geweke_z_naive`]) are provided.
 //! * **ESS**: Geyer's initial-positive-sequence estimator.
 
+use crate::streaming::ParamAccumulator;
 use srm_math::accum::RunningMoments;
+use srm_obs::checkpoint::{psrf_from_moments, MomentSummary};
 
 /// A combined convergence report for one parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,7 +37,8 @@ impl DiagnosticsReport {
 }
 
 /// Gelman–Rubin potential scale reduction factor from `m ≥ 2` chains
-/// of equal length `n ≥ 2`.
+/// of equal length `n ≥ 2`: [`srm_obs::psrf_from_moments`] of each
+/// chain's Welford moments.
 ///
 /// # Panics
 ///
@@ -59,31 +62,11 @@ pub fn psrf(chains: &[&[f64]]) -> f64 {
     for c in chains {
         assert_eq!(c.len(), n, "PSRF requires equal-length chains");
     }
-    let nf = n as f64;
-    let mf = m as f64;
-
-    let chain_stats: Vec<RunningMoments> =
-        chains.iter().map(|c| c.iter().copied().collect()).collect();
-    // W: mean of within-chain variances.
-    let w: f64 = chain_stats
+    let blocks: Vec<MomentSummary> = chains
         .iter()
-        .map(RunningMoments::sample_variance)
-        .sum::<f64>()
-        / mf;
-    // B/n: variance of the chain means.
-    let grand: f64 = chain_stats.iter().map(RunningMoments::mean).sum::<f64>() / mf;
-    let b_over_n: f64 = chain_stats
-        .iter()
-        .map(|s| (s.mean() - grand).powi(2))
-        .sum::<f64>()
-        / (mf - 1.0);
-    if w <= 0.0 {
-        // All chains constant: converged by definition unless the
-        // means disagree.
-        return if b_over_n <= 0.0 { 1.0 } else { f64::INFINITY };
-    }
-    let v_hat = (nf - 1.0) / nf * w + b_over_n;
-    (v_hat / w).sqrt()
+        .map(|c| ParamAccumulator::summary(&c.iter().copied().collect()))
+        .collect();
+    psrf_from_moments(&blocks)
 }
 
 /// Spectral-density-at-zero estimate of the long-run variance of a

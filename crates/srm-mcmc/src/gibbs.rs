@@ -327,24 +327,12 @@ impl GibbsSampler {
         self
     }
 
-    /// Whether the sufficient-statistics cache is enabled.
-    #[must_use]
-    pub fn cached_stats(&self) -> bool {
-        self.cache_stats
-    }
-
     /// Pins parameters to fixed values; their Gibbs updates are
     /// skipped (see [`FixedParams`]).
     #[must_use]
     pub fn with_fixed(mut self, fixed: FixedParams) -> Self {
         self.fixed = fixed;
         self
-    }
-
-    /// The pinned parameters (empty by default).
-    #[must_use]
-    pub fn fixed_params(&self) -> &FixedParams {
-        &self.fixed
     }
 
     /// Per-coordinate `(lo, hi)` bounds of `ζ` under this model and
@@ -1192,20 +1180,10 @@ impl GibbsState {
         self.state.alpha0
     }
 
-    /// Overwrites `α0`.
-    pub fn set_alpha0(&mut self, alpha0: f64) {
-        self.state.alpha0 = alpha0;
-    }
-
     /// Current `β0` (NaN under the Poisson prior).
     #[must_use]
     pub fn beta0(&self) -> f64 {
         self.state.beta0
-    }
-
-    /// Overwrites `β0`.
-    pub fn set_beta0(&mut self, beta0: f64) {
-        self.state.beta0 = beta0;
     }
 
     /// The initial bug content `N` the naive sweep conditions on.
@@ -1703,8 +1681,6 @@ mod tests {
                     .with_zeta_kernel(kernel)
                     .with_cached_stats(cached)
                 };
-                assert!(build(true).cached_stats());
-                assert!(!build(false).cached_stats());
                 let run = |sampler: GibbsSampler| {
                     let mut rng = Xoshiro256StarStar::seed_from(4_040);
                     sampler.run_chain(&mut rng, 100, 150, 1)
@@ -1732,7 +1708,6 @@ mod tests {
             lambda0: Some(120.0),
             ..FixedParams::default()
         });
-        assert!(!sampler.fixed_params().is_empty());
         let mut rng = Xoshiro256StarStar::seed_from(606);
         let chain = sampler.run_chain(&mut rng, 0, 200, 1);
         for &l in chain.draws("lambda0").unwrap() {

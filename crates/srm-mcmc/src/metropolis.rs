@@ -61,7 +61,8 @@ impl ParamAcceptance {
 ///     x = kernel.step(|v| -0.5 * v * v, x, &mut rng);
 /// }
 /// assert!((-5.0..=5.0).contains(&x));
-/// assert!(kernel.acceptance_rate() > 0.2 && kernel.acceptance_rate() < 0.7);
+/// let rate = kernel.acceptance("x").rate();
+/// assert!(rate > 0.2 && rate < 0.7);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveRw {
@@ -126,16 +127,6 @@ impl AdaptiveRw {
     #[must_use]
     pub fn step_size(&self) -> f64 {
         self.ln_step.exp()
-    }
-
-    /// Empirical acceptance rate so far (1.0 before the first step).
-    #[must_use]
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.steps == 0 {
-            1.0
-        } else {
-            self.accepted as f64 / self.steps as f64
-        }
     }
 
     /// Total Metropolis steps taken so far.
@@ -264,7 +255,7 @@ mod tests {
         let var: f64 = tail.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / tail.len() as f64;
         assert!(mean.abs() < 0.05, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.1, "var = {var}");
-        let rate = kernel.acceptance_rate();
+        let rate = kernel.acceptance("x").rate();
         assert!((0.3..0.6).contains(&rate), "acceptance = {rate}");
     }
 
@@ -278,7 +269,7 @@ mod tests {
         for _ in 0..20_000 {
             x = kernel.step(|v| -0.5 * v * v, x, &mut rng);
         }
-        let rate = kernel.acceptance_rate();
+        let rate = kernel.acceptance("x").rate();
         assert!((0.25..0.65).contains(&rate), "acceptance = {rate}");
         assert!(kernel.step_size() < 100.0, "step = {}", kernel.step_size());
     }

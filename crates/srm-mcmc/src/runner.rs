@@ -67,12 +67,6 @@ impl McmcConfig {
             seed,
         }
     }
-
-    /// Total kept draws across chains.
-    #[must_use]
-    pub fn total_samples(&self) -> usize {
-        self.chains * self.samples
-    }
 }
 
 /// The output of a multi-chain run.
@@ -311,16 +305,6 @@ pub struct FaultTolerantRun {
 }
 
 impl FaultTolerantRun {
-    /// Stream indices of chains that produced no output.
-    #[must_use]
-    pub fn failed_chains(&self) -> Vec<usize> {
-        self.reports
-            .iter()
-            .filter(|r| !r.recovered)
-            .map(|r| r.chain)
-            .collect()
-    }
-
     /// Whether any chain was lost (output is partial).
     #[must_use]
     pub fn is_degraded(&self) -> bool {
@@ -653,7 +637,7 @@ mod tests {
         let s = sampler(&data);
         let config = McmcConfig::smoke(3);
         let out = run_chains(&s, &config);
-        assert_eq!(out.pooled("residual").len(), config.total_samples());
+        assert_eq!(out.pooled("residual").len(), config.chains * config.samples);
         assert_eq!(out.per_chain("residual").unwrap().len(), config.chains);
         assert!(out.names().iter().any(|n| n == "lambda0"));
     }

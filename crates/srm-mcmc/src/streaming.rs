@@ -171,7 +171,7 @@ impl ParamAccumulator {
         (self.moments.sample_variance() / ess).sqrt()
     }
 
-    fn summary(moments: &RunningMoments) -> MomentSummary {
+    pub(crate) fn summary(moments: &RunningMoments) -> MomentSummary {
         MomentSummary {
             count: moments.count(),
             mean: moments.mean(),

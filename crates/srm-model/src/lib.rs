@@ -11,8 +11,8 @@
 //! * [`posterior`] — the analytic posteriors of the residual bug
 //!   count (Proposition 1 and the *corrected* Proposition 2; see
 //!   DESIGN.md for the reconciliation of Eq. (13));
-//! * [`predictive`] — posterior-predictive distribution of the next
-//!   day's count;
+//! * [`predictive`] — expected future detections under the residual
+//!   posterior;
 //! * [`mle`] — the maximum-likelihood baseline (NHPP marginal fits
 //!   with AIC/BIC), used for comparison against the Bayesian fits;
 //! * [`nhpp`] — the continuous-time NHPP/NHMPP correspondence (mean

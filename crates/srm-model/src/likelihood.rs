@@ -12,7 +12,6 @@
 //! binomial p.m.f. of Eq. (1); WAIC treats those as the pointwise
 //! predictive terms.
 
-use crate::detection::DetectionModel;
 use srm_data::BugCountData;
 use srm_math::special::{ln_binomial, ln_factorial, LnFactorialTable};
 
@@ -28,7 +27,8 @@ use srm_math::special::{ln_binomial, ln_factorial, LnFactorialTable};
 ///
 /// let data = BugCountData::new(vec![3, 1, 0, 2]).unwrap();
 /// let lik = GroupedLikelihood::new(&data);
-/// let ll = lik.ln_likelihood_model(10, DetectionModel::Constant, &[0.3]).unwrap();
+/// let probs = DetectionModel::Constant.probs(&[0.3], lik.horizon()).unwrap();
+/// let ll = lik.ln_likelihood(10, &probs);
 /// assert!(ll.is_finite());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -111,22 +111,6 @@ impl GroupedLikelihood {
             ll += x * p.ln() + remaining_after * q.ln();
         }
         ll
-    }
-
-    /// Log-likelihood with the schedule generated from a detection
-    /// model and parameter vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors from the model.
-    pub fn ln_likelihood_model(
-        &self,
-        n: u64,
-        model: DetectionModel,
-        zeta: &[f64],
-    ) -> Result<f64, crate::detection::ModelError> {
-        let probs = model.probs(zeta, self.horizon())?;
-        Ok(self.ln_likelihood(n, &probs))
     }
 
     /// The pointwise log term `ln P(X_i = x_i | N − s_{i−1}, p_i)`
@@ -219,6 +203,7 @@ impl GroupedLikelihood {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detection::DetectionModel;
     use srm_math::approx_eq;
 
     fn tiny() -> (GroupedLikelihood, Vec<f64>) {
@@ -329,20 +314,6 @@ mod tests {
         let (lik, probs) = tiny();
         let expected = (0.6f64).ln() + (0.75f64).ln();
         assert!(approx_eq(lik.ln_survival(&probs), expected, 1e-12));
-    }
-
-    #[test]
-    fn model_schedule_integration() {
-        let data = BugCountData::new(vec![1, 2, 0]).unwrap();
-        let lik = GroupedLikelihood::new(&data);
-        let via_model = lik
-            .ln_likelihood_model(8, DetectionModel::Constant, &[0.3])
-            .unwrap();
-        let direct = lik.ln_likelihood(8, &[0.3, 0.3, 0.3]);
-        assert!(approx_eq(via_model, direct, 1e-12));
-        assert!(lik
-            .ln_likelihood_model(8, DetectionModel::Constant, &[1.5])
-            .is_err());
     }
 
     #[test]

@@ -48,58 +48,6 @@ impl MleFit {
         let survival: f64 = probs.iter().map(|&p| (1.0 - p).ln()).sum();
         self.lambda0 * survival.exp()
     }
-
-    /// Asymptotic standard errors of `(λ0, ζ…)` from the inverse of
-    /// the observed information (numerical Hessian of the negative
-    /// marginal log-likelihood at the MLE). Returns `None` when the
-    /// Hessian is singular — which genuinely happens when the MLE sits
-    /// on the identifiability ridge (models 0/3/4 on growth-less
-    /// data), and is worth surfacing rather than papering over.
-    #[must_use]
-    pub fn standard_errors(&self, data: &BugCountData) -> Option<Vec<f64>> {
-        let counts = data.counts().to_vec();
-        let horizon = data.len();
-        let model = self.model;
-        let dim = 1 + self.zeta.len();
-        let neg_ll = move |theta: &[f64]| -> f64 {
-            let lambda0 = theta[0];
-            let zeta = &theta[1..];
-            if lambda0 <= 0.0 || model.validate(zeta).is_err() {
-                return f64::INFINITY;
-            }
-            let mut survival = 1.0;
-            let mut ll = 0.0;
-            for (i, &x) in counts.iter().enumerate() {
-                let p = model.prob_unchecked(zeta, (i + 1) as u64);
-                let w = p * survival;
-                survival *= 1.0 - p;
-                let mean = lambda0 * w;
-                if mean <= 0.0 {
-                    if x > 0 {
-                        return f64::INFINITY;
-                    }
-                    continue;
-                }
-                ll += x as f64 * mean.ln() - mean - ln_factorial(x);
-            }
-            let _ = horizon;
-            -ll
-        };
-        let mut theta = Vec::with_capacity(dim);
-        theta.push(self.lambda0);
-        theta.extend_from_slice(&self.zeta);
-        let hessian = srm_math::optim::numerical_hessian(neg_ll, &theta, 1e-4);
-        if hessian.iter().flatten().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let cov = srm_math::optim::invert_matrix(&hessian)?;
-        let ses: Vec<f64> = (0..dim).map(|i| cov[i][i].max(0.0).sqrt()).collect();
-        if ses.iter().all(|s| s.is_finite() && *s > 0.0) {
-            Some(ses)
-        } else {
-            None
-        }
-    }
 }
 
 /// The marginal (NHPP) log-likelihood for a given schedule, profiled
@@ -284,47 +232,6 @@ mod tests {
                 aic_of(loser) > hetero_best + 10.0,
                 "{loser} unexpectedly competitive"
             );
-        }
-    }
-
-    #[test]
-    fn standard_errors_cover_simulated_truth() {
-        // Simulate from the constant model and check the λ0 SE is the
-        // right order: the truth should lie within ~3 SEs of the MLE.
-        let sim = srm_data::DetectionSimulator::new(300, vec![0.05; 70]);
-        let project = sim.run(4_041);
-        let fit = fit_nhpp(
-            &project.data,
-            DetectionModel::Constant,
-            &ZetaBounds::default(),
-        )
-        .unwrap();
-        let ses = fit
-            .standard_errors(&project.data)
-            .expect("information exists");
-        assert_eq!(ses.len(), 2); // (λ0, μ)
-        assert!(ses[0] > 1.0, "λ0 SE = {}", ses[0]);
-        assert!(
-            (fit.lambda0 - 300.0).abs() < 4.0 * ses[0],
-            "MLE {} truth 300 SE {}",
-            fit.lambda0,
-            ses[0]
-        );
-        assert!(ses[1] > 0.0 && ses[1] < 0.2, "μ SE = {}", ses[1]);
-    }
-
-    #[test]
-    fn ridge_mle_reports_singular_information() {
-        // model0 on the musa data sits on the identifiability ridge
-        // (λ̂0 → boundary huge); the observed information there is
-        // effectively singular and must be reported as such.
-        let data = datasets::musa_cc96();
-        let fit = fit_nhpp(&data, DetectionModel::Constant, &ZetaBounds::default()).unwrap();
-        // Either None (singular) or gigantic SEs; both communicate
-        // "do not trust these point estimates".
-        match fit.standard_errors(&data) {
-            None => {}
-            Some(ses) => assert!(ses[0] > 0.1 * fit.lambda0, "λ0 SE suspiciously small"),
         }
     }
 

@@ -49,26 +49,6 @@ pub fn mean_value_curve(
         .collect()
 }
 
-/// The expected *daily* detection intensity `m(i) − m(i−1)`.
-#[must_use]
-pub fn intensity_curve(
-    prior: &BugPrior,
-    model: DetectionModel,
-    zeta: &[f64],
-    horizon: usize,
-) -> Vec<f64> {
-    let cumulative = mean_value_curve(prior, model, zeta, horizon);
-    let mut prev = 0.0;
-    cumulative
-        .into_iter()
-        .map(|m| {
-            let d = m - prev;
-            prev = m;
-            d
-        })
-        .collect()
-}
-
 /// Expected residual bugs after `horizon` days,
 /// `E[N] · Π_{j ≤ horizon} q_j`.
 #[must_use]
@@ -100,17 +80,6 @@ mod tests {
             }
             assert!(*curve.last().unwrap() <= 250.0 + 1e-9, "{model}");
         }
-    }
-
-    #[test]
-    fn intensity_sums_back_to_mean_value() {
-        let prior = BugPrior::neg_binomial(4.0, 0.25).unwrap();
-        let model = DetectionModel::Weibull;
-        let zeta = [0.6, 0.5];
-        let m = mean_value_curve(&prior, model, &zeta, 60);
-        let intensity = intensity_curve(&prior, model, &zeta, 60);
-        let sum: f64 = intensity.iter().sum();
-        assert!((sum - m[59]).abs() < 1e-9);
     }
 
     #[test]

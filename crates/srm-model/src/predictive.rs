@@ -1,55 +1,11 @@
-//! Posterior-predictive distribution of future counts.
+//! Expected future detections under the residual-count posterior.
 //!
-//! Given the residual-count posterior after day `k` and a detection
-//! probability `p_{k+1}` for the next day, the predictive count is a
-//! thinned residual:
-//!
-//! * Poisson posterior `R ~ Poisson(λ_k)` → `X_{k+1} ~ Poisson(λ_k p)`;
-//! * NB posterior `R ~ NB(α_k, β_k)` → `X_{k+1} ~ NB(α_k, β')` with
-//!   `1 − β' = p(1 − β_k) / (1 − (1−p)(1−β_k))` (binomial thinning of
-//!   a negative binomial stays negative binomial).
+//! Given the residual-count posterior after day `k` and detection
+//! probabilities for the days that follow, each future day thins what
+//! the earlier ones left: day `k + j` expects
+//! `E[R] · p_{k+j} · Π_{1≤l<j} q_{k+l}` detections.
 
 use crate::posterior::ResidualPosterior;
-
-/// The predictive distribution of the next day's bug count.
-///
-/// # Examples
-///
-/// ```
-/// use srm_model::posterior::ResidualPosterior;
-/// use srm_model::predictive::next_day_predictive;
-///
-/// let post = ResidualPosterior::Poisson { lambda_k: 10.0 };
-/// let pred = next_day_predictive(&post, 0.3);
-/// assert!((pred.mean() - 3.0).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn next_day_predictive(posterior: &ResidualPosterior, p_next: f64) -> ResidualPosterior {
-    assert!(
-        (0.0..=1.0).contains(&p_next),
-        "p_next must be in [0, 1], got {p_next}"
-    );
-    match *posterior {
-        ResidualPosterior::Poisson { lambda_k } => ResidualPosterior::Poisson {
-            lambda_k: lambda_k * p_next,
-        },
-        ResidualPosterior::NegBinomial { alpha_k, beta_k } => {
-            // Thinning: X | R ~ Binom(R, p). The p.g.f. algebra gives
-            // another NB with the same size.
-            let w = 1.0 - beta_k; // "failure" weight of the residual
-            let denom = 1.0 - (1.0 - p_next) * w;
-            let new_fail = if denom <= 0.0 {
-                0.0
-            } else {
-                p_next * w / denom
-            };
-            ResidualPosterior::NegBinomial {
-                alpha_k,
-                beta_k: 1.0 - new_fail,
-            }
-        }
-    }
-}
 
 /// Expected cumulative number of *future* detections over the next
 /// `horizon` days given the residual posterior and a probability
@@ -82,61 +38,6 @@ pub fn expected_future_detections(
 mod tests {
     use super::*;
     use srm_math::approx_eq;
-    use srm_rand::SplitMix64;
-
-    #[test]
-    fn poisson_predictive_thins_rate() {
-        let post = ResidualPosterior::Poisson { lambda_k: 8.0 };
-        let pred = next_day_predictive(&post, 0.25);
-        assert!(approx_eq(pred.mean(), 2.0, 1e-12));
-    }
-
-    #[test]
-    fn nb_predictive_matches_monte_carlo() {
-        // Thin NB draws through a Binomial and compare the histogram
-        // to the analytic predictive p.m.f.
-        use srm_rand::{Binomial, Distribution};
-        let post = ResidualPosterior::NegBinomial {
-            alpha_k: 4.0,
-            beta_k: 0.5,
-        };
-        let p = 0.4;
-        let pred = next_day_predictive(&post, p);
-        let mut rng = SplitMix64::seed_from(63);
-        let n = 200_000;
-        let mut hist = vec![0usize; 50];
-        for _ in 0..n {
-            let r = post.sample(&mut rng);
-            let x = if r == 0 {
-                0
-            } else {
-                Binomial::new(r, p).unwrap().sample(&mut rng)
-            };
-            if (x as usize) < hist.len() {
-                hist[x as usize] += 1;
-            }
-        }
-        for x in 0..12u64 {
-            let expected = pred.ln_pmf(x).exp();
-            let observed = hist[x as usize] as f64 / n as f64;
-            assert!(
-                (observed - expected).abs() < 0.006,
-                "x = {x}: obs {observed} vs exp {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn extreme_probabilities() {
-        let post = ResidualPosterior::NegBinomial {
-            alpha_k: 3.0,
-            beta_k: 0.6,
-        };
-        let nothing = next_day_predictive(&post, 0.0);
-        assert_eq!(nothing.mean(), 0.0);
-        let everything = next_day_predictive(&post, 1.0);
-        assert!(approx_eq(everything.mean(), post.mean(), 1e-12));
-    }
 
     #[test]
     fn expected_future_detections_saturates_at_residual_mean() {
@@ -147,12 +48,5 @@ mod tests {
         assert!(short < long);
         assert!(long <= 12.0 + 1e-9);
         assert!(approx_eq(long, 12.0, 1e-6)); // (1−0.2)^200 ≈ 0
-    }
-
-    #[test]
-    #[should_panic(expected = "p_next must be in [0, 1]")]
-    fn rejects_bad_probability() {
-        let post = ResidualPosterior::Poisson { lambda_k: 1.0 };
-        let _ = next_day_predictive(&post, 1.5);
     }
 }

@@ -209,13 +209,13 @@ impl AggregateDiagnostic {
     }
 }
 
-/// Gelman–Rubin R̂ from per-block moment summaries — the same formula
-/// as `srm_mcmc::diagnostics::psrf`, evaluated on streamed moments
-/// instead of raw draws. `n` (the per-chain draw count entering the
-/// `(n−1)/n` shrink factor) is taken as the smallest block count, so
-/// equal-length blocks (every completed run) reproduce the post-hoc
-/// value exactly. Returns NaN below two blocks or below two draws in
-/// the shortest block.
+/// Gelman–Rubin R̂ from per-block moment summaries — the one PSRF
+/// formula: `srm_mcmc::diagnostics::psrf` evaluates it on each raw
+/// chain's moments, checkpoints on streamed moments. `n` (the
+/// per-chain draw count entering the `(n−1)/n` shrink factor) is
+/// taken as the smallest block count, so equal-length blocks (every
+/// completed run) reproduce the post-hoc value exactly. Returns NaN
+/// below two blocks or below two draws in the shortest block.
 #[must_use]
 pub fn psrf_from_moments(blocks: &[MomentSummary]) -> f64 {
     let m = blocks.len();
@@ -232,6 +232,8 @@ pub fn psrf_from_moments(blocks: &[MomentSummary]) -> f64 {
     let grand: f64 = blocks.iter().map(|b| b.mean).sum::<f64>() / mf;
     let b_over_n: f64 = blocks.iter().map(|b| (b.mean - grand).powi(2)).sum::<f64>() / (mf - 1.0);
     if w <= 0.0 {
+        // All blocks constant: converged by definition unless the
+        // means disagree.
         return if b_over_n <= 0.0 { 1.0 } else { f64::INFINITY };
     }
     let v_hat = (nf - 1.0) / nf * w + b_over_n;

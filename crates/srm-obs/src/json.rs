@@ -8,7 +8,6 @@
 //! deliberately small: objects preserve insertion order, numbers are
 //! `f64`, and non-finite floats serialise as `null` (JSON has no NaN).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -445,14 +444,6 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// Convenience: an object as a sorted map, for order-insensitive
-/// comparisons in tests.
-pub fn obj_as_map(value: &Value) -> Option<BTreeMap<&str, &Value>> {
-    value
-        .as_obj()
-        .map(|pairs| pairs.iter().map(|(k, v)| (k.as_str(), v)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,11 +566,9 @@ mod tests {
     }
 
     #[test]
-    fn get_and_map_views_agree() {
+    fn get_finds_object_members() {
         let doc = Value::obj(vec![("x", Value::Num(1.0)), ("y", Value::Num(2.0))]);
         assert_eq!(doc.get("y").unwrap().as_f64(), Some(2.0));
         assert!(doc.get("z").is_none());
-        let map = obj_as_map(&doc).unwrap();
-        assert_eq!(map["x"].as_f64(), Some(1.0));
     }
 }

@@ -54,7 +54,8 @@ pub use event::{
 };
 pub use flightrec::{FlightRecStats, FlightRecorder, DEFAULT_FLIGHTREC_CAPACITY};
 pub use manifest::{
-    build_info_value, dataset_hash, fnv1a_hex, ManifestChain, RunManifest, MANIFEST_SCHEMA_VERSION,
+    build_info_value, dataset_hash, fnv1a64, fnv1a_hex, ManifestChain, RunManifest,
+    MANIFEST_SCHEMA_VERSION,
 };
 pub use profile::{PhaseSnapshot, Profiler, HIST_BUCKETS};
 pub use recorder::{Counter, FixedHistogram, NoopRecorder, Recorder, Span, Tee, NOOP};

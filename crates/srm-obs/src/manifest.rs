@@ -44,15 +44,24 @@ pub fn build_info_value() -> Value {
     ])
 }
 
-/// FNV-1a (64-bit) over a byte slice, hex-encoded — the dataset
-/// fingerprint recorded in manifests and `run-start` events.
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
+/// 64-bit FNV-1a over byte slices fed in turn — the same value as one
+/// slice holding their concatenation. The workspace's one FNV-1a loop:
+/// WAL and snapshot checksums, cache keys, batch seeds, dataset
+/// fingerprints and derived trace ids all hash through it.
+#[must_use]
+pub fn fnv1a64<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.into_iter().flatten() {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    format!("{hash:016x}")
+    hash
+}
+
+/// FNV-1a (64-bit) over a byte slice, hex-encoded — the dataset
+/// fingerprint recorded in manifests and `run-start` events.
+pub fn fnv1a_hex(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a64([bytes]))
 }
 
 /// Fingerprints a dataset by its daily counts (little-endian u64s).
@@ -314,9 +323,20 @@ mod tests {
     #[test]
     fn fnv1a_matches_reference_vectors() {
         // Standard FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a64([&b""[..]]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64([&b"a"[..]]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64([&b"foobar"[..]]), 0x8594_4171_f739_67e8);
         assert_eq!(fnv1a_hex(b""), "cbf29ce484222325");
         assert_eq!(fnv1a_hex(b"a"), "af63dc4c8601ec8c");
         assert_eq!(fnv1a_hex(b"foobar"), "85944171f73967e8");
+    }
+
+    #[test]
+    fn fnv1a_of_parts_is_fnv1a_of_their_concatenation() {
+        let whole = fnv1a64([&b"foobar"[..]]);
+        assert_eq!(fnv1a64([&b"foo"[..], b"bar"]), whole);
+        assert_eq!(fnv1a64([&b""[..], b"f", b"", b"oobar"]), whole);
+        assert_eq!(fnv1a64(Vec::<&[u8]>::new()), fnv1a64([&b""[..]]));
     }
 
     #[test]

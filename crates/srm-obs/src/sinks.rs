@@ -111,16 +111,18 @@ impl Drop for JsonlSink {
 /// Human-readable progress lines on a writer (stderr by default).
 ///
 /// Per-chain sweep progress is throttled to at most one line per
-/// chain per `min_interval`; faults, retries, contained panics and
+/// chain per `MIN_INTERVAL`; faults, retries, contained panics and
 /// cell failures always print. `verbosity` gates the chattier lines:
 /// 0 prints only warnings, 1 adds progress and phase summaries, 2
 /// adds per-cell and per-chain completion lines.
 pub struct ProgressSink {
     out: Mutex<Box<dyn Write + Send>>,
     last_line: Mutex<Vec<(usize, Instant)>>,
-    min_interval: Duration,
     verbosity: u8,
 }
+
+/// Shortest gap between two progress lines of one chain.
+const MIN_INTERVAL: Duration = Duration::from_millis(200);
 
 impl std::fmt::Debug for ProgressSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -141,22 +143,15 @@ impl ProgressSink {
         Self {
             out: Mutex::new(out),
             last_line: Mutex::new(Vec::new()),
-            min_interval: Duration::from_millis(200),
             verbosity,
         }
-    }
-
-    /// Overrides the per-chain throttle interval (tests use zero).
-    pub fn with_min_interval(mut self, interval: Duration) -> Self {
-        self.min_interval = interval;
-        self
     }
 
     fn due(&self, chain: usize) -> bool {
         let mut last = lock_ignoring_poison(&self.last_line);
         let now = Instant::now();
         match last.iter_mut().find(|(c, _)| *c == chain) {
-            Some((_, at)) if now.duration_since(*at) < self.min_interval => false,
+            Some((_, at)) if now.duration_since(*at) < MIN_INTERVAL => false,
             Some((_, at)) => {
                 *at = now;
                 true
@@ -385,8 +380,7 @@ mod tests {
     #[test]
     fn progress_throttles_per_chain_but_always_reports_faults() {
         let buf = SharedBuf::default();
-        let sink = ProgressSink::to_writer(Box::new(buf.clone()), 1)
-            .with_min_interval(Duration::from_secs(3600));
+        let sink = ProgressSink::to_writer(Box::new(buf.clone()), 1);
         for sweep in 0..5 {
             sink.record(&Event::SweepEnd {
                 chain: 0,
@@ -413,8 +407,7 @@ mod tests {
     #[test]
     fn progress_verbosity_gates_chatty_lines() {
         let buf = SharedBuf::default();
-        let sink =
-            ProgressSink::to_writer(Box::new(buf.clone()), 0).with_min_interval(Duration::ZERO);
+        let sink = ProgressSink::to_writer(Box::new(buf.clone()), 0);
         sink.record(&Event::SweepEnd {
             chain: 0,
             sweep: 0,
@@ -428,8 +421,7 @@ mod tests {
         assert!(buf.text().is_empty());
 
         let buf2 = SharedBuf::default();
-        let chatty =
-            ProgressSink::to_writer(Box::new(buf2.clone()), 2).with_min_interval(Duration::ZERO);
+        let chatty = ProgressSink::to_writer(Box::new(buf2.clone()), 2);
         chatty.record(&Event::ChainDone {
             chain: 0,
             retries: 1,

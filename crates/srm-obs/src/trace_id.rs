@@ -39,12 +39,6 @@ impl TraceId {
         Self(raw)
     }
 
-    /// The raw 128-bit value.
-    #[must_use]
-    pub const fn as_u128(self) -> u128 {
-        self.0
-    }
-
     /// Derives an id from a content hash and a nonce. Deterministic:
     /// the same `(content_hash, nonce)` pair always yields the same
     /// id, and both halves are independently mixed so ids from nearby
@@ -143,7 +137,7 @@ mod tests {
         assert_eq!(a, TraceId::derive(1, 2));
         assert_ne!(a, TraceId::derive(2, 2));
         assert_ne!(a, TraceId::derive(1, 3));
-        assert_ne!(a.as_u128(), 0);
+        assert_ne!(a, TraceId::from_u128(0));
     }
 
     #[test]

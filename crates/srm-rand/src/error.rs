@@ -21,8 +21,6 @@ pub enum DistributionError {
         /// Human-readable constraint, e.g. `"must be > 0"`.
         constraint: &'static str,
     },
-    /// A weight vector was empty or summed to zero.
-    DegenerateWeights,
 }
 
 impl std::fmt::Display for DistributionError {
@@ -33,7 +31,6 @@ impl std::fmt::Display for DistributionError {
                 value,
                 constraint,
             } => write!(f, "parameter `{name}` = {value} {constraint}"),
-            Self::DegenerateWeights => write!(f, "weights are empty or sum to zero"),
         }
     }
 }
@@ -70,7 +67,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("shape") && s.contains("-2") && s.contains("> 0"));
-        assert!(!DistributionError::DegenerateWeights.to_string().is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * Continuous samplers: [`Uniform`], [`Exponential`], [`Normal`],
 //!   [`Gamma`], [`Beta`], [`TruncatedGamma`].
 //! * Discrete samplers: [`Poisson`], [`Binomial`], [`NegativeBinomial`],
-//!   [`Geometric`], [`Categorical`] (Vose alias method), [`UniformInt`].
+//!   [`Geometric`], [`UniformInt`].
 //!
 //! Every sampler implements the [`Distribution`] trait and exposes its
 //! analytic `mean`/`variance` so tests can verify the stream against
@@ -35,7 +35,6 @@
 
 pub mod beta;
 pub mod binomial;
-pub mod categorical;
 pub mod error;
 pub mod exponential;
 pub mod gamma;
@@ -49,7 +48,6 @@ pub mod uniform;
 
 pub use beta::Beta;
 pub use binomial::Binomial;
-pub use categorical::Categorical;
 pub use error::DistributionError;
 pub use exponential::Exponential;
 pub use gamma::Gamma;

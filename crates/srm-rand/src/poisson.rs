@@ -78,7 +78,7 @@ impl Poisson {
     #[must_use]
     pub fn quantile(&self, p: f64) -> u64 {
         assert!(p > 0.0 && p < 1.0, "quantile requires p in (0, 1)");
-        // Bracket using the normal approximation, then bisect.
+        // Bracket using the normal approximation, then search by bisection.
         let guess = self.mean + srm_math::norm_quantile(p) * self.mean.sqrt();
         let mut hi = guess.max(1.0) as u64 + 2;
         while self.cdf(hi) < p {

@@ -69,16 +69,6 @@ impl Uniform {
         let w = self.high - self.low;
         w * w / 12.0
     }
-
-    /// Density at `x`.
-    #[must_use]
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x >= self.low && x < self.high {
-            1.0 / (self.high - self.low)
-        } else {
-            0.0
-        }
-    }
 }
 
 impl Distribution for Uniform {
@@ -172,14 +162,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - u.mean()).abs() < 0.05);
         assert!((var - u.variance()).abs() < 0.15);
-    }
-
-    #[test]
-    fn pdf_support() {
-        let u = Uniform::new(0.0, 2.0).unwrap();
-        assert_eq!(u.pdf(1.0), 0.5);
-        assert_eq!(u.pdf(-0.1), 0.0);
-        assert_eq!(u.pdf(2.0), 0.0);
     }
 
     #[test]

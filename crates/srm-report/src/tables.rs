@@ -47,8 +47,10 @@ pub struct Table {
     title: String,
     columns: Vec<String>,
     rows: Vec<(String, Vec<Cell>)>,
-    decimals: usize,
 }
+
+/// Decimal places of every cell, matching the paper.
+const DECIMALS: usize = 3;
 
 impl Table {
     /// Creates an empty table.
@@ -63,15 +65,7 @@ impl Table {
             title: title.to_owned(),
             columns: columns.iter().map(|s| (*s).to_owned()).collect(),
             rows: Vec::new(),
-            decimals: 3,
         }
-    }
-
-    /// Sets the number of decimals (default 3, matching the paper).
-    #[must_use]
-    pub fn with_decimals(mut self, decimals: usize) -> Self {
-        self.decimals = decimals;
-        self
     }
 
     /// Appends a row of plain values.
@@ -86,7 +80,7 @@ impl Table {
             .map(|&v| Cell {
                 value: v,
                 deviation: None,
-                decimals: self.decimals,
+                decimals: DECIMALS,
             })
             .collect();
         self.rows.push((label.to_owned(), cells));
@@ -105,7 +99,7 @@ impl Table {
             .map(|&(v, d)| Cell {
                 value: v,
                 deviation: Some(d),
-                decimals: self.decimals,
+                decimals: DECIMALS,
             })
             .collect();
         self.rows.push((label.to_owned(), cells));
@@ -163,72 +157,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as GitHub-flavoured markdown.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let mut t = srm_report::Table::new("demo", &["a"]);
-    /// t.row("r", &[1.0]);
-    /// let md = t.to_markdown();
-    /// assert!(md.contains("| r |"));
-    /// assert!(md.starts_with("**demo**"));
-    /// ```
-    #[must_use]
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "**{}**\n", self.title);
-        let _ = write!(out, "| |");
-        for c in &self.columns {
-            let _ = write!(out, " {c} |");
-        }
-        out.push('\n');
-        let _ = write!(out, "|---|");
-        for _ in &self.columns {
-            let _ = write!(out, "---|");
-        }
-        out.push('\n');
-        for (label, cells) in &self.rows {
-            let _ = write!(out, "| {label} |");
-            for cell in cells {
-                let _ = write!(out, " {} |", cell.render());
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as CSV (`label,col1,col2,…`; deviations appended as
-    /// `value;deviation` within the cell).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "label");
-        for c in &self.columns {
-            let _ = write!(out, ",{c}");
-        }
-        out.push('\n');
-        for (label, cells) in &self.rows {
-            let _ = write!(out, "{label}");
-            for cell in cells {
-                match cell.deviation {
-                    Some(d) => {
-                        let _ = write!(
-                            out,
-                            ",{:.*};{:.*}",
-                            cell.decimals, cell.value, cell.decimals, d
-                        );
-                    }
-                    None => {
-                        let _ = write!(out, ",{:.*}", cell.decimals, cell.value);
-                    }
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -261,40 +189,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("99.550 (+5.550)"), "{s}");
         assert!(s.contains("80.789 (-13.211)"), "{s}");
-    }
-
-    #[test]
-    fn csv_round_trip_fields() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row("r1", &[1.0, 2.5]);
-        t.row_with_deviation("r2", &[(3.0, 1.0), (4.0, -2.0)]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "label,a,b");
-        assert_eq!(lines[1], "r1,1.000,2.500");
-        assert_eq!(lines[2], "r2,3.000;1.000,4.000;-2.000");
-    }
-
-    #[test]
-    fn markdown_layout() {
-        let mut t = Table::new("T", &["a", "b"]);
-        t.row("r1", &[1.0, 2.0]);
-        t.row_with_deviation("r2", &[(3.0, -1.0), (4.0, 2.0)]);
-        let md = t.to_markdown();
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines[0], "**T**");
-        assert_eq!(lines[2], "| | a | b |");
-        assert_eq!(lines[3], "|---|---|---|");
-        assert!(lines[4].starts_with("| r1 |"));
-        assert!(lines[5].contains("3.000 (-1.000)"));
-    }
-
-    #[test]
-    fn decimals_configurable() {
-        let mut t = Table::new("x", &["a"]).with_decimals(1);
-        t.row("r", &[std::f64::consts::PI]);
-        assert!(t.render().contains("3.1"));
-        assert!(!t.render().contains("3.14"));
     }
 
     #[test]

@@ -13,9 +13,6 @@ use srm_mcmc::gibbs::PriorSpec;
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_obs::json::Value;
 
-/// The two prior families, in canonical order.
-pub const PRIOR_LABELS: [&str; 2] = ["poisson", "negbinom"];
-
 /// One (prior, detection-curve) calibration cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
@@ -49,7 +46,7 @@ impl Cell {
 pub struct GridSpec {
     /// Testing horizon of every simulated project, in days.
     pub days: usize,
-    /// Prior families to run (subset of [`PRIOR_LABELS`], any order).
+    /// Prior families to run (`poisson`, `negbinom` or both, any order).
     pub priors: Vec<PriorSpec>,
     /// Detection curves to run (subset of the five, any order).
     pub models: Vec<DetectionModel>,

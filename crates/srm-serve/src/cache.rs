@@ -10,12 +10,10 @@
 //! unchanged, so repeated identical jobs are served without
 //! re-sampling.
 //!
-//! The cache is hash-sharded (shard = FNV-1a of the key, modulo `N`)
-//! so concurrent lookups don't serialize on one lock, and bounded:
-//! each shard holds at most `ceil(capacity / N)` entries and evicts
-//! its **least recently used** entry beyond that — a hit refreshes
-//! recency, so a hot posterior is never pushed out by a burst of
-//! one-off requests. Evictions are counted and exported as
+//! The cache is one LRU list behind one lock, bounded at `capacity`
+//! entries: beyond that it evicts its **least recently used** entry —
+//! a hit refreshes recency, so a hot posterior is never pushed out by
+//! a burst of one-off requests. Evictions are counted and exported as
 //! `srm_store_evictions_total`.
 
 use std::collections::{HashMap, VecDeque};
@@ -24,19 +22,17 @@ use std::sync::Mutex;
 use srm_obs::json::Value;
 use srm_obs::{lock_ignoring_poison, Counter};
 
-use crate::job::DEFAULT_SHARDS;
-
 /// Default number of result documents retained.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 #[derive(Debug, Default)]
-struct CacheShard {
+struct Lru {
     entries: HashMap<String, Value>,
     /// Keys ordered by recency; the front is least recently used.
     order: VecDeque<String>,
 }
 
-impl CacheShard {
+impl Lru {
     /// Moves `key` to the most-recently-used position.
     fn touch(&mut self, key: &str) {
         if let Some(at) = self.order.iter().position(|k| k == key) {
@@ -48,12 +44,12 @@ impl CacheShard {
     }
 }
 
-/// A bounded, sharded, in-memory LRU result cache with hit/miss and
-/// eviction counters.
+/// A bounded, in-memory LRU result cache with hit/miss and eviction
+/// counters.
 #[derive(Debug)]
 pub struct FitCache {
-    shards: Vec<Mutex<CacheShard>>,
-    per_shard_capacity: usize,
+    lru: Mutex<Lru>,
+    capacity: usize,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -72,68 +68,50 @@ impl FitCache {
         Self::with_capacity(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// An empty cache holding at most `capacity` results.
+    /// An empty cache holding at most `capacity` results (at least 1).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with an explicit shard count (1 = a single LRU
-    /// list with exact global ordering; useful for eviction tests and
-    /// contention benchmarks). Total capacity is split evenly, so each
-    /// shard keeps at most `ceil(capacity / shards)` entries.
-    #[must_use]
-    pub fn with_capacity_and_shards(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity = capacity.max(1);
         Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(CacheShard::default()))
-                .collect(),
-            per_shard_capacity: capacity.div_ceil(shards),
+            lru: Mutex::new(Lru::default()),
+            capacity: capacity.max(1),
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<CacheShard> {
-        let index = srm_store::fnv1a64(key.as_bytes()) as usize % self.shards.len();
-        &self.shards[index]
-    }
-
     /// Looks up a result, recording a hit or a miss. A hit refreshes
     /// the entry's recency (LRU).
     pub fn lookup(&self, key: &str) -> Option<Value> {
-        let mut shard = lock_ignoring_poison(self.shard(key));
-        let found = shard.entries.get(key).cloned();
+        let mut lru = lock_ignoring_poison(&self.lru);
+        let found = lru.entries.get(key).cloned();
         if found.is_some() {
-            shard.touch(key);
-            drop(shard);
+            lru.touch(key);
+            drop(lru);
             self.hits.incr();
         } else {
-            drop(shard);
+            drop(lru);
             self.misses.incr();
         }
         found
     }
 
     /// Stores a completed job's result under its cache key, evicting
-    /// the shard's least recently used entry beyond capacity.
-    /// Overwriting an existing key also refreshes its recency.
+    /// the least recently used entry beyond capacity. Overwriting an
+    /// existing key also refreshes its recency.
     pub fn insert(&self, key: &str, result: Value) {
         let mut evicted = 0u64;
         {
-            let mut shard = lock_ignoring_poison(self.shard(key));
-            if shard.entries.insert(key.to_owned(), result).is_some() {
-                shard.touch(key);
+            let mut lru = lock_ignoring_poison(&self.lru);
+            if lru.entries.insert(key.to_owned(), result).is_some() {
+                lru.touch(key);
             } else {
-                shard.order.push_back(key.to_owned());
-                while shard.entries.len() > self.per_shard_capacity {
-                    let Some(lru) = shard.order.pop_front() else {
+                lru.order.push_back(key.to_owned());
+                while lru.entries.len() > self.capacity {
+                    let Some(oldest) = lru.order.pop_front() else {
                         break;
                     };
-                    shard.entries.remove(&lru);
+                    lru.entries.remove(&oldest);
                     evicted += 1;
                 }
             }
@@ -143,22 +121,16 @@ impl FitCache {
         }
     }
 
-    /// Every `(key, result)` pair, in shard order then recency order —
-    /// the snapshot writer's feed. Recency order within a shard is
-    /// preserved so a restored cache evicts in the same order the live
-    /// one would have.
+    /// Every `(key, result)` pair in recency order — the snapshot
+    /// writer's feed. Recency order is preserved so a restored cache
+    /// evicts in the same order the live one would have.
     #[must_use]
     pub fn entries(&self) -> Vec<(String, Value)> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            let shard = lock_ignoring_poison(shard);
-            for key in &shard.order {
-                if let Some(result) = shard.entries.get(key) {
-                    all.push((key.clone(), result.clone()));
-                }
-            }
-        }
-        all
+        let lru = lock_ignoring_poison(&self.lru);
+        lru.order
+            .iter()
+            .filter_map(|key| lru.entries.get(key).map(|v| (key.clone(), v.clone())))
+            .collect()
     }
 
     /// Cache hits so far.
@@ -182,10 +154,7 @@ impl FitCache {
     /// Number of stored results.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_ignoring_poison(s).entries.len())
-            .sum()
+        lock_ignoring_poison(&self.lru).entries.len()
     }
 
     /// Whether the cache is empty.
@@ -222,8 +191,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used_entry_beyond_capacity() {
-        // One shard so the LRU order is globally exact.
-        let cache = FitCache::with_capacity_and_shards(2, 1);
+        let cache = FitCache::with_capacity(2);
         cache.insert("a", Value::Num(1.0));
         cache.insert("b", Value::Num(2.0));
         // Touch `a`: it is now more recent than `b`.
@@ -238,7 +206,7 @@ mod tests {
 
     #[test]
     fn overwrite_refreshes_recency() {
-        let cache = FitCache::with_capacity_and_shards(2, 1);
+        let cache = FitCache::with_capacity(2);
         cache.insert("a", Value::Num(1.0));
         cache.insert("b", Value::Num(2.0));
         // Overwrite `a`: `b` becomes the LRU entry.
@@ -251,7 +219,7 @@ mod tests {
 
     #[test]
     fn entries_preserve_recency_order_for_snapshots() {
-        let cache = FitCache::with_capacity_and_shards(8, 1);
+        let cache = FitCache::with_capacity(8);
         cache.insert("a", Value::Num(1.0));
         cache.insert("b", Value::Num(2.0));
         cache.insert("c", Value::Num(3.0));
@@ -261,13 +229,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_keeps_roughly_capacity_entries() {
-        let cache = FitCache::with_capacity_and_shards(16, 4);
-        for i in 0..200 {
-            cache.insert(&format!("key-{i}"), Value::Num(i as f64));
+    fn cache_holds_exactly_its_capacity() {
+        let cache = FitCache::new();
+        for i in 0..256 {
+            cache.insert(&format!("key-{i}"), Value::Num(f64::from(i)));
         }
-        // Each of the 4 shards caps at 4 entries.
-        assert!(cache.len() <= 16);
-        assert!(cache.evictions() >= 184);
+        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.len(), 256);
+        assert!(cache.lookup("key-0").is_some(), "first key evicted");
+
+        let cache = FitCache::with_capacity(10);
+        for i in 0..200 {
+            cache.insert(&format!("key-{i}"), Value::Num(f64::from(i)));
+        }
+        assert_eq!(cache.len(), 10);
+        assert_eq!(cache.evictions(), 190);
     }
 }

@@ -492,8 +492,7 @@ pub struct JobStore {
     terminal_limit: usize,
 }
 
-/// Default shard count for [`JobStore`] and
-/// [`FitCache`](crate::cache::FitCache).
+/// Default shard count for [`JobStore`].
 pub const DEFAULT_SHARDS: usize = 8;
 
 impl Default for JobStore {
@@ -537,7 +536,7 @@ impl JobStore {
     }
 
     fn shard(&self, id: &str) -> &Mutex<HashMap<String, JobRecord>> {
-        let index = srm_store::fnv1a64(id.as_bytes()) as usize % self.shards.len();
+        let index = srm_obs::fnv1a64([id.as_bytes()]) as usize % self.shards.len();
         &self.shards[index]
     }
 

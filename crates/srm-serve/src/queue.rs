@@ -1,11 +1,12 @@
-//! The bounded job queue between the HTTP front end and the worker
-//! pool.
+//! The bounded queues of the server: accepted jobs waiting for a
+//! worker, and accepted connections waiting for a handler thread.
 //!
 //! Backpressure lives here: [`JobQueue::push`] fails immediately with
-//! [`PushError::Full`] when the queue is at capacity (the HTTP layer
-//! turns that into `429 Too Many Requests` + `Retry-After`), and a
-//! closed queue rejects new work while still draining what was
-//! accepted — the graceful-shutdown contract.
+//! [`PushError::Full`] when the queue is at capacity and hands the
+//! item back (the HTTP layer turns a refused job into `429 Too Many
+//! Requests` + `Retry-After`, a refused connection into an inline
+//! 503), and a closed queue rejects new work while still draining
+//! what was accepted — the graceful-shutdown contract.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -46,19 +47,20 @@ pub enum PushError {
     Closed,
 }
 
-struct Inner {
-    items: VecDeque<QueuedJob>,
+struct Inner<T> {
+    items: VecDeque<T>,
     closed: bool,
 }
 
-/// A bounded multi-producer multi-consumer FIFO of accepted jobs.
-pub struct JobQueue {
-    inner: Mutex<Inner>,
+/// A bounded multi-producer multi-consumer FIFO — of accepted jobs by
+/// default.
+pub struct JobQueue<T = QueuedJob> {
+    inner: Mutex<Inner<T>>,
     ready: Condvar,
     capacity: usize,
 }
 
-impl std::fmt::Debug for JobQueue {
+impl<T> std::fmt::Debug for JobQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobQueue")
             .field("capacity", &self.capacity)
@@ -66,8 +68,8 @@ impl std::fmt::Debug for JobQueue {
     }
 }
 
-impl JobQueue {
-    /// A queue holding at most `capacity` waiting jobs.
+impl<T> JobQueue<T> {
+    /// A queue holding at most `capacity` waiting items (at least 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -80,33 +82,33 @@ impl JobQueue {
         }
     }
 
-    /// Enqueues a job, failing fast when full or closed.
+    /// Enqueues an item, failing fast when full or closed.
     ///
     /// # Errors
     ///
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`JobQueue::close`].
-    pub fn push(&self, job: QueuedJob) -> Result<(), PushError> {
+    /// [`JobQueue::close`]; either way the refused item comes back.
+    pub fn push(&self, item: T) -> Result<(), (PushError, T)> {
         let mut inner = lock_ignoring_poison(&self.inner);
         if inner.closed {
-            return Err(PushError::Closed);
+            return Err((PushError::Closed, item));
         }
         if inner.items.len() >= self.capacity {
-            return Err(PushError::Full);
+            return Err((PushError::Full, item));
         }
-        inner.items.push_back(job);
+        inner.items.push_back(item);
         drop(inner);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Blocks until a job is available or the queue is closed *and*
-    /// drained; `None` tells the worker to exit.
-    pub fn pop(&self) -> Option<QueuedJob> {
+    /// Blocks until an item is available or the queue is closed *and*
+    /// drained; `None` tells the consumer to exit.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = lock_ignoring_poison(&self.inner);
         loop {
-            if let Some(job) = inner.items.pop_front() {
-                return Some(job);
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.closed {
                 return None;
@@ -126,36 +128,36 @@ impl JobQueue {
     /// # Errors
     ///
     /// [`PushError::Closed`] after [`JobQueue::close`].
-    pub fn requeue(&self, job: QueuedJob) -> Result<(), PushError> {
+    pub fn requeue(&self, item: T) -> Result<(), PushError> {
         let mut inner = lock_ignoring_poison(&self.inner);
         if inner.closed {
             return Err(PushError::Closed);
         }
-        inner.items.push_back(job);
+        inner.items.push_back(item);
         drop(inner);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Closes the queue: no new pushes, waiting jobs still drain.
+    /// Closes the queue: no new pushes, waiting items still drain.
     pub fn close(&self) {
         lock_ignoring_poison(&self.inner).closed = true;
         self.ready.notify_all();
     }
 
-    /// Number of jobs currently waiting.
+    /// Number of items currently waiting.
     #[must_use]
     pub fn len(&self) -> usize {
         lock_ignoring_poison(&self.inner).items.len()
     }
 
-    /// The configured capacity (maximum waiting jobs for `push`).
+    /// The configured capacity (maximum waiting items for `push`).
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Whether no jobs are waiting.
+    /// Whether no items are waiting.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -198,14 +200,16 @@ mod tests {
     fn full_queue_rejects() {
         let q = JobQueue::new(1);
         q.push(job("a")).unwrap();
-        assert_eq!(q.push(job("b")).unwrap_err(), PushError::Full);
+        let (reason, refused) = q.push(job("b")).unwrap_err();
+        assert_eq!(reason, PushError::Full);
+        assert_eq!(refused.id, "b", "a refused push hands the item back");
     }
 
     #[test]
     fn requeue_bypasses_capacity_but_not_close() {
         let q = JobQueue::new(1);
         q.push(job("a")).unwrap();
-        assert_eq!(q.push(job("b")).unwrap_err(), PushError::Full);
+        assert_eq!(q.push(job("b")).unwrap_err().0, PushError::Full);
         q.requeue(job("recovered")).unwrap();
         assert_eq!(q.len(), 2);
         q.close();
@@ -217,14 +221,14 @@ mod tests {
         let q = JobQueue::new(4);
         q.push(job("a")).unwrap();
         q.close();
-        assert_eq!(q.push(job("b")).unwrap_err(), PushError::Closed);
+        assert_eq!(q.push(job("b")).unwrap_err().0, PushError::Closed);
         assert_eq!(q.pop().unwrap().id, "a");
         assert!(q.pop().is_none());
     }
 
     #[test]
     fn pop_wakes_on_close() {
-        let q = std::sync::Arc::new(JobQueue::new(2));
+        let q = std::sync::Arc::new(JobQueue::<QueuedJob>::new(2));
         let q2 = std::sync::Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.pop().is_none());
         std::thread::sleep(std::time::Duration::from_millis(20));

@@ -22,7 +22,6 @@
 //! that was already accepted, and a final snapshot is written — the
 //! drain contract documented in DESIGN.md §11 and §13.
 
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -58,62 +57,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// reaped with 503 instead of being read — its client has either
 /// timed out already or is part of a flood worth shedding.
 const CONN_REAP_AFTER: Duration = Duration::from_secs(10);
-
-/// A bounded FIFO of accepted-but-unserviced connections, between the
-/// accept thread and the handler pool.
-#[derive(Debug, Default)]
-struct ConnQueue {
-    inner: Mutex<ConnInner>,
-    ready: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct ConnInner {
-    items: VecDeque<(TcpStream, Instant)>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    /// Enqueues an accepted connection; gives the stream back when
-    /// the queue is full or closed so the caller can shed it.
-    fn push(&self, stream: TcpStream, capacity: usize) -> Result<(), TcpStream> {
-        let mut inner = lock_ignoring_poison(&self.inner);
-        if inner.closed || inner.items.len() >= capacity {
-            return Err(stream);
-        }
-        inner.items.push_back((stream, Instant::now()));
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a connection is available or the queue is closed
-    /// *and* drained; `None` tells the handler to exit.
-    fn pop(&self) -> Option<(TcpStream, Instant)> {
-        let mut inner = lock_ignoring_poison(&self.inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        lock_ignoring_poison(&self.inner).closed = true;
-        self.ready.notify_all();
-    }
-
-    fn len(&self) -> usize {
-        lock_ignoring_poison(&self.inner).items.len()
-    }
-}
 
 /// A test latch that holds workers at the top of job execution.
 ///
@@ -188,7 +131,7 @@ pub struct ServerConfig {
     pub wal_sync: SyncPolicy,
     /// WAL appends between snapshots (snapshot + log truncation).
     pub snapshot_every: u64,
-    /// Lock shards for the job store and fit cache.
+    /// Lock shards for the job store.
     pub shards: usize,
     /// Reusable connection-handler threads servicing the accept
     /// queue.
@@ -265,8 +208,9 @@ pub struct ServerState {
     flightrec_dir: Option<std::path::PathBuf>,
     /// The WAL + snapshot layer; `None` without a `state_dir`.
     persister: Option<Persister>,
-    conns: ConnQueue,
-    conn_backlog: usize,
+    /// Accepted connections (with their accept time) waiting for a
+    /// handler thread; its capacity is `conn_backlog`.
+    conns: JobQueue<(TcpStream, Instant)>,
     shutdown: AtomicBool,
     running: AtomicU64,
     trace_dir: Option<String>,
@@ -379,7 +323,7 @@ impl Server {
         let addr = listener.local_addr()?;
 
         let store = JobStore::with_limit_and_shards(config.job_history_limit, config.shards);
-        let cache = FitCache::with_capacity_and_shards(config.cache_capacity, config.shards);
+        let cache = FitCache::with_capacity(config.cache_capacity);
         for record in recovered.jobs.drain(..) {
             store.insert(record);
         }
@@ -440,8 +384,7 @@ impl Server {
                 .map(|path| AccessLog::new(path, config.access_log_max_bytes)),
             flightrec_dir,
             persister,
-            conns: ConnQueue::default(),
-            conn_backlog: config.conn_backlog.max(1),
+            conns: JobQueue::new(config.conn_backlog),
             shutdown: AtomicBool::new(false),
             running: AtomicU64::new(0),
             trace_dir: config.trace_dir,
@@ -553,7 +496,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
         }
         match listener.accept() {
             Ok((stream, _)) => {
-                if let Err(stream) = state.conns.push(stream, state.conn_backlog) {
+                if let Err((_, (stream, _))) = state.conns.push((stream, Instant::now())) {
                     // Accept queue full: shed the connection with an
                     // inline best-effort 503 — cheaper than parsing
                     // its request, and the client learns to back off.
@@ -613,18 +556,13 @@ fn mint_trace_id(request: &Request) -> TraceId {
     if let Some(id) = request.header(TRACE_HEADER).and_then(TraceId::parse) {
         return id;
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for bytes in [
+    let hash = srm_obs::fnv1a64([
         request.method.as_bytes(),
         b"\n",
         request.path.as_bytes(),
         b"\n",
         request.body.as_slice(),
-    ] {
-        for &b in bytes {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    ]);
     TraceId::derive(hash, srm_obs::boot_nonce())
 }
 
@@ -837,7 +775,7 @@ fn debug_queue(state: &Arc<ServerState>) -> Response {
             ("queue_capacity", Value::Num(state.queue.capacity() as f64)),
             ("jobs_running", Value::Num(state.jobs_running() as f64)),
             ("conn_queue_depth", Value::Num(state.conns.len() as f64)),
-            ("conn_backlog", Value::Num(state.conn_backlog as f64)),
+            ("conn_backlog", Value::Num(state.conns.capacity() as f64)),
             ("uptime_secs", Value::Num(state.uptime_secs())),
             ("draining", Value::Bool(state.shutting_down())),
         ]),
@@ -942,7 +880,7 @@ fn submit_job(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Respon
                 ]),
             )
         }
-        Err(reject) => {
+        Err((reject, _)) => {
             state.store.remove(&id);
             if let Some(persister) = &state.persister {
                 persister.record_drop(&id);

@@ -1,7 +1,8 @@
 //! srm-store — crash-durable persistence primitives for the serve
 //! tier.
 //!
-//! Three small, dependency-free building blocks:
+//! Three small building blocks, whose one dependency is srm-obs's
+//! FNV-1a ([`srm_obs::fnv1a64`], the record and snapshot checksum):
 //!
 //! - [`wal`]: an append-only **write-ahead log** of opaque byte
 //!   records, each framed as `length + FNV-1a checksum + payload`.
@@ -31,30 +32,3 @@ pub mod wal;
 pub use crash::crash_point;
 pub use snapshot::{atomic_write_file, load_snapshot, write_snapshot};
 pub use wal::{read_records, ReplayReport, SyncPolicy, WalWriter, WAL_MAGIC};
-
-/// 64-bit FNV-1a over a byte slice — the checksum used by both the
-/// WAL record framing and the snapshot container. Matches the
-/// reference vectors asserted in srm-obs (`fnv1a_hex` is the same
-/// function rendered as hex).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Same vectors srm-obs pins for its hex rendering.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-}

@@ -14,7 +14,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::{crash_point, fnv1a64};
+use crate::crash_point;
+use srm_obs::fnv1a64;
 
 /// Snapshot container magic: identifies the format and its version.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SRMSNAP1";
@@ -75,7 +76,7 @@ pub fn atomic_write_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
 pub fn write_snapshot(path: &Path, payload: &[u8]) -> io::Result<()> {
     let mut bytes = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 8 + payload.len());
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    bytes.extend_from_slice(&fnv1a64([payload]).to_le_bytes());
     bytes.extend_from_slice(payload);
     atomic_write_file(path, &bytes)
 }
@@ -101,7 +102,7 @@ pub fn load_snapshot(path: &Path) -> io::Result<Option<Vec<u8>>> {
     let mut sum = [0u8; 8];
     sum.copy_from_slice(&bytes[SNAPSHOT_MAGIC.len()..header]);
     let payload = &bytes[header..];
-    if fnv1a64(payload) != u64::from_le_bytes(sum) {
+    if fnv1a64([payload]) != u64::from_le_bytes(sum) {
         return Ok(None);
     }
     Ok(Some(payload.to_vec()))

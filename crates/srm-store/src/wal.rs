@@ -20,7 +20,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::{crash_point, fnv1a64};
+use crate::crash_point;
+use srm_obs::fnv1a64;
 
 /// File magic: identifies the format and its version.
 pub const WAL_MAGIC: &[u8; 8] = b"SRMWAL01";
@@ -132,7 +133,7 @@ pub fn read_records(path: &Path) -> io::Result<(Vec<Vec<u8>>, ReplayReport)> {
         let Some(payload) = bytes.get(start..start + len) else {
             break;
         };
-        if fnv1a64(payload) != sum {
+        if fnv1a64([payload]) != sum {
             break;
         }
         records.push(payload.to_vec());
@@ -226,7 +227,7 @@ impl WalWriter {
         crash_point("wal-append");
         let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        frame.extend_from_slice(&fnv1a64([payload]).to_le_bytes());
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
         self.maybe_sync()?;

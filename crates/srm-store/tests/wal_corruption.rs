@@ -154,7 +154,7 @@ fn garbage_tails_recover_all_original_records() {
         assert_eq!(recovered, case.records);
         // The garbage tail may accidentally parse as frame headers of
         // a record that then fails its checksum or runs past EOF; it
-        // can never *add* records, so the tail is flagged.
+        // can never *add* records, so the tail is reported torn.
         assert!(report.torn_tail);
         let _ = std::fs::remove_file(&case.path);
     }

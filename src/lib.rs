@@ -20,7 +20,7 @@
 //! | [`select`] | `srm-select` | WAIC / DIC / grid search |
 //! | [`sbc`] | `srm-sbc` | simulation-based calibration battery |
 //! | [`core`] | `srm-core` | fit & experiment pipeline |
-//! | [`batch`] | `srm-batch` | columnar multi-dataset batch executor |
+//! | [`batch`] | `srm-batch` | multi-dataset batch executor |
 //! | [`report`] | `srm-report` | tables, box plots, ASCII charts |
 //! | [`obs`] | `srm-obs` | tracing events, metric sinks, run manifests |
 //! | [`serve`] | `srm-serve` | HTTP estimation service: job queue, fit cache |
