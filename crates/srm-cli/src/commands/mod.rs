@@ -34,7 +34,7 @@ COMMANDS:
     simulate  Generate synthetic bug-count data (CSV on stdout)
     sbc       Simulation-based calibration battery over (prior, curve) cells
     serve     Long-running HTTP estimation service (job queue + fit cache)
-    trace     Analyse JSONL traces: summarize | diff | lint | profile
+    trace     Analyse JSONL traces: summarize | diff | lint | profile | grep
     bench     Compare benchmark reports: diff [--check]
     version   Print crate and schema versions
     help      Show this message
@@ -57,8 +57,19 @@ COMMON FLAGS:
     --lambda-max X --alpha-max X
     --max-retries N         per-chain sweep retries on faults (fit) [default: 3]
     --inject-faults N       inject N seed-deterministic faults (fit; testing)
+    --diagnostics           per-parameter PSRF, Geweke Z, ESS and MCSE (fit)
+    --horizon N             days to predict ahead (predict)     [default: 30]
+    --theta-max X           prior limit of model1's θ and model2's |γ|
+                            (select)                            [default: 10]
+    --chart                 ASCII charts of the daily counts and the running
+                            Laplace statistic (trend)
 
-OBSERVABILITY (fit/select/trend):
+SIMULATION (srm simulate):
+    --bugs N --days N --seed N       [defaults: 200 bugs, 60 days, seed 1]
+    --p X                   constant daily detection probability, or
+    --model M --params a,b  a detection curve and its parameters
+
+OBSERVABILITY (fit/select/trend/sbc):
     --trace-out <run.jsonl>    typed JSONL event stream of the run
     --metrics-out <run.json>   run manifest: seed, dataset hash, timings,
                                acceptance, fault/retry counters, diagnostics
@@ -69,6 +80,8 @@ OBSERVABILITY (fit/select/trend):
     --profile                  hierarchical phase-time profile: table on
                                stderr, `profile` event in the trace
                                (never changes the draws)
+    --trace-id <hex>           pin the run's correlation id (1-32 hex
+                               digits; derived from the arguments if absent)
 
 TRACE ANALYSIS (srm trace):
     srm trace summarize --file run.jsonl     counts, phase timings, and the
@@ -78,6 +91,9 @@ TRACE ANALYSIS (srm trace):
     srm trace profile --file run.jsonl --top N
                                              phase-time table from a
                                              profiled run's trace
+    srm trace grep --trace-id <hex> [--access-log F] [--trace-dir D] [--file F]
+                                             one causal timeline of every
+                                             line carrying the id
 
 CALIBRATION (srm sbc):
     --grid <spec.json>      grid spec: days, priors, models, hyper-prior
@@ -105,18 +121,15 @@ SERVING (srm serve):
     --queue-capacity N      bounded queue; overflow gets 429    [default: 16]
     --trace-dir <dir>       per-job JSONL traces and run manifests
     --port-file <file>      write the bound port here (for scripts)
-    --retry-after N         Retry-After seconds on 429          [default: 1]
-    --job-history N         terminal job records retained       [default: 1024]
-    --cache-capacity N      cached result documents (LRU)       [default: 256]
     --state-dir <dir>       crash-durable state: WAL + snapshots; jobs and
                             cache survive kill -9 and are recovered on boot
     --wal-sync always|off   fsync the WAL on every append       [default: off]
                             (off survives SIGKILL; always also power loss)
-    --snapshot-every N      WAL records between snapshots       [default: 256]
-    --shards N              job-store lock shards               [default: 8]
-    --http-handlers N       reusable connection handler threads [default: 8]
-    --conn-backlog N        accepted-connection queue; overflow
-                            is shed with 503                    [default: 256]
+    --access-log <file>     one JSONL line per request: trace id, status,
+                            latency breakdown (size-rotated to <file>.1)
+    --flight-recorder       keep the last 4096 events in memory; dumped on
+                            panic, engine failure, drain, or
+                            POST /v1/debug/flightrec
 
 EXAMPLES:
     srm fit --data counts.csv --model model1 --prior poisson
@@ -352,6 +365,39 @@ mod tests {
         ] {
             assert!(err.contains(name), "error should list {name}: {err}");
         }
+    }
+
+    #[test]
+    fn help_documents_every_accepted_flag() {
+        let help = help_text();
+        let documented: std::collections::HashSet<&str> = help
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        let accepted: [&[&str]; 15] = [
+            fit::FLAGS,
+            fit::SWITCHES,
+            predict::FLAGS,
+            sbc::FLAGS,
+            sbc::SWITCHES,
+            select::FLAGS,
+            serve::FLAGS,
+            serve::SWITCHES,
+            simulate::FLAGS,
+            trace::FLAGS,
+            trace::SWITCHES,
+            trend::FLAGS,
+            trend::SWITCHES,
+            OBS_FLAGS,
+            OBS_SWITCHES,
+        ];
+        let missing: Vec<String> = accepted
+            .into_iter()
+            .flatten()
+            .map(|name| format!("--{name}"))
+            .filter(|flag| !documented.contains(flag.as_str()))
+            .collect();
+        assert!(missing.is_empty(), "`srm help` omits {missing:?}");
     }
 
     #[test]

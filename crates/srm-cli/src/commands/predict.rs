@@ -5,7 +5,7 @@ use crate::args::{ArgError, Args};
 use crate::commands::{load_data, parse_mcmc, parse_model, parse_prior};
 use srm_core::{predict_from_fit, Fit, FitConfig};
 
-const FLAGS: &[&str] = &[
+pub(super) const FLAGS: &[&str] = &[
     "data",
     "dataset",
     "model",

@@ -12,7 +12,7 @@
 //!
 //! Request correlation (DESIGN.md §17): `--access-log FILE` writes
 //! one JSONL line per request with the trace id and a latency
-//! breakdown (rotated to `FILE.1` at `--access-log-max-mb`), and
+//! breakdown (size-rotated to `FILE.1`), and
 //! `--flight-recorder` keeps one bounded in-memory ring of the last
 //! 4096 events across the process that is dumped to the state dir on
 //! panic, engine failure, drain, or on demand via
@@ -22,26 +22,22 @@ use crate::args::{ArgError, Args};
 use srm_serve::{signal, Server, ServerConfig, ServerState};
 use srm_store::SyncPolicy;
 
-const FLAGS: &[&str] = &[
+pub(super) const FLAGS: &[&str] = &[
     "addr",
     "workers",
     "queue-capacity",
     "trace-dir",
     "port-file",
-    "retry-after",
-    "job-history",
-    "cache-capacity",
     "state-dir",
     "wal-sync",
-    "snapshot-every",
-    "shards",
-    "http-handlers",
-    "conn-backlog",
     "access-log",
-    "access-log-max-mb",
 ];
 
-const SWITCHES: &[&str] = &["flight-recorder"];
+pub(super) const SWITCHES: &[&str] = &["flight-recorder"];
+
+/// The CLI's well-known port; library servers default to an
+/// ephemeral one.
+const DEFAULT_ADDR: &str = "127.0.0.1:8377";
 
 /// Runs the subcommand. Blocks until a termination signal arrives.
 ///
@@ -58,36 +54,22 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
 /// Maps parsed flags onto a [`ServerConfig`]; split from [`run`] so
 /// tests can check the mapping without binding a listener.
 fn build_config(args: &Args) -> Result<ServerConfig, ArgError> {
+    let default = ServerConfig::default();
+    let wal_sync = match args.get("wal-sync") {
+        Some(policy) => SyncPolicy::parse(policy).map_err(ArgError)?,
+        None => default.wal_sync,
+    };
     Ok(ServerConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:8377").to_owned(),
-        workers: args.get_parsed("workers", 2usize)?.max(1),
-        queue_capacity: args.get_parsed("queue-capacity", 16usize)?,
+        addr: args.get("addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+        workers: args.get_parsed("workers", default.workers)?,
+        queue_capacity: args.get_parsed("queue-capacity", default.queue_capacity)?,
         trace_dir: args.get("trace-dir").map(str::to_owned),
-        retry_after_secs: args.get_parsed("retry-after", 1u64)?,
-        job_history_limit: args.get_parsed("job-history", 1_024usize)?.max(1),
-        cache_capacity: args.get_parsed("cache-capacity", 256usize)?.max(1),
         state_dir: args.get("state-dir").map(str::to_owned),
-        wal_sync: SyncPolicy::parse(args.get("wal-sync").unwrap_or("off")).map_err(ArgError)?,
-        snapshot_every: args
-            .get_parsed("snapshot-every", srm_serve::store::DEFAULT_SNAPSHOT_EVERY)?
-            .max(1),
-        shards: args
-            .get_parsed("shards", srm_serve::job::DEFAULT_SHARDS)?
-            .max(1),
-        http_handlers: args.get_parsed("http-handlers", 8usize)?.max(1),
-        conn_backlog: args.get_parsed("conn-backlog", 256usize)?.max(1),
+        wal_sync,
         access_log: args.get("access-log").map(str::to_owned),
-        access_log_max_bytes: args
-            .get_parsed(
-                "access-log-max-mb",
-                srm_serve::DEFAULT_ACCESS_LOG_MAX_BYTES / (1024 * 1024),
-            )?
-            .max(1)
-            * 1024
-            * 1024,
         flight_recorder: args.has_switch("flight-recorder"),
         watch_signals: true,
-        gate: None,
+        ..default
     })
 }
 
@@ -196,8 +178,6 @@ mod tests {
             "serve",
             "--access-log",
             "/tmp/access.jsonl",
-            "--access-log-max-mb",
-            "4",
             "--flight-recorder",
         ]
         .iter()
@@ -206,17 +186,12 @@ mod tests {
         let args = Args::parse(&raw, FLAGS, SWITCHES).unwrap();
         let config = build_config(&args).unwrap();
         assert_eq!(config.access_log.as_deref(), Some("/tmp/access.jsonl"));
-        assert_eq!(config.access_log_max_bytes, 4 * 1024 * 1024);
         assert!(config.flight_recorder);
 
         // Defaults: tracing extras are off unless asked for.
         let bare = Args::parse(&["serve".to_owned()], FLAGS, SWITCHES).unwrap();
         let config = build_config(&bare).unwrap();
         assert_eq!(config.access_log, None);
-        assert_eq!(
-            config.access_log_max_bytes,
-            srm_serve::DEFAULT_ACCESS_LOG_MAX_BYTES
-        );
         assert!(!config.flight_recorder);
     }
 
@@ -227,5 +202,26 @@ mod tests {
             .map(|s| (*s).to_owned())
             .collect();
         assert!(run(&raw).is_err());
+    }
+
+    #[test]
+    fn rejects_the_removed_fixed_settings() {
+        for flag in [
+            "--retry-after",
+            "--job-history",
+            "--cache-capacity",
+            "--snapshot-every",
+            "--shards",
+            "--http-handlers",
+            "--conn-backlog",
+            "--access-log-max-mb",
+        ] {
+            let raw: Vec<String> = ["serve", flag, "8"]
+                .iter()
+                .map(|s| (*s).to_owned())
+                .collect();
+            let err = Args::parse(&raw, FLAGS, SWITCHES).unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown flag `{flag}`"));
+        }
     }
 }

@@ -5,7 +5,7 @@ use crate::commands::parse_model;
 use srm_data::DetectionSimulator;
 use srm_model::DetectionModel;
 
-const FLAGS: &[&str] = &["bugs", "days", "p", "model", "params", "seed"];
+pub(super) const FLAGS: &[&str] = &["bugs", "days", "p", "model", "params", "seed"];
 
 /// Runs the subcommand. The schedule is either constant (`--p`) or a
 /// detection model with comma-separated `--params`.

@@ -1,6 +1,6 @@
 //! `srm trace` — offline analysis of JSONL trace files.
 //!
-//! Three modes over the typed event stream the instrumented commands
+//! Five modes over the typed event stream the instrumented commands
 //! write with `--trace-out`:
 //!
 //! * `srm trace summarize --file run.jsonl` — event counts, per-phase
@@ -32,7 +32,7 @@ use srm_obs::{
     EVENT_KINDS,
 };
 
-const FLAGS: &[&str] = &[
+pub(super) const FLAGS: &[&str] = &[
     "file",
     "a",
     "b",
@@ -41,7 +41,7 @@ const FLAGS: &[&str] = &[
     "access-log",
     "trace-dir",
 ];
-const SWITCHES: &[&str] = &["strict"];
+pub(super) const SWITCHES: &[&str] = &["strict"];
 
 /// Runs the subcommand.
 ///

@@ -392,13 +392,15 @@ pub enum Event {
         bytes: u64,
         /// Whether the request was answered from the fit cache.
         cache_hit: bool,
-        /// Time the correlated work spent waiting on the job queue,
-        /// ms (0 when nothing queued during this request).
+        /// Time the connection waited in the accept queue for a
+        /// handler thread, ms.
         queue_wait_ms: f64,
-        /// Time spent inside the engine (`fit` spans) attributable to
-        /// this request, ms.
+        /// Time the handler spent reading and parsing the request and
+        /// in the whole route call (cache lookup, admission, WAL
+        /// append), ms. Sampling runs later on a job worker and is
+        /// not included.
         engine_ms: f64,
-        /// Time spent serialising responses/results, ms.
+        /// Time spent writing the response to the socket, ms.
         serialize_ms: f64,
     },
     /// The flight recorder dumped its ring to disk. Written as the

@@ -21,8 +21,8 @@ use std::time::Instant;
 use srm_obs::json::Value;
 use srm_obs::{Counter, Event};
 
-/// Default rotation threshold: 64 MiB.
-pub const DEFAULT_ACCESS_LOG_MAX_BYTES: u64 = 64 * 1024 * 1024;
+/// A server's rotation threshold: 64 MiB.
+pub(crate) const DEFAULT_ACCESS_LOG_MAX_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Counters for `/metrics` and `/v1/debug/store`.
 #[derive(Debug, Clone, Copy, Default)]

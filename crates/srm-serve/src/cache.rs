@@ -22,8 +22,8 @@ use std::sync::Mutex;
 use srm_obs::json::Value;
 use srm_obs::{lock_ignoring_poison, Counter};
 
-/// Default number of result documents retained.
-pub const DEFAULT_CACHE_CAPACITY: usize = 256;
+/// Result documents a [`FitCache::new`] cache (the server's) retains.
+const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 #[derive(Debug, Default)]
 struct Lru {
@@ -62,7 +62,7 @@ impl Default for FitCache {
 }
 
 impl FitCache {
-    /// An empty cache with [`DEFAULT_CACHE_CAPACITY`].
+    /// An empty cache holding at most `DEFAULT_CACHE_CAPACITY` results.
     #[must_use]
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CACHE_CAPACITY)

@@ -492,8 +492,12 @@ pub struct JobStore {
     terminal_limit: usize,
 }
 
-/// Default shard count for [`JobStore`].
-pub const DEFAULT_SHARDS: usize = 8;
+/// Lock shards of a [`JobStore`] built without an explicit count.
+const DEFAULT_SHARDS: usize = 8;
+
+/// Terminal job records a server retains; older ones are evicted
+/// first, so a very old job id eventually answers 404.
+pub(crate) const JOB_HISTORY_LIMIT: usize = 1_024;
 
 impl Default for JobStore {
     fn default() -> Self {

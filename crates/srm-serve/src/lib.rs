@@ -56,7 +56,7 @@ pub mod server;
 pub mod signal;
 pub mod store;
 
-pub use access_log::{AccessLog, AccessLogStats, DEFAULT_ACCESS_LOG_MAX_BYTES};
+pub use access_log::{AccessLog, AccessLogStats};
 pub use batch::{
     parse_batch, BatchItemRef, BatchRecord, BatchRequest, BatchStore, MAX_BATCH_ITEMS,
 };

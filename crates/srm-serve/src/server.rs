@@ -7,8 +7,8 @@
 //! handler threads — when the queue is full the accept thread answers
 //! 503 inline and moves on, and a connection that sat in the queue
 //! longer than the reap threshold is answered 503 without being read.
-//! Ten thousand slow pollers therefore cost at most `conn_backlog`
-//! queue slots and `http_handlers` threads, never a thread apiece.
+//! Ten thousand slow pollers therefore cost at most `CONN_BACKLOG`
+//! queue slots and `HTTP_HANDLERS` threads, never a thread apiece.
 //! Each serviced connection gets read and write timeouts, so a
 //! stalled client can delay only its own handler.
 //!
@@ -41,7 +41,7 @@ use crate::batch::{BatchItemRef, BatchRecord, BatchStore};
 use crate::cache::FitCache;
 use crate::engine::run_job;
 use crate::http::{read_request, Request, Response};
-use crate::job::{JobRecord, JobSpec, JobStatus, JobStore, DEFAULT_SHARDS};
+use crate::job::{JobRecord, JobSpec, JobStatus, JobStore, JOB_HISTORY_LIMIT};
 use crate::metrics::{render_prometheus, GaugeSnapshot, ServeMetrics};
 use crate::queue::{JobQueue, PushError, QueuedJob};
 use crate::signal;
@@ -57,6 +57,13 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// reaped with 503 instead of being read — its client has either
 /// timed out already or is part of a flood worth shedding.
 const CONN_REAP_AFTER: Duration = Duration::from_secs(10);
+/// Reusable connection-handler threads servicing the accept queue.
+const HTTP_HANDLERS: usize = 8;
+/// Accept-queue capacity; beyond it new connections are answered 503
+/// inline.
+const CONN_BACKLOG: usize = 256;
+/// Value of the `Retry-After` header on 429 responses, seconds.
+const RETRY_AFTER_SECS: &str = "1";
 
 /// A test latch that holds workers at the top of job execution.
 ///
@@ -113,14 +120,6 @@ pub struct ServerConfig {
     /// Directory for per-job trace and manifest files (created if
     /// missing). `None` disables per-job files.
     pub trace_dir: Option<String>,
-    /// Value of the `Retry-After` header on 429 responses.
-    pub retry_after_secs: u64,
-    /// Max terminal (done/failed/cancelled) job records retained;
-    /// the oldest are evicted first, so a very old job id eventually
-    /// answers 404. Queued and running jobs are never evicted.
-    pub job_history_limit: usize,
-    /// Max result documents in the fit cache (LRU eviction).
-    pub cache_capacity: usize,
     /// State directory for the write-ahead log and snapshots.
     /// `None` disables persistence (memory-only, the pre-durability
     /// behaviour).
@@ -129,16 +128,6 @@ pub struct ServerConfig {
     /// survives SIGKILL (the kernel holds the bytes);
     /// [`SyncPolicy::Always`] also survives power loss.
     pub wal_sync: SyncPolicy,
-    /// WAL appends between snapshots (snapshot + log truncation).
-    pub snapshot_every: u64,
-    /// Lock shards for the job store.
-    pub shards: usize,
-    /// Reusable connection-handler threads servicing the accept
-    /// queue.
-    pub http_handlers: usize,
-    /// Bounded accept-queue capacity; beyond it new connections are
-    /// answered 503 inline.
-    pub conn_backlog: usize,
     /// Whether the accept loop also honours the process-wide
     /// [`signal`] flag (SIGTERM/SIGINT). CLI servers set this; tests
     /// use [`Server::request_shutdown`] so parallel servers don't
@@ -148,8 +137,6 @@ pub struct ServerConfig {
     pub gate: Option<Arc<Gate>>,
     /// Structured JSONL access-log path; `None` disables the log.
     pub access_log: Option<String>,
-    /// Rotate the access log before it would exceed this many bytes.
-    pub access_log_max_bytes: u64,
     /// Turn on the process-global flight recorder (see
     /// [`srm_obs::flightrec`]) and tee every job's events into it.
     pub flight_recorder: bool,
@@ -162,19 +149,11 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 16,
             trace_dir: None,
-            retry_after_secs: 1,
-            job_history_limit: 1_024,
-            cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
             state_dir: None,
             wal_sync: SyncPolicy::Never,
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            shards: DEFAULT_SHARDS,
-            http_handlers: 8,
-            conn_backlog: 256,
             watch_signals: false,
             gate: None,
             access_log: None,
-            access_log_max_bytes: DEFAULT_ACCESS_LOG_MAX_BYTES,
             flight_recorder: false,
         }
     }
@@ -209,12 +188,11 @@ pub struct ServerState {
     /// The WAL + snapshot layer; `None` without a `state_dir`.
     persister: Option<Persister>,
     /// Accepted connections (with their accept time) waiting for a
-    /// handler thread; its capacity is `conn_backlog`.
+    /// handler thread; its capacity is `CONN_BACKLOG`.
     conns: JobQueue<(TcpStream, Instant)>,
     shutdown: AtomicBool,
     running: AtomicU64,
     trace_dir: Option<String>,
-    retry_after_secs: u64,
     watch_signals: bool,
     gate: Option<Arc<Gate>>,
 }
@@ -311,7 +289,7 @@ impl Server {
                 let (persister, state) = Persister::open(
                     std::path::Path::new(dir),
                     config.wal_sync,
-                    config.snapshot_every,
+                    DEFAULT_SNAPSHOT_EVERY,
                 )?;
                 recovered = state;
                 Some(persister)
@@ -322,8 +300,8 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let store = JobStore::with_limit_and_shards(config.job_history_limit, config.shards);
-        let cache = FitCache::with_capacity(config.cache_capacity);
+        let store = JobStore::with_limit(JOB_HISTORY_LIMIT);
+        let cache = FitCache::new();
         for record in recovered.jobs.drain(..) {
             store.insert(record);
         }
@@ -381,14 +359,13 @@ impl Server {
             started: Instant::now(),
             access_log: config
                 .access_log
-                .map(|path| AccessLog::new(path, config.access_log_max_bytes)),
+                .map(|path| AccessLog::new(path, DEFAULT_ACCESS_LOG_MAX_BYTES)),
             flightrec_dir,
             persister,
-            conns: JobQueue::new(config.conn_backlog),
+            conns: JobQueue::new(CONN_BACKLOG),
             shutdown: AtomicBool::new(false),
             running: AtomicU64::new(0),
             trace_dir: config.trace_dir,
-            retry_after_secs: config.retry_after_secs,
             watch_signals: config.watch_signals,
             gate: config.gate,
         });
@@ -419,7 +396,7 @@ impl Server {
 
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || accept_loop(&listener, &accept_state));
-        let handlers = (0..config.http_handlers.max(1))
+        let handlers = (0..HTTP_HANDLERS)
             .map(|_| {
                 let handler_state = Arc::clone(&state);
                 std::thread::spawn(move || handler_loop(&handler_state))
@@ -892,7 +869,7 @@ fn submit_job(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Respon
                 PushError::Full => {
                     state.metrics.jobs_rejected.incr();
                     Response::error(429, "queue-full", "job queue is at capacity; retry later")
-                        .with_header("Retry-After", &state.retry_after_secs.to_string())
+                        .with_header("Retry-After", RETRY_AFTER_SECS)
                 }
                 PushError::Closed => {
                     Response::error(503, "shutting-down", "server is draining; retry elsewhere")
@@ -1174,7 +1151,8 @@ enum ItemPlan {
 /// and workers as `POST /v1/jobs`), so item results are byte-identical
 /// to individually submitted jobs with the derived seeds. Admission is
 /// all-or-nothing: the whole batch is rejected with 429 unless every
-/// item that needs sampling fits on the job queue together.
+/// item that needs sampling fits on the job queue together, and with
+/// 400 when those items outnumber the queue's whole capacity.
 fn submit_batch(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Response {
     if state.shutting_down() {
         return Response::error(503, "shutting-down", "server is draining; retry elsewhere");
@@ -1217,14 +1195,23 @@ fn submit_batch(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Resp
         .iter()
         .filter(|p| matches!(p, ItemPlan::Fresh))
         .count();
-    if state.queue.len() + fresh > state.queue.capacity() {
+    let capacity = state.queue.capacity();
+    if fresh > capacity {
+        // No drain can ever make room: retrying would loop forever.
+        return Response::error(
+            400,
+            "batch-too-large",
+            &format!("batch needs {fresh} queue slots; the job queue holds {capacity}"),
+        );
+    }
+    if state.queue.len() + fresh > capacity {
         state.metrics.jobs_rejected.add(fresh as u64);
         return Response::error(
             429,
             "queue-full",
             "job queue cannot take the whole batch; retry later",
         )
-        .with_header("Retry-After", &state.retry_after_secs.to_string());
+        .with_header("Retry-After", RETRY_AFTER_SECS);
     }
 
     let batch_id = state.batches.allocate_id();

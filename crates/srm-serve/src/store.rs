@@ -44,8 +44,8 @@ use crate::FitCache;
 pub const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside the state directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.srm";
-/// Default number of WAL appends between snapshots.
-pub const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
+/// WAL appends between a server's snapshots.
+pub(crate) const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
 
 fn status_from_label(label: &str) -> Option<JobStatus> {
     match label {

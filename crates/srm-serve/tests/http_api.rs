@@ -278,7 +278,6 @@ fn full_queue_gets_429_and_accepted_jobs_drain_on_shutdown() {
     let server = Server::start(ServerConfig {
         workers: 1,
         queue_capacity: 1,
-        retry_after_secs: 7,
         gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
     })
@@ -305,7 +304,7 @@ fn full_queue_gets_429_and_accepted_jobs_drain_on_shutdown() {
 
     let (status, head, payload) = http(addr, "POST", "/v1/jobs", &job(3));
     assert_eq!(status, 429, "{payload}");
-    assert!(head.contains("Retry-After: 7"), "{head}");
+    assert!(head.contains("Retry-After: 1"), "{head}");
     assert!(payload.contains("queue-full"), "{payload}");
     // The rejected job left nothing behind.
     assert_eq!(server.state().metrics.jobs_rejected.get(), 1);
@@ -326,6 +325,85 @@ fn full_queue_gets_429_and_accepted_jobs_drain_on_shutdown() {
     let (_queued, _running, done, failed, cancelled) = state.store.counts();
     assert_eq!((done, failed, cancelled), (2, 0, 0));
     assert!(state.queue.is_empty());
+}
+
+#[test]
+fn batch_larger_than_the_queue_is_a_400_not_a_retry_forever_429() {
+    // One worker parked at the gate with job A, job B waiting in a
+    // two-slot queue: one slot is free.
+    let gate = Arc::new(Gate::new());
+    gate.pause();
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_capacity: 2,
+        gate: Some(Arc::clone(&gate)),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let addr = server.addr();
+    let job = |seed: u32| {
+        format!(
+            r#"{{"kind":"fit","dataset":"short_campaign_25","chains":1,
+                "samples":120,"burn_in":40,"seed":{seed}}}"#
+        )
+    };
+    assert_eq!(submit(addr, &job(1)).0, 202);
+    let parked = Instant::now() + Duration::from_secs(10);
+    while !server.state().queue.is_empty() {
+        assert!(Instant::now() < parked, "worker never picked up job A");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(submit(addr, &job(2)).0, 202);
+    let batch = |datasets: &[&str]| {
+        let items: Vec<String> = datasets
+            .iter()
+            .map(|d| format!(r#"{{"dataset":"{d}"}}"#))
+            .collect();
+        format!(
+            r#"{{"chains":1,"samples":120,"burn_in":40,"seed":5,"items":[{}]}}"#,
+            items.join(",")
+        )
+    };
+
+    // Two fresh items fit an empty queue, just not this one: retry.
+    let (status, head, payload) = http(
+        addr,
+        "POST",
+        "/v1/batches",
+        &batch(&["short_campaign_25", "ntds_26"]),
+    );
+    assert_eq!(status, 429, "{payload}");
+    assert!(head.contains("Retry-After: 1"), "{head}");
+    assert!(payload.contains("queue-full"), "{payload}");
+    let rejected = server.state().metrics.jobs_rejected.get();
+    assert_eq!(rejected, 2);
+
+    // Three fresh items can never fit two slots: no retry will help.
+    let (status, head, payload) = http(
+        addr,
+        "POST",
+        "/v1/batches",
+        &batch(&["short_campaign_25", "ntds_26", "tandem_20w"]),
+    );
+    assert_eq!(status, 400, "{payload}");
+    assert!(!head.contains("Retry-After"), "{head}");
+    assert!(payload.contains("batch-too-large"), "{payload}");
+    assert!(
+        payload.contains("batch needs 3 queue slots; the job queue holds 2"),
+        "{payload}"
+    );
+    let state = server.state();
+    assert_eq!(state.metrics.jobs_rejected.get(), rejected);
+    assert_eq!(state.store.next_job_number(), 3, "a job was allocated");
+    assert_eq!(
+        state.batches.next_batch_number(),
+        1,
+        "a batch was allocated"
+    );
+
+    server.request_shutdown();
+    gate.release();
+    let _ = server.join();
 }
 
 #[test]
