@@ -1,12 +1,6 @@
-//! Benchmarks of the serve tier's durable-store machinery: the
-//! sharded job store under concurrent status polls (the 10k-slow-
-//! pollers scenario that motivated sharding, scaled down to bench
-//! size) and the WAL append path under both sync policies.
-//!
-//! The acceptance bar for sharding is that `store_poll/shards8`
-//! clearly beats `store_poll/shards1` — readers on different jobs
-//! should not serialise on one mutex while a writer churns terminal
-//! transitions through the same map.
+//! Benchmarks of the serve tier's durable-store machinery: the job
+//! store under concurrent status polls and at its retention limit,
+//! and the WAL append path under both sync policies.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // bench setup
 
@@ -21,8 +15,11 @@ const JOBS: usize = 256;
 const POLL_THREADS: usize = 4;
 const POLLS_PER_THREAD: usize = 2_000;
 
-fn populated_store(shards: usize) -> JobStore {
-    let store = JobStore::with_limit_and_shards(4 * JOBS, shards);
+/// Terminal records a server's job store retains.
+const HISTORY_LIMIT: usize = 1_024;
+
+fn populated_store() -> JobStore {
+    let store = JobStore::with_limit(4 * JOBS);
     for _ in 0..JOBS {
         let id = store.allocate_id();
         store.insert(JobRecord::new(
@@ -37,8 +34,7 @@ fn populated_store(shards: usize) -> JobStore {
 
 /// Concurrent status polls against one hot writer: each reader
 /// hammers `get` across the id range while the writer cycles jobs
-/// between queued and running. With one shard every poll serialises
-/// on the writer's mutex; with eight they mostly don't. Ids are
+/// between queued and running, all on the store's one lock. Ids are
 /// pre-formatted so the measurement is lock traffic, not allocation.
 fn poll_round(store: &JobStore, ids: &[String]) -> u64 {
     let served = AtomicU64::new(0);
@@ -75,17 +71,37 @@ fn bench_store_poll(c: &mut Criterion) {
     let ids: Vec<String> = (1..=JOBS).map(|n| format!("job-{n}")).collect();
     let mut group = c.benchmark_group("serve/store_poll");
     group.sample_size(10);
-    for shards in [1usize, 8] {
-        let store = populated_store(shards);
-        group.bench_with_input(
-            BenchmarkId::new("store_poll", format!("shards{shards}")),
-            &store,
-            |b, s| {
-                b.iter(|| black_box(poll_round(s, &ids)));
-            },
-        );
-    }
+    let store = populated_store();
+    group.bench_with_input(
+        BenchmarkId::new("store_poll", format!("readers{POLL_THREADS}")),
+        &store,
+        |b, s| {
+            b.iter(|| black_box(poll_round(s, &ids)));
+        },
+    );
     group.finish();
+}
+
+/// One more done record into a store already holding its limit of
+/// terminal records — what every fit-cache hit costs a busy server:
+/// the insert evicts the earliest-finished record.
+fn bench_store_insert(c: &mut Criterion) {
+    let store = JobStore::with_limit(HISTORY_LIMIT);
+    let done = |id: String| JobRecord::new(id, JobKind::Fit, "bench-key".into(), JobStatus::Done);
+    for _ in 0..HISTORY_LIMIT {
+        store.insert(done(store.allocate_id()));
+    }
+    let mut group = c.benchmark_group("serve/store_insert");
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::new("store_insert", "at_limit"),
+        &(),
+        |b, ()| {
+            b.iter(|| store.insert(black_box(done(store.allocate_id()))));
+        },
+    );
+    group.finish();
+    assert_eq!(store.counts().2, HISTORY_LIMIT);
 }
 
 /// Raw WAL append throughput for a typical terminal-op record, per
@@ -112,5 +128,10 @@ fn bench_wal_append(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_store_poll, bench_wal_append);
+criterion_group!(
+    benches,
+    bench_store_poll,
+    bench_store_insert,
+    bench_wal_append
+);
 criterion_main!(benches);

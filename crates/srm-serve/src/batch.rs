@@ -26,12 +26,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use srm_obs::json::Value;
 use srm_obs::lock_ignoring_poison;
 
-use crate::job::JobSpec;
+use crate::job::{id_number, JobSpec, Registry};
 
 /// Hard cap on items per batch: bounds parse-time memory and keeps
 /// one request from monopolising the job store.
@@ -66,15 +65,11 @@ pub struct BatchRecord {
     /// Jobs of this batch not yet terminal (distinct jobs, so an
     /// aliased duplicate never counts twice).
     pub remaining: usize,
-    /// When the batch was registered (this process lifetime; restarts
-    /// reset it, so recovered batches report wall time since boot).
-    pub submitted: Instant,
 }
 
 impl BatchRecord {
     /// Serialises the record for the WAL and snapshots. `remaining`
-    /// and `submitted` are runtime state — recovery recomputes them
-    /// from the job store.
+    /// is runtime state — recovery recomputes it from the job store.
     #[must_use]
     pub fn to_wire(&self) -> Value {
         Value::obj(vec![
@@ -126,52 +121,54 @@ impl BatchRecord {
             items,
             cache_hits,
             remaining: 0,
-            submitted: Instant::now(),
         })
     }
 }
 
-/// A batch's progress after one job of it reached a terminal state.
-#[derive(Debug, Clone)]
-pub struct BatchProgress {
-    /// The batch the job belongs to.
-    pub batch_id: String,
-    /// Item indices computed by that job (aliases share a job).
-    pub item_indices: Vec<usize>,
-    /// Distinct jobs of the batch still not terminal.
-    pub remaining: usize,
-    /// Wall-clock ms since the batch was registered.
-    pub wall_ms: f64,
-}
-
-/// Numeric suffix of a `batch-N` id.
-fn batch_number(id: &str) -> u64 {
-    id.rsplit('-')
-        .next()
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Thread-safe registry of batches plus the reverse index from job
 /// ids to the batches awaiting them.
-#[derive(Debug, Default)]
+///
+/// Retention is bounded like the job store's: at most the
+/// [`with_limit`](BatchStore::with_limit) count of finished batches
+/// (`remaining == 0`) are kept, the earliest finished evicted first. A
+/// batch still waiting on a job is never evicted.
+#[derive(Debug)]
 pub struct BatchStore {
     inner: Mutex<BatchInner>,
     next_id: AtomicU64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct BatchInner {
-    records: HashMap<String, BatchRecord>,
-    /// job id → batch ids still waiting on it.
-    waiting: HashMap<String, Vec<String>>,
+    /// Every retained batch, keyed by the `N` of its `batch-N` id.
+    batches: Registry<BatchRecord>,
+    /// job id → numbers of the batches still waiting on it.
+    waiting: HashMap<String, Vec<u64>>,
+}
+
+impl Default for BatchStore {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BatchStore {
-    /// An empty registry.
+    /// An empty registry with unbounded retention (tests, embedders).
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::with_limit(usize::MAX)
+    }
+
+    /// An empty registry keeping at most `limit` finished batches.
+    #[must_use]
+    pub fn with_limit(limit: usize) -> Self {
+        Self {
+            inner: Mutex::new(BatchInner {
+                batches: Registry::new(limit),
+                waiting: HashMap::new(),
+            }),
+            next_id: AtomicU64::new(0),
+        }
     }
 
     /// Allocates the next batch id (`batch-1`, `batch-2`, …).
@@ -191,45 +188,53 @@ impl BatchStore {
         self.next_id.load(Ordering::Relaxed) + 1
     }
 
-    /// Registers a batch. `pending_jobs` are the distinct job ids the
-    /// batch is still waiting on (its `remaining` count); terminal
-    /// (cache-served) jobs must be excluded by the caller.
+    /// Registers a new batch. `pending_jobs` are the distinct job ids
+    /// the batch is still waiting on (its `remaining` count); terminal
+    /// (cache-served) jobs must be excluded by the caller. A record
+    /// whose id is not `batch-N` is not stored.
     pub fn insert(&self, mut record: BatchRecord, pending_jobs: &[String]) {
-        self.set_next_id(batch_number(&record.id) + 1);
+        let Some(n) = id_number(&record.id, "batch-") else {
+            return;
+        };
+        self.set_next_id(n + 1);
         record.remaining = pending_jobs.len();
         let mut inner = lock_ignoring_poison(&self.inner);
         for job in pending_jobs {
-            inner
-                .waiting
-                .entry(job.clone())
-                .or_default()
-                .push(record.id.clone());
+            inner.waiting.entry(job.clone()).or_default().push(n);
         }
-        inner.records.insert(record.id.clone(), record);
+        inner.batches.records.insert(n, record);
+        if pending_jobs.is_empty() {
+            inner.batches.finish(n);
+        }
     }
 
     /// Snapshot of one batch.
     #[must_use]
     pub fn get(&self, id: &str) -> Option<BatchRecord> {
-        lock_ignoring_poison(&self.inner).records.get(id).cloned()
+        let n = id_number(id, "batch-")?;
+        lock_ignoring_poison(&self.inner)
+            .batches
+            .records
+            .get(&n)
+            .cloned()
     }
 
     /// Every record, in ascending batch order — the snapshot feed.
     #[must_use]
     pub fn all_records(&self) -> Vec<BatchRecord> {
-        let mut records: Vec<BatchRecord> = lock_ignoring_poison(&self.inner)
+        lock_ignoring_poison(&self.inner)
+            .batches
             .records
             .values()
             .cloned()
-            .collect();
-        records.sort_by_key(|r| batch_number(&r.id));
-        records
+            .collect()
     }
 
     /// Number of batches with at least one job still pending.
     #[must_use]
     pub fn active(&self) -> u64 {
         lock_ignoring_poison(&self.inner)
+            .batches
             .records
             .values()
             .filter(|r| r.remaining > 0)
@@ -237,33 +242,21 @@ impl BatchStore {
     }
 
     /// Records that `job_id` reached a terminal state, decrementing
-    /// `remaining` on every batch waiting for it. Returns one
-    /// [`BatchProgress`] per affected batch so the caller can emit
-    /// `batch-item-done` / `batch-done` events.
-    pub fn note_terminal(&self, job_id: &str) -> Vec<BatchProgress> {
+    /// `remaining` on every batch waiting for it.
+    pub fn note_terminal(&self, job_id: &str) {
         let mut inner = lock_ignoring_poison(&self.inner);
-        let Some(batch_ids) = inner.waiting.remove(job_id) else {
-            return Vec::new();
+        let Some(batches) = inner.waiting.remove(job_id) else {
+            return;
         };
-        let mut out = Vec::with_capacity(batch_ids.len());
-        for batch_id in batch_ids {
-            if let Some(record) = inner.records.get_mut(&batch_id) {
-                record.remaining = record.remaining.saturating_sub(1);
-                out.push(BatchProgress {
-                    batch_id: batch_id.clone(),
-                    item_indices: record
-                        .items
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, item)| item.job_id == job_id)
-                        .map(|(i, _)| i)
-                        .collect(),
-                    remaining: record.remaining,
-                    wall_ms: record.submitted.elapsed().as_secs_f64() * 1_000.0,
-                });
+        for n in batches {
+            let Some(record) = inner.batches.records.get_mut(&n) else {
+                continue;
+            };
+            record.remaining = record.remaining.saturating_sub(1);
+            if record.remaining == 0 {
+                inner.batches.finish(n);
             }
         }
-        out
     }
 }
 
@@ -393,7 +386,6 @@ mod tests {
                 .collect(),
             cache_hits: 0,
             remaining: 0,
-            submitted: Instant::now(),
         }
     }
 
@@ -416,15 +408,36 @@ mod tests {
             &["job-1".to_owned(), "job-2".to_owned()],
         );
         assert_eq!(store.active(), 1);
-        let progress = store.note_terminal("job-1");
-        assert_eq!(progress.len(), 1);
-        assert_eq!(progress[0].item_indices, vec![0, 1]);
-        assert_eq!(progress[0].remaining, 1);
+        let remaining = || store.get("batch-1").unwrap().remaining;
+        assert_eq!(remaining(), 2);
+        store.note_terminal("job-1");
+        assert_eq!(remaining(), 1, "the alias shares job-1's count");
         assert_eq!(store.active(), 1);
-        let progress = store.note_terminal("job-2");
-        assert_eq!(progress[0].remaining, 0);
+        store.note_terminal("job-2");
+        assert_eq!(remaining(), 0);
         assert_eq!(store.active(), 0);
-        assert!(store.note_terminal("job-2").is_empty());
+        store.note_terminal("job-2");
+        assert_eq!(remaining(), 0, "a job settles its batches once");
+    }
+
+    #[test]
+    fn finished_batches_are_bounded_like_jobs() {
+        let store = BatchStore::with_limit(2);
+        store.insert(record("batch-1", &[("a", "job-1")]), &["job-1".to_owned()]);
+        for n in 2..=4 {
+            store.insert(record(&format!("batch-{n}"), &[("a", "job-9")]), &[]);
+        }
+        assert!(store.get("batch-1").is_some(), "a waiting batch stays");
+        assert!(store.get("batch-2").is_none());
+        assert!(store.get("batch-3").is_some());
+        // `batch-1` finishes last, so `batch-3` is now the earliest
+        // finished.
+        store.note_terminal("job-1");
+        assert!(store.get("batch-1").is_some());
+        assert!(store.get("batch-3").is_none());
+        assert!(store.get("batch-4").is_some());
+        let ids: Vec<String> = store.all_records().into_iter().map(|r| r.id).collect();
+        assert_eq!(ids, ["batch-1", "batch-4"]);
     }
 
     #[test]

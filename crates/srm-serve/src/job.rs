@@ -9,7 +9,7 @@
 //! (thread count, timeout, and — for `select`, which sweeps all five
 //! models — the request's irrelevant `model` field).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -378,6 +378,19 @@ impl JobStatus {
         }
     }
 
+    /// Parses the wire label back into a status.
+    #[must_use]
+    pub fn parse(label: &str) -> Option<Self> {
+        match label {
+            "queued" => Some(Self::Queued),
+            "running" => Some(Self::Running),
+            "done" => Some(Self::Done),
+            "failed" => Some(Self::Failed),
+            "cancelled" => Some(Self::Cancelled),
+            _ => None,
+        }
+    }
+
     /// Whether the job can no longer change state (done, failed, or
     /// cancelled). Only terminal records are eligible for eviction.
     #[must_use]
@@ -469,48 +482,79 @@ impl JobRecord {
     }
 }
 
-/// Thread-safe registry of the jobs the server has seen.
-///
-/// Records are hash-sharded across `N` independently locked maps
-/// (shard = FNV-1a of the job id, modulo `N`), so `/progress` polls
-/// on one job no longer serialize against submissions or completions
-/// of another. All per-id operations touch exactly one shard lock;
-/// only the cross-shard scans (`counts`, `running_progress`, the
-/// eviction pass on terminal transitions) visit every shard, one lock
-/// at a time — no lock is ever held while taking another, so the
-/// sharding cannot deadlock.
-///
-/// Retention is bounded: at most `terminal_limit` records in a
-/// terminal state ([`JobStatus::is_terminal`]) are kept, and the
-/// oldest (lowest `job-N`) are evicted first — a long-running server
-/// holds a window of recent history instead of growing without bound.
-/// Queued and running records are never evicted.
-#[derive(Debug)]
-pub struct JobStore {
-    shards: Vec<Mutex<HashMap<String, JobRecord>>>,
-    next_id: AtomicU64,
-    terminal_limit: usize,
+/// The `N` of a canonical `{prefix}N` id (`job-7` with prefix `job-`
+/// is 7); `None` for anything else, including `job-07` and `job-+7`,
+/// which name no job the server minted.
+pub(crate) fn id_number(id: &str, prefix: &str) -> Option<u64> {
+    let digits = id.strip_prefix(prefix)?;
+    if digits.starts_with(['+', '0']) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
-/// Lock shards of a [`JobStore`] built without an explicit count.
-const DEFAULT_SHARDS: usize = 8;
+/// Records keyed by the `N` of their id, keeping at most `limit`
+/// finished ones: the earliest to finish is evicted first, and a record
+/// that has not finished is never evicted. The job store and the batch
+/// registry share this retention policy.
+#[derive(Debug)]
+pub(crate) struct Registry<T> {
+    /// Every retained record, keyed by the `N` of its id.
+    pub(crate) records: BTreeMap<u64, T>,
+    /// Numbers of the finished records, in the order they finished.
+    finished: VecDeque<u64>,
+    limit: usize,
+}
 
-/// Terminal job records a server retains; older ones are evicted
-/// first, so a very old job id eventually answers 404.
+impl<T> Registry<T> {
+    pub(crate) fn new(limit: usize) -> Self {
+        Self {
+            records: BTreeMap::new(),
+            finished: VecDeque::new(),
+            limit: limit.max(1),
+        }
+    }
+
+    /// Notes that record `n` has just finished, evicting the earliest
+    /// finished records beyond the limit.
+    pub(crate) fn finish(&mut self, n: u64) {
+        self.finished.push_back(n);
+        while self.finished.len() > self.limit {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.records.remove(&oldest);
+            }
+        }
+    }
+}
+
+/// Thread-safe registry of the jobs the server has seen: one lock
+/// over every record, ordered by job number.
+///
+/// One lock is enough: a per-job call holds it for microseconds, while
+/// each request that makes one costs hundreds of microseconds of CPU
+/// (accept, parse, route, serialize).
+///
+/// Retention is bounded: at most the [`with_limit`](JobStore::with_limit)
+/// count of terminal records ([`JobStatus::is_terminal`]) are kept, and
+/// the earliest to finish is evicted first — a long-running server
+/// holds a window of recent history instead of growing without bound,
+/// and a job that has just finished is never the one evicted. Queued
+/// and running records are never evicted. A record's status only moves
+/// forward (queued → running → terminal).
+#[derive(Debug)]
+pub struct JobStore {
+    jobs: Mutex<Registry<JobRecord>>,
+    next_id: AtomicU64,
+}
+
+/// Terminal job records a server retains; the earliest finished are
+/// evicted first, so a long-finished job id eventually answers 404.
 pub(crate) const JOB_HISTORY_LIMIT: usize = 1_024;
 
 impl Default for JobStore {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Numeric suffix of a `job-N` id, for oldest-first eviction order.
-fn job_index(id: &str) -> u64 {
-    id.rsplit('-')
-        .next()
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(u64::MAX)
 }
 
 impl JobStore {
@@ -523,25 +567,10 @@ impl JobStore {
     /// An empty store keeping at most `limit` terminal records.
     #[must_use]
     pub fn with_limit(limit: usize) -> Self {
-        Self::with_limit_and_shards(limit, DEFAULT_SHARDS)
-    }
-
-    /// An empty store with an explicit shard count (1 = the old
-    /// single-lock layout, useful for contention benchmarks).
-    #[must_use]
-    pub fn with_limit_and_shards(limit: usize, shards: usize) -> Self {
         Self {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            jobs: Mutex::new(Registry::new(limit)),
             next_id: AtomicU64::new(0),
-            terminal_limit: limit.max(1),
         }
-    }
-
-    fn shard(&self, id: &str) -> &Mutex<HashMap<String, JobRecord>> {
-        let index = srm_obs::fnv1a64([id.as_bytes()]) as usize % self.shards.len();
-        &self.shards[index]
     }
 
     /// Allocates the next job id (`job-1`, `job-2`, …).
@@ -565,87 +594,62 @@ impl JobStore {
         self.next_id.load(Ordering::Relaxed) + 1
     }
 
-    /// Global eviction pass: keeps the newest `terminal_limit`
-    /// terminal records across all shards. Locks one shard at a time
-    /// (scan, then delete), so concurrent inserts may briefly exceed
-    /// the limit — the bound is enforced on the next terminal
-    /// transition.
-    fn evict_excess_terminal(&self) {
-        let mut total = 0usize;
-        let mut terminal: Vec<(u64, String)> = Vec::new();
-        for shard in &self.shards {
-            let records = lock_ignoring_poison(shard);
-            total += records.len();
-            terminal.extend(
-                records
-                    .values()
-                    .filter(|r| r.status.is_terminal())
-                    .map(|r| (job_index(&r.id), r.id.clone())),
-            );
-        }
-        if total <= self.terminal_limit || terminal.len() <= self.terminal_limit {
-            return;
-        }
-        let excess = terminal.len() - self.terminal_limit;
-        terminal.sort_unstable();
-        for (_, id) in terminal.into_iter().take(excess) {
-            lock_ignoring_poison(self.shard(&id)).remove(&id);
-        }
-    }
-
-    /// Inserts (or replaces) a record, evicting the oldest terminal
-    /// records beyond the retention limit.
+    /// Inserts (or replaces) a record, evicting the earliest-finished
+    /// terminal records beyond the retention limit. A record whose id
+    /// is not `job-N` is not stored.
     pub fn insert(&self, record: JobRecord) {
+        let Some(n) = id_number(&record.id, "job-") else {
+            return;
+        };
         let terminal = record.status.is_terminal();
-        lock_ignoring_poison(self.shard(&record.id)).insert(record.id.clone(), record);
-        // Non-terminal inserts cannot grow the terminal population,
-        // so the global pass only runs when it could evict something.
-        if terminal {
-            self.evict_excess_terminal();
+        let mut jobs = lock_ignoring_poison(&self.jobs);
+        let was_terminal = jobs
+            .records
+            .insert(n, record)
+            .is_some_and(|old| old.status.is_terminal());
+        if terminal && !was_terminal {
+            jobs.finish(n);
         }
     }
 
     /// Snapshot of one record.
     #[must_use]
     pub fn get(&self, id: &str) -> Option<JobRecord> {
-        lock_ignoring_poison(self.shard(id)).get(id).cloned()
+        let n = id_number(id, "job-")?;
+        lock_ignoring_poison(&self.jobs).records.get(&n).cloned()
     }
 
     /// Removes a record (used when a push is rejected after the id was
     /// allocated, so 429'd submissions leave no trace in the store).
     pub fn remove(&self, id: &str) -> Option<JobRecord> {
-        lock_ignoring_poison(self.shard(id)).remove(id)
+        let n = id_number(id, "job-")?;
+        lock_ignoring_poison(&self.jobs).records.remove(&n)
     }
 
-    /// Runs `f` on a record under its shard lock; `None` for unknown
-    /// ids. A transition into a terminal state triggers the same
-    /// eviction pass as [`JobStore::insert`].
+    /// Runs `f` on a record under the store lock; `None` for unknown
+    /// ids. A transition into a terminal state evicts as
+    /// [`JobStore::insert`] does.
     pub fn with<R>(&self, id: &str, f: impl FnOnce(&mut JobRecord) -> R) -> Option<R> {
-        let mut records = lock_ignoring_poison(self.shard(id));
-        let (out, terminal) = match records.get_mut(id) {
-            Some(record) => {
-                let out = f(record);
-                (Some(out), record.status.is_terminal())
-            }
-            None => (None, false),
-        };
-        drop(records);
-        if terminal {
-            self.evict_excess_terminal();
+        let n = id_number(id, "job-")?;
+        let mut jobs = lock_ignoring_poison(&self.jobs);
+        let record = jobs.records.get_mut(&n)?;
+        let was_terminal = record.status.is_terminal();
+        let out = f(record);
+        if record.status.is_terminal() && !was_terminal {
+            jobs.finish(n);
         }
-        out
+        Some(out)
     }
 
     /// Clones every record, in ascending job order — the snapshot
     /// writer's feed.
     #[must_use]
     pub fn all_records(&self) -> Vec<JobRecord> {
-        let mut all: Vec<JobRecord> = Vec::new();
-        for shard in &self.shards {
-            all.extend(lock_ignoring_poison(shard).values().cloned());
-        }
-        all.sort_by_key(|r| job_index(&r.id));
-        all
+        lock_ignoring_poison(&self.jobs)
+            .records
+            .values()
+            .cloned()
+            .collect()
     }
 
     /// `(id, progress collector)` for every currently running job, in
@@ -653,18 +657,12 @@ impl JobStore {
     /// convergence gauges on `/metrics`.
     #[must_use]
     pub fn running_progress(&self) -> Vec<(String, Arc<StatsCollector>)> {
-        let mut running: Vec<(String, Arc<StatsCollector>)> = Vec::new();
-        for shard in &self.shards {
-            let records = lock_ignoring_poison(shard);
-            running.extend(
-                records
-                    .values()
-                    .filter(|r| r.status == JobStatus::Running)
-                    .filter_map(|r| r.progress.clone().map(|p| (r.id.clone(), p))),
-            );
-        }
-        running.sort_by_key(|(id, _)| job_index(id));
-        running
+        lock_ignoring_poison(&self.jobs)
+            .records
+            .values()
+            .filter(|r| r.status == JobStatus::Running)
+            .filter_map(|r| r.progress.clone().map(|p| (r.id.clone(), p)))
+            .collect()
     }
 
     /// Per-status job counts
@@ -672,15 +670,13 @@ impl JobStore {
     #[must_use]
     pub fn counts(&self) -> (usize, usize, usize, usize, usize) {
         let mut counts = (0, 0, 0, 0, 0);
-        for shard in &self.shards {
-            for record in lock_ignoring_poison(shard).values() {
-                match record.status {
-                    JobStatus::Queued => counts.0 += 1,
-                    JobStatus::Running => counts.1 += 1,
-                    JobStatus::Done => counts.2 += 1,
-                    JobStatus::Failed => counts.3 += 1,
-                    JobStatus::Cancelled => counts.4 += 1,
-                }
+        for record in lock_ignoring_poison(&self.jobs).records.values() {
+            match record.status {
+                JobStatus::Queued => counts.0 += 1,
+                JobStatus::Running => counts.1 += 1,
+                JobStatus::Done => counts.2 += 1,
+                JobStatus::Failed => counts.3 += 1,
+                JobStatus::Cancelled => counts.4 += 1,
             }
         }
         counts
@@ -856,28 +852,30 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_behaves_like_a_single_map() {
-        for shards in [1, 3, 8] {
-            let store = JobStore::with_limit_and_shards(usize::MAX, shards);
-            for n in 1..=40 {
-                let id = store.allocate_id();
-                assert_eq!(id, format!("job-{n}"));
-                let status = if n % 2 == 0 {
-                    JobStatus::Done
-                } else {
-                    JobStatus::Queued
-                };
-                store.insert(JobRecord::new(id, JobKind::Fit, "k".into(), status));
-            }
-            assert_eq!(store.counts(), (20, 0, 20, 0, 0), "shards={shards}");
-            for n in 1..=40 {
-                assert!(store.get(&format!("job-{n}")).is_some(), "shards={shards}");
-            }
-            let all = store.all_records();
-            assert_eq!(all.len(), 40);
-            assert_eq!(all[0].id, "job-1");
-            assert_eq!(all[39].id, "job-40");
+    fn store_finds_every_minted_id_and_nothing_else() {
+        let store = JobStore::new();
+        for n in 1..=40 {
+            let id = store.allocate_id();
+            assert_eq!(id, format!("job-{n}"));
+            let status = if n % 2 == 0 {
+                JobStatus::Done
+            } else {
+                JobStatus::Queued
+            };
+            store.insert(JobRecord::new(id, JobKind::Fit, "k".into(), status));
         }
+        assert_eq!(store.counts(), (20, 0, 20, 0, 0));
+        for n in 1..=40 {
+            assert!(store.get(&format!("job-{n}")).is_some());
+        }
+        // Only the `job-N` form the server mints names a job.
+        for id in ["foo", "job-", "job-1x", "job-01", "job-+1", "batch-1"] {
+            assert!(store.get(id).is_none(), "{id}");
+        }
+        let all = store.all_records();
+        assert_eq!(all.len(), 40);
+        assert_eq!(all[0].id, "job-1");
+        assert_eq!(all[39].id, "job-40");
     }
 
     #[test]
@@ -941,5 +939,31 @@ mod tests {
             .collect();
         assert_eq!(remaining.iter().filter(|&&kept| kept).count(), 2);
         assert_eq!(store.counts().0, 0);
+    }
+
+    #[test]
+    fn a_job_is_never_evicted_by_its_own_completion() {
+        let store = JobStore::with_limit(2);
+        store.insert(JobRecord::new(
+            "job-1".into(),
+            JobKind::Fit,
+            "k".into(),
+            JobStatus::Running,
+        ));
+        for n in 2..=4 {
+            store.insert(JobRecord::new(
+                format!("job-{n}"),
+                JobKind::Fit,
+                "k".into(),
+                JobStatus::Done,
+            ));
+        }
+        // `job-1` finishes after three newer jobs did: eviction goes by
+        // completion order, so it evicts `job-3`, not `job-1` itself.
+        store.with("job-1", |r| r.status = JobStatus::Done);
+        assert!(store.get("job-1").is_some());
+        assert!(store.get("job-2").is_none());
+        assert!(store.get("job-3").is_none());
+        assert!(store.get("job-4").is_some());
     }
 }

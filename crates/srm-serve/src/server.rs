@@ -246,15 +246,26 @@ impl ServerState {
         flightrec::dump_to_dir(dir, reason).ok()
     }
 
-    /// Logs a terminal transition for `id` and snapshots if the
-    /// cadence is due. No-op without a state dir.
-    fn persist_terminal(&self, id: &str) {
+    /// The tail of every terminal transition, called once after job
+    /// `id` has become `status` (done, failed or cancelled): bumps the
+    /// matching job counter, logs the terminal WAL op (snapshotting
+    /// when the cadence is due) and counts the job off every batch
+    /// waiting on it. A worker calls it after recording the job's
+    /// `job-done` event.
+    fn settle(&self, id: &str, status: JobStatus) {
+        match status {
+            JobStatus::Done => self.metrics.jobs_done.incr(),
+            JobStatus::Failed => self.metrics.jobs_failed.incr(),
+            JobStatus::Cancelled => self.metrics.jobs_cancelled.incr(),
+            JobStatus::Queued | JobStatus::Running => return,
+        }
         if let Some(persister) = &self.persister {
             if let Some(record) = self.store.get(id) {
                 persister.record_terminal(&record);
                 persister.maybe_snapshot(&self.store, &self.cache, &self.batches);
             }
         }
+        self.batches.note_terminal(id);
     }
 }
 
@@ -313,7 +324,7 @@ impl Server {
         // runtime state: recompute it as the distinct member jobs that
         // are not terminal in the recovered store (in-flight jobs were
         // reset to queued above and will be re-queued below).
-        let batches = BatchStore::new();
+        let batches = BatchStore::with_limit(JOB_HISTORY_LIMIT);
         for wire in recovered.batches.drain(..) {
             let Some(record) = BatchRecord::from_wire(&wire) else {
                 continue;
@@ -954,9 +965,7 @@ fn cache_served_job(
     record.cached = true;
     record.result = Some(result);
     state.store.insert(record);
-    state.persist_terminal(&id);
     state.metrics.jobs_submitted.incr();
-    state.metrics.jobs_done.incr();
 
     let trace = open_trace(state, &id, trace_id_of(spec));
     let recorder = job_recorder(state, trace.as_ref(), trace_id_of(spec), None);
@@ -977,6 +986,7 @@ fn cache_served_job(
     if let Some(sink) = trace {
         let _ = sink.flush();
     }
+    state.settle(&id, JobStatus::Done);
     id
 }
 
@@ -1119,9 +1129,7 @@ fn cancel_job(state: &Arc<ServerState>, id: &str) -> Response {
         ),
         Some((status, label)) => {
             if status == 200 {
-                state.metrics.jobs_cancelled.incr();
-                state.persist_terminal(id);
-                note_batch_terminal(state, id);
+                state.settle(id, JobStatus::Cancelled);
             }
             Response::json(
                 status,
@@ -1266,13 +1274,7 @@ fn submit_batch(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Resp
         items,
         cache_hits,
         remaining: 0, // set by BatchStore::insert
-        submitted: Instant::now(),
     };
-    state.stats.record(&Event::BatchStart {
-        batch_id: batch_id.clone(),
-        items: record.items.len(),
-        master_seed: request.master_seed,
-    });
     // Register the batch BEFORE queueing its jobs so a fast worker's
     // terminal transition always finds it in the reverse index.
     state.batches.insert(record.clone(), &pending_ids);
@@ -1282,31 +1284,8 @@ fn submit_batch(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Resp
     state.metrics.batches_submitted.incr();
     state.metrics.batch_items.add(record.items.len() as u64);
     state.metrics.batch_cache_hits.add(cache_hits);
-
-    // Items terminal at submit (cache-served jobs and their aliases)
-    // never pass through a worker, so their batch events fire here.
-    let pending: std::collections::HashSet<&String> = pending_ids.iter().collect();
-    for (index, item) in record.items.iter().enumerate() {
-        if !pending.contains(&item.job_id) {
-            state.stats.record(&Event::BatchItemDone {
-                batch_id: batch_id.clone(),
-                item: index,
-                label: item.label.clone(),
-                status: "done".to_owned(),
-                cached: true,
-                wall_ms: 0.0,
-            });
-        }
-    }
     if pending_ids.is_empty() {
         ctx.cache_hit.set(true);
-        state.stats.record(&Event::BatchDone {
-            batch_id: batch_id.clone(),
-            items: record.items.len(),
-            failed: 0,
-            cache_hits: cache_hits as usize,
-            wall_ms: 0.0,
-        });
     }
 
     for job in queued {
@@ -1317,9 +1296,7 @@ fn submit_batch(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Resp
             state.store.with(&id, |r| {
                 r.status = JobStatus::Cancelled;
             });
-            state.persist_terminal(&id);
-            state.metrics.jobs_cancelled.incr();
-            note_batch_terminal(state, &id);
+            state.settle(&id, JobStatus::Cancelled);
         }
     }
 
@@ -1413,56 +1390,6 @@ fn batch_rollup(state: &Arc<ServerState>, record: &BatchRecord) -> Value {
     ])
 }
 
-/// Tells the batch registry that `job_id` reached a terminal state and
-/// emits `batch-item-done` (per affected item) and `batch-done` (when
-/// a batch's last job finishes) into the server's event stream.
-fn note_batch_terminal(state: &Arc<ServerState>, job_id: &str) {
-    let progresses = state.batches.note_terminal(job_id);
-    if progresses.is_empty() {
-        return;
-    }
-    let (status, cached) = state.store.get(job_id).map_or_else(
-        || ("done".to_owned(), false),
-        |r| (r.status.label().to_owned(), r.cached),
-    );
-    for progress in progresses {
-        let Some(record) = state.batches.get(&progress.batch_id) else {
-            continue;
-        };
-        for index in &progress.item_indices {
-            let Some(item) = record.items.get(*index) else {
-                continue;
-            };
-            state.stats.record(&Event::BatchItemDone {
-                batch_id: progress.batch_id.clone(),
-                item: *index,
-                label: item.label.clone(),
-                status: status.clone(),
-                cached: cached || item.cached,
-                wall_ms: progress.wall_ms,
-            });
-        }
-        if progress.remaining == 0 {
-            let failed = record
-                .items
-                .iter()
-                .filter(|item| {
-                    state.store.get(&item.job_id).is_some_and(|r| {
-                        matches!(r.status, JobStatus::Failed | JobStatus::Cancelled)
-                    })
-                })
-                .count();
-            state.stats.record(&Event::BatchDone {
-                batch_id: progress.batch_id.clone(),
-                items: record.items.len(),
-                failed,
-                cache_hits: record.cache_hits as usize,
-                wall_ms: progress.wall_ms,
-            });
-        }
-    }
-}
-
 fn worker_loop(state: &Arc<ServerState>) {
     while let Some(job) = state.queue.pop() {
         if let Some(gate) = &state.gate {
@@ -1474,8 +1401,8 @@ fn worker_loop(state: &Arc<ServerState>) {
 
 fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
     // Install the server profiler for the whole job lifecycle so the
-    // fit span, the engine's serialize span, and the WAL appends from
-    // persist_terminal all land in the same profile; the engine
+    // fit span, the engine's serialize span, and the terminal WAL
+    // append all land in the same profile; the engine
     // forwards it to its chain workers via `profile::current()`.
     let _profile_guard = srm_obs::profile::install(Some(&state.profiler));
     // Queue wait is a cross-thread interval (submit happened on a
@@ -1492,22 +1419,18 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
         Some(&per_job),
     );
     // Claim the job; a DELETE that landed while it was queued already
-    // moved it to Cancelled (and counted it), so just acknowledge.
+    // moved it to Cancelled and settled it, so just acknowledge.
     let claimed = state
         .store
         .with(&job.id, |record| {
-            if record.status == JobStatus::Cancelled || record.cancel_requested {
-                record.status = JobStatus::Cancelled;
-                false
-            } else {
+            let claim = record.status != JobStatus::Cancelled;
+            if claim {
                 record.status = JobStatus::Running;
-                true
             }
+            claim
         })
         .unwrap_or(false);
     if !claimed {
-        state.persist_terminal(&job.id);
-        note_batch_terminal(state, &job.id);
         finish(job, &recorder, "cancelled", 0.0);
         return;
     }
@@ -1538,10 +1461,8 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
             record.status = JobStatus::Cancelled;
             record.wall_ms = wall_ms;
         });
-        state.persist_terminal(&job.id);
-        state.metrics.jobs_cancelled.incr();
-        note_batch_terminal(state, &job.id);
         finish(job, &recorder, "cancelled", wall_ms);
+        state.settle(&job.id, JobStatus::Cancelled);
         return;
     }
 
@@ -1555,16 +1476,14 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
                 record.result = Some(output.result.clone());
                 record.wall_ms = wall_ms;
             });
-            state.persist_terminal(&job.id);
-            state.metrics.jobs_done.incr();
             state.metrics.job_wall_ms.observe(wall_ms);
-            note_batch_terminal(state, &job.id);
             if let Some(path) = state.manifest_path(&job.id) {
                 let mut manifest = output.manifest;
                 manifest.fill_from_stats(&per_job, output.kept_draws);
                 let _ = manifest.write(&path);
             }
             finish(job, &recorder, "done", wall_ms);
+            state.settle(&job.id, JobStatus::Done);
         }
         Err(error) => {
             state.store.with(&job.id, |record| {
@@ -1572,13 +1491,11 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
                 record.error = Some((error.kind().to_owned(), error.to_string()));
                 record.wall_ms = wall_ms;
             });
-            state.persist_terminal(&job.id);
-            state.metrics.jobs_failed.incr();
-            note_batch_terminal(state, &job.id);
             // An engine failure is exactly the moment the recent event
             // history matters: capture it before the ring moves on.
             let _ = state.dump_flightrec("engine-failure");
             finish(job, &recorder, "failed", wall_ms);
+            state.settle(&job.id, JobStatus::Failed);
         }
     }
 }
@@ -1960,6 +1877,62 @@ mod tests {
         assert_eq!(state.metrics.jobs_cancelled.get(), 1);
     }
 
+    #[test]
+    fn a_job_cancelled_while_queued_is_logged_once_and_stays_cancelled() {
+        let dir = std::env::temp_dir().join(format!("srm_serve_cancelwal_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let gate = Arc::new(Gate::new());
+        gate.pause();
+        let server = Server::start(ServerConfig {
+            state_dir: Some(dir.to_string_lossy().into_owned()),
+            workers: 1,
+            gate: Some(Arc::clone(&gate)),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let (status, body) = http(
+            server.addr(),
+            "POST",
+            "/v1/jobs",
+            r#"{"kind":"fit","dataset":"short_campaign_25","chains":1,"samples":100,"burn_in":40}"#,
+        );
+        assert_eq!(status, 202);
+        let id = parse(&body)
+            .unwrap()
+            .get("id")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_owned();
+        assert_eq!(
+            http(server.addr(), "DELETE", &format!("/v1/jobs/{id}"), "").0,
+            200
+        );
+        gate.release();
+        server.request_shutdown();
+        let state = server.join();
+        // One `submit` and one `cancel`: the worker that later pops the
+        // cancelled job logs nothing more.
+        assert_eq!(state.wal_stats().unwrap().appended, 2);
+
+        let server = Server::start(ServerConfig {
+            state_dir: Some(dir.to_string_lossy().into_owned()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        assert_eq!(
+            http(server.addr(), "GET", &format!("/v1/results/{id}"), "").0,
+            410
+        );
+        let (_, health) = http(server.addr(), "GET", "/healthz", "");
+        let jobs = parse(&health).unwrap().get("jobs").unwrap().clone();
+        assert_eq!(jobs.get("cancelled").unwrap().as_f64(), Some(1.0));
+        assert_eq!(jobs.get("queued").unwrap().as_f64(), Some(0.0));
+        server.request_shutdown();
+        let _ = server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn wait_batch_done(addr: SocketAddr, id: &str) -> Value {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
@@ -2073,6 +2046,7 @@ mod tests {
         let batch_id = first.get("id").unwrap().as_str().unwrap().to_owned();
         let _ = wait_batch_done(server.addr(), &batch_id);
         let sampled_before = server.state().metrics.job_wall_ms.count();
+        let events_before = server.state().stats.events_seen();
 
         // Resubmitting the identical batch answers entirely from the
         // fit cache: done at submit, zero new sampling.
@@ -2086,6 +2060,10 @@ mod tests {
             sampled_before,
             "cached batch must not execute any job"
         );
+        // `srm_serve_engine_events_total` counts job events only: two
+        // cache-served jobs × (job-start, cache-hit, job-done); the
+        // in-batch alias adds none.
+        assert_eq!(server.state().stats.events_seen(), events_before + 6);
         let (_, page) = http(server.addr(), "GET", "/metrics", "");
         assert!(page.contains("srm_serve_batches_submitted_total 2"));
         assert!(page.contains("srm_serve_batch_items_total 6"));

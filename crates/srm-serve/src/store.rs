@@ -26,7 +26,7 @@
 //!    either replays whole or not at all (checksummed framing); an
 //!    interrupted snapshot is invisible (temp file + rename).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +37,7 @@ use srm_obs::{lock_ignoring_poison, Counter};
 use srm_store::{crash_point, load_snapshot, read_records, write_snapshot, SyncPolicy, WalWriter};
 
 use crate::batch::{BatchRecord, BatchStore};
-use crate::job::{JobKind, JobRecord, JobSpec, JobStatus, JobStore};
+use crate::job::{id_number, JobKind, JobRecord, JobSpec, JobStatus, JobStore};
 use crate::FitCache;
 
 /// WAL file name inside the state directory.
@@ -47,17 +47,6 @@ pub const SNAPSHOT_FILE: &str = "snapshot.srm";
 /// WAL appends between a server's snapshots.
 pub(crate) const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
 
-fn status_from_label(label: &str) -> Option<JobStatus> {
-    match label {
-        "queued" => Some(JobStatus::Queued),
-        "running" => Some(JobStatus::Running),
-        "done" => Some(JobStatus::Done),
-        "failed" => Some(JobStatus::Failed),
-        "cancelled" => Some(JobStatus::Cancelled),
-        _ => None,
-    }
-}
-
 /// Forward-only ordering on statuses: replaying an op can never move
 /// a record backwards through its lifecycle.
 fn status_rank(status: JobStatus) -> u8 {
@@ -66,14 +55,6 @@ fn status_rank(status: JobStatus) -> u8 {
         JobStatus::Running => 1,
         JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled => 2,
     }
-}
-
-/// Numeric suffix of a `job-N` id.
-fn job_number(id: &str) -> u64 {
-    id.rsplit('-')
-        .next()
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0)
 }
 
 /// One job's state as rebuilt by replay.
@@ -156,9 +137,11 @@ impl Persister {
         snapshot_every: u64,
     ) -> io::Result<(Self, RecoveredState)> {
         std::fs::create_dir_all(dir)?;
-        let mut jobs: HashMap<String, ReplayJob> = HashMap::new();
+        // Keyed by the `N` of `job-N` / `batch-N`, so both come out in
+        // ascending order; a record under any other id is skipped.
+        let mut jobs: BTreeMap<u64, ReplayJob> = BTreeMap::new();
         let mut cache: Vec<(String, Value)> = Vec::new();
-        let mut batches: HashMap<String, Value> = HashMap::new();
+        let mut batches: BTreeMap<u64, Value> = BTreeMap::new();
         let mut next_id: u64 = 1;
         let mut next_batch_id: u64 = 1;
 
@@ -186,21 +169,14 @@ impl Persister {
             cache,
             ..RecoveredState::default()
         };
-        let mut replayed_batches: Vec<Value> = batches.into_values().collect();
-        replayed_batches
-            .sort_by_key(|wire| wire.get("id").and_then(Value::as_str).map_or(0, job_number));
-        for wire in &replayed_batches {
-            if let Some(id) = wire.get("id").and_then(Value::as_str) {
-                next_batch_id = next_batch_id.max(job_number(id) + 1);
-            }
+        if let Some((&last, _)) = batches.last_key_value() {
+            next_batch_id = next_batch_id.max(last + 1);
         }
-        recovered.batches = replayed_batches;
+        recovered.batches = batches.into_values().collect();
         recovered.next_batch_id = next_batch_id;
-        let mut replayed: Vec<ReplayJob> = jobs.into_values().collect();
-        replayed.sort_by_key(|j| job_number(&j.record.id));
         let mut pending_specs: HashMap<String, Value> = HashMap::new();
-        for mut job in replayed {
-            next_id = next_id.max(job_number(&job.record.id) + 1);
+        for (n, mut job) in jobs {
+            next_id = next_id.max(n + 1);
             if !job.record.status.is_terminal() {
                 match job
                     .spec
@@ -447,9 +423,9 @@ fn snapshot_doc(
 /// on top.
 fn apply_snapshot(
     doc: &Value,
-    jobs: &mut HashMap<String, ReplayJob>,
+    jobs: &mut BTreeMap<u64, ReplayJob>,
     cache: &mut Vec<(String, Value)>,
-    batches: &mut HashMap<String, Value>,
+    batches: &mut BTreeMap<u64, Value>,
     next_id: &mut u64,
     next_batch_id: &mut u64,
 ) {
@@ -464,10 +440,10 @@ fn apply_snapshot(
         }
     }
     for entry in doc.get("jobs").and_then(Value::as_arr).unwrap_or(&[]) {
-        let Some(job) = replay_job_from(entry) else {
+        let Some((n, job)) = replay_job_from(entry) else {
             continue;
         };
-        jobs.insert(job.record.id.clone(), job);
+        jobs.insert(n, job);
     }
     for entry in doc.get("cache").and_then(Value::as_arr).unwrap_or(&[]) {
         let (Some(key), Some(result)) = (
@@ -479,20 +455,26 @@ fn apply_snapshot(
         cache.push((key.to_owned(), result.clone()));
     }
     for entry in doc.get("batches").and_then(Value::as_arr).unwrap_or(&[]) {
-        let Some(id) = entry.get("id").and_then(Value::as_str) else {
+        let Some(n) = batch_number_of(entry) else {
             continue;
         };
-        batches.insert(id.to_owned(), entry.clone());
+        batches.insert(n, entry.clone());
     }
 }
 
-/// Builds a [`ReplayJob`] from a snapshot job entry or a terminal WAL
-/// op (both carry the same field names).
-fn replay_job_from(entry: &Value) -> Option<ReplayJob> {
+/// The `N` of a batch wire record's `batch-N` id.
+fn batch_number_of(wire: &Value) -> Option<u64> {
+    id_number(wire.get("id")?.as_str()?, "batch-")
+}
+
+/// Builds a [`ReplayJob`], with its job number, from a snapshot job
+/// entry or a terminal WAL op (both carry the same field names).
+fn replay_job_from(entry: &Value) -> Option<(u64, ReplayJob)> {
     let id = entry.get("id").and_then(Value::as_str)?;
+    let n = id_number(id, "job-")?;
     let kind = JobKind::parse(entry.get("kind").and_then(Value::as_str).unwrap_or(""))?;
     let key = entry.get("key").and_then(Value::as_str).unwrap_or("");
-    let status = status_from_label(entry.get("status").and_then(Value::as_str).unwrap_or(""))?;
+    let status = JobStatus::parse(entry.get("status").and_then(Value::as_str).unwrap_or(""))?;
     let mut record = JobRecord::new(id.to_owned(), kind, key.to_owned(), status);
     record.cached = entry.get("cached") == Some(&Value::Bool(true));
     record.wall_ms = entry.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0);
@@ -507,10 +489,13 @@ fn replay_job_from(entry: &Value) -> Option<ReplayJob> {
             .unwrap_or("");
         record.error = Some((kind.to_owned(), message.to_owned()));
     }
-    Some(ReplayJob {
-        record,
-        spec: entry.get("spec").cloned(),
-    })
+    Some((
+        n,
+        ReplayJob {
+            record,
+            spec: entry.get("spec").cloned(),
+        },
+    ))
 }
 
 /// Applies one WAL op to the replay map. Ops are idempotent and
@@ -518,26 +503,25 @@ fn replay_job_from(entry: &Value) -> Option<ReplayJob> {
 /// is a no-op.
 fn apply_op(
     op: &Value,
-    jobs: &mut HashMap<String, ReplayJob>,
+    jobs: &mut BTreeMap<u64, ReplayJob>,
     cache: &mut Vec<(String, Value)>,
-    batches: &mut HashMap<String, Value>,
+    batches: &mut BTreeMap<u64, Value>,
 ) {
     let Some(name) = op.get("op").and_then(Value::as_str) else {
         return;
     };
     if name == "batch" {
-        if let Some(id) = op
-            .get("batch")
-            .and_then(|wire| wire.get("id"))
-            .and_then(Value::as_str)
-        {
-            if let Some(wire) = op.get("batch") {
-                batches.insert(id.to_owned(), wire.clone());
+        if let Some(wire) = op.get("batch") {
+            if let Some(n) = batch_number_of(wire) {
+                batches.insert(n, wire.clone());
             }
         }
         return;
     }
     let Some(id) = op.get("id").and_then(Value::as_str) else {
+        return;
+    };
+    let Some(n) = id_number(id, "job-") else {
         return;
     };
     match name {
@@ -548,7 +532,7 @@ fn apply_op(
             let Ok(spec) = JobSpec::from_wire(spec_wire) else {
                 return;
             };
-            jobs.entry(id.to_owned()).or_insert_with(|| ReplayJob {
+            jobs.entry(n).or_insert_with(|| ReplayJob {
                 record: JobRecord::new(
                     id.to_owned(),
                     spec.kind,
@@ -560,7 +544,7 @@ fn apply_op(
             });
         }
         "claim" => {
-            if let Some(job) = jobs.get_mut(id) {
+            if let Some(job) = jobs.get_mut(&n) {
                 if status_rank(JobStatus::Running) >= status_rank(job.record.status) {
                     job.record.status = JobStatus::Running;
                 }
@@ -590,7 +574,7 @@ fn apply_op(
                     fields.push((name, value.clone()));
                 }
             }
-            let Some(job) = replay_job_from(&Value::obj(fields)) else {
+            let Some((_, job)) = replay_job_from(&Value::obj(fields)) else {
                 return;
             };
             if name == "done" && !job.record.cached {
@@ -599,7 +583,7 @@ fn apply_op(
                     cache.push((job.record.cache_key.clone(), result.clone()));
                 }
             }
-            match jobs.get_mut(id) {
+            match jobs.get_mut(&n) {
                 Some(existing) => {
                     if status_rank(job.record.status) >= status_rank(existing.record.status) {
                         existing.record = job.record;
@@ -607,12 +591,12 @@ fn apply_op(
                     }
                 }
                 None => {
-                    jobs.insert(id.to_owned(), job);
+                    jobs.insert(n, job);
                 }
             }
         }
         "drop" => {
-            jobs.remove(id);
+            jobs.remove(&n);
         }
         _ => {}
     }
@@ -865,7 +849,6 @@ mod tests {
             }],
             cache_hits: 0,
             remaining: 1,
-            submitted: std::time::Instant::now(),
         };
         {
             let (p, _) = Persister::open(&dir, SyncPolicy::Never, 1_000).unwrap();
