@@ -24,7 +24,8 @@ pub struct DiagnosticsReport {
     pub geweke_z: f64,
     /// Effective sample size pooled across chains.
     pub ess: f64,
-    /// Monte-Carlo standard error of the posterior mean.
+    /// Monte-Carlo standard error of the posterior mean:
+    /// `sqrt(pooled variance / ess)`.
     pub mcse: f64,
 }
 
@@ -354,19 +355,27 @@ pub fn mcse(draws: &[f64]) -> f64 {
     (m.sample_variance() / ess).sqrt()
 }
 
-/// Builds the combined report for one parameter across chains.
+/// Builds the combined report for one parameter across chains. `ess`
+/// is the sum of the per-chain ESS, and `mcse` is
+/// `sqrt(pooled variance / ess)`, the convention the streaming
+/// checkpoint aggregate uses too.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`psrf`].
 #[must_use]
 pub fn report(chains: &[&[f64]]) -> DiagnosticsReport {
-    let pooled: Vec<f64> = chains.iter().flat_map(|c| c.iter().copied()).collect();
+    let ess: f64 = chains.iter().map(|c| effective_sample_size(c)).sum();
+    let pooled: RunningMoments = chains.iter().flat_map(|c| c.iter().copied()).collect();
     DiagnosticsReport {
         psrf: psrf(chains),
         geweke_z: geweke_z(chains[0]),
-        ess: chains.iter().map(|c| effective_sample_size(c)).sum(),
-        mcse: mcse(&pooled),
+        ess,
+        mcse: if ess > 0.0 {
+            (pooled.sample_variance() / ess).sqrt()
+        } else {
+            f64::INFINITY
+        },
     }
 }
 

@@ -44,7 +44,7 @@ fn accept_stats(tally: &[ParamAcceptance]) -> Vec<srm_obs::AcceptStat> {
         })
         .collect()
 }
-use srm_model::{DayTables, DetectionModel, GroupedLikelihood, ZetaBounds};
+use srm_model::{DayTables, DetectionModel, GroupedLikelihood, HeldFactors, ZetaBounds};
 use srm_rand::{Beta, Distribution, NegativeBinomial, Poisson, Rng, TruncatedGamma};
 
 /// Which prior (and hyper-prior upper limit) the sampler runs with.
@@ -172,8 +172,8 @@ impl FixedParams {
 }
 
 /// One-entry memo of [`GibbsSampler::collapsed_stats`] keyed on the
-/// exact bit pattern of `ζ`, plus model4's exponents keyed on the bits
-/// of `ω`.
+/// exact bit pattern of `ζ`, plus the day factors that the held
+/// coordinate of `ζ` fixes.
 ///
 /// Within a sweep the same `ζ` vector is evaluated repeatedly — the
 /// hyper-parameter step, the first evaluation of each coordinate's
@@ -181,17 +181,17 @@ impl FixedParams {
 /// so a single-entry cache removes the duplicate passes over the
 /// schedule without any invalidation protocol: a stored entry is a
 /// pure function of its key, so stale entries are merely unused, never
-/// wrong (retry/restore included). The same holds for the exponents
-/// `i^ω − (i−1)^ω`: every `μ` probe of model4 shares the current `ω`,
-/// so it reads them instead of paying two extra `powf` per day.
+/// wrong (retry/restore included). The same holds for the day factors
+/// in [`HeldFactors`] (model1's `ln(θ i + 1)`, model2's `i^{ln μ}`,
+/// model4's exponents): every probe of one coordinate shares the other
+/// coordinate's factors, so it reads them instead of recomputing them.
 #[derive(Debug, Clone, Default)]
 struct SuffStatsCache {
     zeta_bits: Vec<u64>,
     sum_x_ln_w: f64,
     ln_q: f64,
     valid: bool,
-    omega_bits: Option<u64>,
-    weibull_exponents: Vec<f64>,
+    held: HeldFactors,
 }
 
 impl SuffStatsCache {
@@ -211,16 +211,6 @@ impl SuffStatsCache {
         self.sum_x_ln_w = sum_x_ln_w;
         self.ln_q = ln_q;
         self.valid = true;
-    }
-
-    /// model4's exponents at `omega`, recomputed only when its bits
-    /// change.
-    fn weibull_exponents(&mut self, tables: &DayTables, omega: f64) -> &[f64] {
-        if self.omega_bits != Some(omega.to_bits()) {
-            tables.weibull_exponents(omega, &mut self.weibull_exponents);
-            self.omega_bits = Some(omega.to_bits());
-        }
-        &self.weibull_exponents
     }
 }
 
@@ -405,7 +395,11 @@ impl GibbsSampler {
     fn zeta_log_target(&self, zeta: &[f64], n: u64) -> f64 {
         let mut ll = 0.0;
         self.tables.pass(self.model, zeta, None, |i, day| {
-            ll += self.counts_f[i] * day.ln_p() + (n - self.cumulative[i]) as f64 * day.ln_q();
+            let mut term = (n - self.cumulative[i]) as f64 * day.ln_q();
+            if self.counts_f[i] > 0.0 {
+                term += self.counts_f[i] * day.ln_p();
+            }
+            ll += term;
         });
         ll
     }
@@ -419,19 +413,19 @@ impl GibbsSampler {
 
     /// One pass over the schedule yielding `(Σ x_i ln w_i, ln Π q_i)`
     /// with `w_i = p_i Π_{j<i} q_j` — the sufficient statistics of
-    /// the collapsed (N-marginalised) likelihood. `weibull_exponents`
-    /// are model4's memoised exponents at `ζ[1]`, if any.
-    fn collapsed_stats(&self, zeta: &[f64], weibull_exponents: Option<&[f64]>) -> (f64, f64) {
+    /// the collapsed (N-marginalised) likelihood. `held`, if given, is
+    /// the chain's memo of the held coordinate's day factors; `ln p_i`
+    /// is only computed on days with detections.
+    fn collapsed_stats(&self, zeta: &[f64], held: Option<&mut HeldFactors>) -> (f64, f64) {
         let mut cum_ln_q = 0.0;
         let mut sum_x_ln_w = 0.0;
-        self.tables
-            .pass(self.model, zeta, weibull_exponents, |i, day| {
-                let count_f = self.counts_f[i];
-                if count_f > 0.0 {
-                    sum_x_ln_w += count_f * (day.ln_p() + cum_ln_q);
-                }
-                cum_ln_q += day.ln_q();
-            });
+        self.tables.pass(self.model, zeta, held, |i, day| {
+            let count_f = self.counts_f[i];
+            if count_f > 0.0 {
+                sum_x_ln_w += count_f * (day.ln_p() + cum_ln_q);
+            }
+            cum_ln_q += day.ln_q();
+        });
         (sum_x_ln_w, cum_ln_q)
     }
 
@@ -439,8 +433,8 @@ impl GibbsSampler {
     ///
     /// Bit-identical to the direct call: a hit returns values the
     /// direct call produced earlier for the *same* `ζ` bit pattern,
-    /// `collapsed_stats` is deterministic, and the memoised model4
-    /// exponents are the ones its pass would compute. The second
+    /// `collapsed_stats` is deterministic, and the memoised day factors
+    /// are the ones its pass would compute. The second
     /// component equals [`GibbsSampler::ln_survival`] bit-for-bit
     /// (same sequential accumulation over the same days; asserted in
     /// tests), which is what lets the `N`-step share the memo.
@@ -453,12 +447,7 @@ impl GibbsSampler {
             return hit;
         }
         let mut cache = cache.borrow_mut();
-        let stats = if self.model == DetectionModel::Weibull {
-            let exponents = cache.weibull_exponents(&self.tables, zeta[1]);
-            self.collapsed_stats(zeta, Some(exponents))
-        } else {
-            self.collapsed_stats(zeta, None)
-        };
+        let stats = self.collapsed_stats(zeta, Some(&mut cache.held));
         cache.store(zeta, stats);
         stats
     }
@@ -945,12 +934,12 @@ impl GibbsSampler {
                 for j in 0..zeta_len {
                     let (lo, hi) = zeta_bounds[j];
                     let current = state.zeta[j].clamp(lo, hi);
-                    let snapshot = state.zeta.clone();
+                    let point = probe_buffer(&state.zeta);
                     let ln_f = |v: f64| {
                         let _span = profile::span("likelihood");
-                        let mut z = snapshot.clone();
+                        let mut z = point;
                         z[j] = v;
-                        let (sum_x_ln_w, ln_qz) = self.stats_cached(&z, cache);
+                        let (sum_x_ln_w, ln_qz) = self.stats_cached(&z[..zeta_len], cache);
                         match self.prior {
                             PriorSpec::Poisson { .. } => sum_x_ln_w - lambda0 * (1.0 - ln_qz.exp()),
                             PriorSpec::NegBinomial { .. } => {
@@ -1032,12 +1021,12 @@ impl GibbsSampler {
                 for j in 0..zeta_len {
                     let (lo, hi) = zeta_bounds[j];
                     let current = state.zeta[j].clamp(lo, hi);
-                    let snapshot = state.zeta.clone();
+                    let point = probe_buffer(&state.zeta);
                     let ln_f = |v: f64| {
                         let _span = profile::span("likelihood");
-                        let mut z = snapshot.clone();
+                        let mut z = point;
                         z[j] = v;
-                        self.zeta_log_target(&z, last_n)
+                        self.zeta_log_target(&z[..zeta_len], last_n)
                     };
                     state.zeta[j] = match self.zeta_kernel {
                         ZetaKernel::Slice => {
@@ -1196,6 +1185,17 @@ impl GibbsState {
     pub fn set_n(&mut self, n: u64) {
         self.state.last_n = n;
     }
+}
+
+/// Every detection curve has at most this many parameters.
+const MAX_ZETA: usize = 2;
+
+/// `ζ` copied into a fixed buffer, which a `ζ` probe copies and edits
+/// without allocating.
+fn probe_buffer(zeta: &[f64]) -> [f64; MAX_ZETA] {
+    let mut buffer = [0.0; MAX_ZETA];
+    buffer[..zeta.len()].copy_from_slice(zeta);
+    buffer
 }
 
 /// Maps a [`SliceError`] onto the workspace taxonomy with the sweep
@@ -1513,33 +1513,88 @@ mod tests {
         }
     }
 
-    /// The pre-table `collapsed_stats`: one `prob_unchecked` call per
-    /// day. The independent reference for the per-curve passes.
-    fn reference_stats(model: DetectionModel, zeta: &[f64], counts: &[u64]) -> (f64, f64) {
-        let mut cum_ln_q = 0.0;
-        let mut sum_x_ln_w = 0.0;
-        for (i, &count) in counts.iter().enumerate() {
-            let p = model.prob_unchecked(zeta, (i + 1) as u64);
-            if count > 0 {
-                sum_x_ln_w += count as f64 * (p.ln() + cum_ln_q);
+    /// The paper's Eqs. (3)–(7) written directly with `powf` and `ln`,
+    /// independently of the log forms: `p_i` on day `i`.
+    fn direct_p(model: DetectionModel, zeta: &[f64], i: f64) -> f64 {
+        let mu = zeta[0];
+        match model {
+            DetectionModel::Constant => mu,
+            DetectionModel::PadgettSpurrier => 1.0 - mu / (zeta[1] * i + 1.0),
+            DetectionModel::LogLogistic => (1.0 - mu) / (mu.powf(i.ln() - zeta[1] + 1.0) + 1.0),
+            DetectionModel::Pareto => 1.0 - mu.powf(((i + 2.0) / (i + 1.0)).ln()),
+            DetectionModel::Weibull => 1.0 - mu.powf(i.powf(zeta[1]) - (i - 1.0).powf(zeta[1])),
+        }
+    }
+
+    /// A value of a reference loop and its tolerance: 1e-12 relative to
+    /// the loop's summed magnitudes (at least 1, since the logs enter
+    /// a log density), plus the direct forms' own error, `ε / min(p, q)`
+    /// per `ln p` or `ln q` term, times the term's weight.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Approx {
+        value: f64,
+        magnitude: f64,
+        error: f64,
+    }
+
+    impl Approx {
+        fn add(&mut self, weight: f64, term: Approx) {
+            if weight == 0.0 {
+                return; // p^0 = 1, whatever p is
             }
-            cum_ln_q += (1.0 - p).ln();
+            self.value += weight * term.value;
+            self.magnitude += weight * term.magnitude;
+            self.error += weight * term.error;
+        }
+
+        fn assert_matches(self, got: f64, at: &str) {
+            let tol = 1e-12 * self.magnitude.max(1.0) + self.error;
+            assert!(
+                (got - self.value).abs() <= tol,
+                "{at}: {got} vs direct {} (tol {tol:e})",
+                self.value
+            );
+        }
+    }
+
+    /// `(ln p, ln q)` of the direct form on day `i`, each with its error.
+    fn direct_logs(model: DetectionModel, zeta: &[f64], i: f64) -> (Approx, Approx) {
+        let p = direct_p(model, zeta, i);
+        let q = 1.0 - p;
+        let error = 8.0 * f64::EPSILON / p.min(q);
+        let log = |v: f64| Approx {
+            value: v.ln(),
+            magnitude: v.ln().abs(),
+            error,
+        };
+        (log(p), log(q))
+    }
+
+    /// The collapsed statistics `(Σ x_i ln w_i, ln Π q_i)` day by day
+    /// on the direct forms.
+    fn reference_stats(model: DetectionModel, zeta: &[f64], counts: &[u64]) -> (Approx, Approx) {
+        let (mut sum_x_ln_w, mut cum_ln_q) = (Approx::default(), Approx::default());
+        for (i, &count) in counts.iter().enumerate() {
+            let (ln_p, ln_q) = direct_logs(model, zeta, (i + 1) as f64);
+            sum_x_ln_w.add(count as f64, ln_p);
+            sum_x_ln_w.add(count as f64, cum_ln_q);
+            cum_ln_q.add(1.0, ln_q);
         }
         (sum_x_ln_w, cum_ln_q)
     }
 
-    /// The pre-table `zeta_log_target`.
+    /// The naive sweep's `ζ` target day by day on the direct forms.
     fn reference_log_target(
         model: DetectionModel,
         zeta: &[f64],
         data: &BugCountData,
         n: u64,
-    ) -> f64 {
-        let mut ll = 0.0;
+    ) -> Approx {
+        let mut ll = Approx::default();
         for (i, (&count, &cum)) in data.counts().iter().zip(data.cumulative()).enumerate() {
-            let p = model.prob_unchecked(zeta, (i + 1) as u64);
-            let q = 1.0 - p;
-            ll += count as f64 * p.ln() + (n - cum) as f64 * q.ln();
+            let (ln_p, ln_q) = direct_logs(model, zeta, (i + 1) as f64);
+            ll.add(count as f64, ln_p);
+            ll.add((n - cum) as f64, ln_q);
         }
         ll
     }
@@ -1573,7 +1628,7 @@ mod tests {
     }
 
     #[test]
-    fn passes_match_prob_unchecked_reference_loops() {
+    fn passes_match_direct_form_reference_loops() {
         let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
         for data in horizon_datasets() {
             for model in DetectionModel::ALL {
@@ -1590,35 +1645,30 @@ mod tests {
                 let memo = RefCell::new(SuffStatsCache::default());
                 for zeta in edge_zetas(model) {
                     let at = format!("{model} {zeta:?} horizon {}", data.len());
-                    let reference = reference_stats(model, &zeta, data.counts());
-                    assert_eq!(
-                        bits(cached.stats_cached(&zeta, &memo)),
-                        bits(reference),
-                        "{at}"
-                    );
-                    // A second visit is a memo hit.
-                    assert_eq!(
-                        bits(cached.stats_cached(&zeta, &memo)),
-                        bits(reference),
-                        "{at}"
-                    );
+                    let stats = cached.stats_cached(&zeta, &memo);
+                    assert!(stats.0.is_finite() && stats.1.is_finite(), "{at}");
+                    let (sum_x_ln_w, cum_ln_q) = reference_stats(model, &zeta, data.counts());
+                    sum_x_ln_w.assert_matches(stats.0, &at);
+                    cum_ln_q.assert_matches(stats.1, &at);
+                    // A second visit is a memo hit; the uncached path
+                    // and the survival pass agree bit for bit.
+                    assert_eq!(bits(cached.stats_cached(&zeta, &memo)), bits(stats), "{at}");
                     let fresh = RefCell::new(SuffStatsCache::default());
                     assert_eq!(
                         bits(uncached.stats_cached(&zeta, &fresh)),
-                        bits(reference),
+                        bits(stats),
                         "{at}"
                     );
                     assert_eq!(
                         cached.ln_survival(&zeta).to_bits(),
-                        reference.1.to_bits(),
+                        stats.1.to_bits(),
                         "{at}"
                     );
                     for n in [data.total(), data.total() + 37] {
-                        assert_eq!(
-                            cached.zeta_log_target(&zeta, n).to_bits(),
-                            reference_log_target(model, &zeta, &data, n).to_bits(),
-                            "{at} n {n}"
-                        );
+                        let target = cached.zeta_log_target(&zeta, n);
+                        assert!(target.is_finite(), "{at} n {n}");
+                        reference_log_target(model, &zeta, &data, n)
+                            .assert_matches(target, &format!("{at} n {n}"));
                     }
                 }
             }
@@ -1626,39 +1676,68 @@ mod tests {
     }
 
     #[test]
-    fn weibull_exponent_memo_survives_mu_omega_mu_probes() {
-        // A slice update of μ probes many μ at one ω (memo hits), the
-        // ω update then moves ω (memo refill), and the next μ update
-        // probes at the new ω; returning to an old ω refills again.
-        let model = DetectionModel::Weibull;
-        for data in horizon_datasets() {
-            let sampler = GibbsSampler::new(
-                PriorSpec::NegBinomial { alpha_max: 50.0 },
-                model,
-                ZetaBounds::default(),
-                &data,
-            );
-            let memo = RefCell::new(SuffStatsCache::default());
-            let probes = [
-                [0.3, 0.4],
-                [0.7, 0.4],
-                [OPEN_EPS, 0.4],
-                [0.7, 1e-3],
-                [0.7, 1.0 - OPEN_EPS],
-                [0.2, 1.0 - OPEN_EPS],
-                [1.0 - OPEN_EPS, 1.0 - OPEN_EPS],
-                [0.2, 0.4],
-            ];
-            for zeta in probes {
-                let reference = reference_stats(model, &zeta, data.counts());
-                let got = sampler.stats_cached(&zeta, &memo);
-                assert_eq!(
-                    (got.0.to_bits(), got.1.to_bits()),
-                    (reference.0.to_bits(), reference.1.to_bits()),
-                    "{zeta:?} horizon {}",
-                    data.len()
+    fn held_factor_memos_survive_probes_of_either_coordinate() {
+        // A slice update of one coordinate probes many values at the
+        // other's current value (memo hits); the update of the keying
+        // coordinate then moves it (a refill on every probe), and the
+        // next update of the other coordinate reads the new factors.
+        // model1 and model4 key the memo by ζ[1], model2 by μ.
+        let (unit, gamma) = (
+            [0.4, OPEN_EPS, 1.0 - OPEN_EPS, 0.7],
+            [0.3, -10.0, 10.0, -2.0],
+        );
+        let cases = [
+            (
+                DetectionModel::PadgettSpurrier,
+                1,
+                [0.3, 1e-3, 10.0, 2.0],
+                unit,
+            ),
+            (DetectionModel::LogLogistic, 0, unit, gamma),
+            (DetectionModel::Weibull, 1, unit, unit),
+        ];
+        for (model, key, keys, others) in cases {
+            let other = 1 - key;
+            for data in horizon_datasets() {
+                let sampler = GibbsSampler::new(
+                    PriorSpec::NegBinomial { alpha_max: 50.0 },
+                    model,
+                    ZetaBounds::default(),
+                    &data,
                 );
-                assert_eq!(memo.borrow().omega_bits, Some(zeta[1].to_bits()));
+                let fresh = sampler.clone().with_cached_stats(false);
+                let memo = RefCell::new(SuffStatsCache::default());
+                let mut probes = Vec::new();
+                for (k, o) in [
+                    (keys[0], others[0]),
+                    (keys[0], others[1]),
+                    (keys[0], others[2]),
+                    (keys[1], others[2]),
+                    (keys[2], others[2]),
+                    (keys[2], others[3]),
+                    (keys[2], others[0]),
+                    (keys[0], others[3]),
+                    (keys[3], others[3]),
+                ] {
+                    let mut zeta = [0.0; 2];
+                    zeta[key] = k;
+                    zeta[other] = o;
+                    probes.push(zeta);
+                }
+                for zeta in probes {
+                    let at = format!("{model} {zeta:?} horizon {}", data.len());
+                    let got = sampler.stats_cached(&zeta, &memo);
+                    let direct = fresh.collapsed_stats(&zeta, None);
+                    assert_eq!(
+                        (got.0.to_bits(), got.1.to_bits()),
+                        (direct.0.to_bits(), direct.1.to_bits()),
+                        "{at}"
+                    );
+                    let (sum_x_ln_w, cum_ln_q) = reference_stats(model, &zeta, data.counts());
+                    sum_x_ln_w.assert_matches(got.0, &at);
+                    cum_ln_q.assert_matches(got.1, &at);
+                    assert!(memo.borrow().held.holds(zeta[key]), "{at}");
+                }
             }
         }
     }

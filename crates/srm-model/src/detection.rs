@@ -246,23 +246,13 @@ impl DetectionModel {
     }
 
     /// Detection probability without validation; parameters must have
-    /// passed [`DetectionModel::validate`] and `day >= 1`. The
-    /// day-by-day reference for the per-curve passes of [`DayTables`],
-    /// which evaluate the same expressions bit for bit.
+    /// passed [`DetectionModel::validate`] and `day >= 1`. It reads
+    /// `p_i` from the same per-curve log forms as [`DayTables::pass`],
+    /// on day factors it computes itself, so it equals the pass's
+    /// `p_i` bit for bit.
     #[must_use]
     pub fn prob_unchecked(&self, zeta: &[f64], day: u64) -> f64 {
-        let i = day as f64;
-        let mu = zeta[0];
-        match self {
-            Self::Constant => open(mu),
-            Self::PadgettSpurrier => padgett_spurrier(mu, zeta[1], i),
-            Self::LogLogistic => log_logistic(mu, 1.0 - mu, zeta[1], i.ln()),
-            Self::Pareto => pareto(mu, ln_ratio(i)),
-            Self::Weibull => {
-                let omega = zeta[1];
-                weibull(mu, i.powf(omega) - (i - 1.0).powf(omega))
-            }
-        }
+        self.day_logs(zeta, zeta[0].ln(), day as f64).p()
     }
 
     /// The probability schedule `p_1, …, p_horizon`.
@@ -272,45 +262,89 @@ impl DetectionModel {
     /// Returns [`ModelError`] if `zeta` is invalid.
     pub fn probs(&self, zeta: &[f64], horizon: usize) -> Result<Vec<f64>, ModelError> {
         self.validate(zeta)?;
+        let ln_mu = zeta[0].ln();
         Ok((1..=horizon as u64)
-            .map(|i| self.prob_unchecked(zeta, i))
+            .map(|i| self.day_logs(zeta, ln_mu, i as f64).p())
             .collect())
+    }
+
+    /// Day `i` of the curve at `zeta`, with `ln_mu = ln ζ[0]` and the
+    /// day factor computed here rather than read from a [`DayTables`].
+    fn day_logs(&self, zeta: &[f64], ln_mu: f64, i: f64) -> DayLogs {
+        let mu = zeta[0];
+        match self {
+            Self::Constant => constant(mu, ln_mu),
+            Self::PadgettSpurrier => {
+                let a = zeta[1] * i + 1.0;
+                padgett_spurrier(mu, ln_mu, a, a.ln())
+            }
+            Self::LogLogistic => log_logistic(
+                1.0 - mu,
+                (-mu).ln_1p(),
+                log_logistic_scale(ln_mu, zeta[1]) * (ln_mu * i.ln()).exp(),
+            ),
+            Self::Pareto => hazard(ln_mu * ln_ratio(i)),
+            Self::Weibull => {
+                let omega = zeta[1];
+                hazard(ln_mu * (i.powf(omega) - (i - 1.0).powf(omega)))
+            }
+        }
     }
 }
 
-// The per-curve expressions, each written once: `prob_unchecked`
-// feeds them day factors it computes itself, the passes of
-// `DayTables` feed them the same factors from the tables.
+// The curves in log space, each written once. With `L = ln μ` taken
+// once per pass, a day yields `ln q_i` from `L` and one day factor;
+// `p_i` and `ln p_i` are computed only when a caller asks. Every form
+// stays finite, with `p_i` strictly inside (0, 1), for every ζ in the
+// sampling box at any horizon up to 10,000 days.
 
-/// Keeps a probability strictly inside (0, 1): the likelihood takes
-/// ln p and ln q, and boundary values only arise from round-off.
+/// model0: `p = μ` on every day, so all three values are pass
+/// constants.
 #[inline]
-fn open(p: f64) -> f64 {
-    p.clamp(OPEN_EPS, 1.0 - OPEN_EPS)
+fn constant(mu: f64, ln_mu: f64) -> DayLogs {
+    DayLogs(Day::Flat {
+        p: mu,
+        ln_p: ln_mu,
+        ln_q: (-mu).ln_1p(),
+    })
 }
 
-/// model1: `1 − μ/(θ i + 1)`.
+/// model1: `q = μ/a` with `a = θ i + 1`, so `ln q = L − ln a` and
+/// `ln p = ln(a − μ) − ln a`.
 #[inline]
-fn padgett_spurrier(mu: f64, theta: f64, i: f64) -> f64 {
-    open(1.0 - mu / (theta * i + 1.0))
+fn padgett_spurrier(mu: f64, ln_mu: f64, a: f64, ln_a: f64) -> DayLogs {
+    DayLogs(Day::Ratio {
+        mu,
+        a,
+        ln_a,
+        ln_q: ln_mu - ln_a,
+    })
 }
 
-/// model2: `(1 − μ)/(μ^{ln i − γ + 1} + 1)`, with `1 − μ` passed in.
+/// model2's pass constant `exp(L (1 − γ))`: with it, the day term
+/// `μ^{ln i − γ + 1}` is `exp(L (1 − γ)) · i^L`.
 #[inline]
-fn log_logistic(mu: f64, one_minus_mu: f64, gamma: f64, ln_i: f64) -> f64 {
-    open(one_minus_mu / (mu.powf(ln_i - gamma + 1.0) + 1.0))
+fn log_logistic_scale(ln_mu: f64, gamma: f64) -> f64 {
+    (ln_mu * (1.0 - gamma)).exp()
 }
 
-/// model3: `1 − μ^{ln((i+2)/(i+1))}`.
+/// model2: `p = (1 − μ)/(e + 1)` with `e = μ^{ln i − γ + 1}`, so
+/// `ln p = ln(1 − μ) − ln(1 + e)` and `ln q = ln(1 − p)`.
 #[inline]
-fn pareto(mu: f64, ln_ratio: f64) -> f64 {
-    open(1.0 - mu.powf(ln_ratio))
+fn log_logistic(one_minus_mu: f64, ln_one_minus_mu: f64, e: f64) -> DayLogs {
+    DayLogs(Day::LogLogistic {
+        p: one_minus_mu / (e + 1.0),
+        ln_one_minus_mu,
+        e,
+    })
 }
 
-/// model4: `1 − μ^e` with the exponent `e = i^ω − (i−1)^ω`.
+/// model3 and model4, discrete hazards: `ln q = L · f_i` with the day
+/// factor `f_i` (`ln((i+2)/(i+1))`, or `i^ω − (i−1)^ω`), and
+/// `p = −expm1(ln q)`.
 #[inline]
-fn weibull(mu: f64, exponent: f64) -> f64 {
-    open(1.0 - mu.powf(exponent))
+fn hazard(ln_q: f64) -> DayLogs {
+    DayLogs(Day::Hazard { ln_q })
 }
 
 /// model3's day factor `ln((i+2)/(i+1))`.
@@ -319,16 +353,78 @@ fn ln_ratio(i: f64) -> f64 {
     ((i + 2.0) / (i + 1.0)).ln()
 }
 
-/// The day-only factors of the detection curves for days
-/// `1..=horizon`: `i`, `ln i` and `ln((i+2)/(i+1))`.
+/// One day of a [`DayTables::pass`]: `ln q_i = ln(1 − p_i)`, with
+/// `p_i` and `ln p_i` computed on demand from the same intermediates.
+#[derive(Debug, Clone, Copy)]
+pub struct DayLogs(Day);
+
+/// The intermediates each curve keeps for `ln q`, `p` and `ln p`.
+#[derive(Debug, Clone, Copy)]
+enum Day {
+    /// model0.
+    Flat { p: f64, ln_p: f64, ln_q: f64 },
+    /// model1.
+    Ratio {
+        mu: f64,
+        a: f64,
+        ln_a: f64,
+        ln_q: f64,
+    },
+    /// model2.
+    LogLogistic {
+        p: f64,
+        ln_one_minus_mu: f64,
+        e: f64,
+    },
+    /// model3 and model4.
+    Hazard { ln_q: f64 },
+}
+
+impl DayLogs {
+    /// `ln q_i`.
+    #[inline]
+    #[must_use]
+    pub fn ln_q(self) -> f64 {
+        match self.0 {
+            Day::Flat { ln_q, .. } | Day::Ratio { ln_q, .. } | Day::Hazard { ln_q } => ln_q,
+            Day::LogLogistic { p, .. } => (-p).ln_1p(),
+        }
+    }
+
+    /// `ln p_i`.
+    #[inline]
+    #[must_use]
+    pub fn ln_p(self) -> f64 {
+        match self.0 {
+            Day::Flat { ln_p, .. } => ln_p,
+            Day::Ratio { mu, a, ln_a, .. } => (a - mu).ln() - ln_a,
+            Day::LogLogistic {
+                ln_one_minus_mu, e, ..
+            } => ln_one_minus_mu - e.ln_1p(),
+            Day::Hazard { ln_q } => (-ln_q.exp_m1()).ln(),
+        }
+    }
+
+    /// `p_i`.
+    #[inline]
+    #[must_use]
+    pub fn p(self) -> f64 {
+        match self.0 {
+            Day::Flat { p, .. } | Day::LogLogistic { p, .. } => p,
+            Day::Ratio { mu, a, .. } => (a - mu) / a,
+            Day::Hazard { ln_q } => -ln_q.exp_m1(),
+        }
+    }
+}
+
+/// The day factors of days `1..=horizon`: `i`, `ln i` and
+/// `ln((i+2)/(i+1))`.
 ///
 /// They depend on the day alone, so a sampler builds them once per
 /// horizon and every pass over the schedule reads them instead of
 /// recomputing the logs. [`DayTables::pass`] runs one loop per curve,
-/// with the curve chosen once outside the day loop, and evaluates the
-/// same expressions as [`DetectionModel::prob_unchecked`] on the same
-/// factors, so every probability it yields equals `prob_unchecked`'s
-/// bit for bit.
+/// with the curve chosen once outside the day loop and `ln μ` taken
+/// once per pass.
 ///
 /// # Examples
 ///
@@ -337,8 +433,9 @@ fn ln_ratio(i: f64) -> f64 {
 ///
 /// let tables = DayTables::new(30);
 /// let model = DetectionModel::Pareto;
-/// let mut schedule = Vec::new();
-/// tables.fill_probs(model, &[0.3], &mut schedule);
+/// let mut days = Vec::new();
+/// tables.fill_logs(model, &[0.3], &mut days);
+/// let schedule: Vec<f64> = days.iter().map(|day| day.p()).collect();
 /// assert_eq!(schedule, model.probs(&[0.3], 30).unwrap());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -366,37 +463,17 @@ impl DayTables {
         self.day.len()
     }
 
-    /// Writes model4's exponents `i^ω − (i−1)^ω` for every day into
-    /// `out` (cleared first). Each day reuses the previous day's power,
-    /// so the exponents cost one `powf` per day; they are what
-    /// [`DayTables::pass`] computes for [`DetectionModel::Weibull`], so
-    /// a caller can keep them while only `μ` changes.
-    pub fn weibull_exponents(&self, omega: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.weibull_exponent_iter(omega));
-    }
-
-    /// The exponents of [`DayTables::weibull_exponents`], day by day.
-    fn weibull_exponent_iter(&self, omega: f64) -> impl Iterator<Item = f64> + '_ {
-        // (i − 1)^ω on day 1, computed as prob_unchecked does.
-        let mut prev = 0.0f64.powf(omega);
-        self.day.iter().map(move |&i| {
-            let pow = i.powf(omega);
-            let exponent = pow - prev;
-            prev = pow;
-            exponent
-        })
-    }
-
     /// One pass over the schedule of `model` at `zeta`: calls
     /// `f(index, day)` for every day in order (`index` is the 0-based
     /// day offset). `zeta` must have passed
     /// [`DetectionModel::validate`].
     ///
-    /// `weibull_exponents`, when given, are model4's exponents at
-    /// `zeta[1]` from [`DayTables::weibull_exponents`]; the pass then
-    /// pays one `powf` per day instead of two. Other curves ignore
-    /// them.
+    /// `held`, when given, memoises the day factors that one
+    /// coordinate fixes: model1's `ln(θ i + 1)` (keyed by `θ`),
+    /// model2's `i^{ln μ}` (keyed by `μ`) and model4's exponents
+    /// `i^ω − (i−1)^ω` (keyed by `ω`). A pass at the memo's key reads
+    /// them; any other pass computes them and stores them in the same
+    /// day loop. model0 and model3 leave it untouched.
     ///
     /// # Panics
     ///
@@ -406,108 +483,133 @@ impl DayTables {
         &self,
         model: DetectionModel,
         zeta: &[f64],
-        weibull_exponents: Option<&[f64]>,
-        mut f: impl FnMut(usize, DayProb),
+        held: Option<&mut HeldFactors>,
+        mut f: impl FnMut(usize, DayLogs),
     ) {
         let mu = zeta[0];
+        let ln_mu = mu.ln();
         match model {
             DetectionModel::Constant => {
-                // A flat schedule: its logs are pass constants.
-                let p = open(mu);
-                let day = DayProb {
-                    p,
-                    logs: Some((p.ln(), (1.0 - p).ln())),
-                };
+                let day = constant(mu, ln_mu);
                 for index in 0..self.horizon() {
                     f(index, day);
                 }
             }
             DetectionModel::PadgettSpurrier => {
                 let theta = zeta[1];
-                for (index, &i) in self.day.iter().enumerate() {
-                    f(index, DayProb::of(padgett_spurrier(mu, theta, i)));
-                }
+                self.held_pass(
+                    held,
+                    theta,
+                    |index| (theta * self.day[index] + 1.0).ln(),
+                    |index, ln_a| {
+                        let a = theta * self.day[index] + 1.0;
+                        f(index, padgett_spurrier(mu, ln_mu, a, ln_a));
+                    },
+                );
             }
             DetectionModel::LogLogistic => {
-                let (one_minus_mu, gamma) = (1.0 - mu, zeta[1]);
-                for (index, &ln_i) in self.ln_day.iter().enumerate() {
-                    f(
-                        index,
-                        DayProb::of(log_logistic(mu, one_minus_mu, gamma, ln_i)),
-                    );
-                }
+                let scale = log_logistic_scale(ln_mu, zeta[1]);
+                let (one_minus_mu, ln_one_minus_mu) = (1.0 - mu, (-mu).ln_1p());
+                self.held_pass(
+                    held,
+                    mu,
+                    |index| (ln_mu * self.ln_day[index]).exp(),
+                    |index, i_pow| {
+                        f(
+                            index,
+                            log_logistic(one_minus_mu, ln_one_minus_mu, scale * i_pow),
+                        );
+                    },
+                );
             }
             DetectionModel::Pareto => {
                 for (index, &r) in self.ln_ratio.iter().enumerate() {
-                    f(index, DayProb::of(pareto(mu, r)));
+                    f(index, hazard(ln_mu * r));
                 }
             }
-            DetectionModel::Weibull => match weibull_exponents {
-                Some(exponents) => {
-                    debug_assert_eq!(exponents.len(), self.horizon());
-                    for (index, &e) in exponents.iter().enumerate() {
-                        f(index, DayProb::of(weibull(mu, e)));
-                    }
-                }
-                None => {
-                    for (index, e) in self.weibull_exponent_iter(zeta[1]).enumerate() {
-                        f(index, DayProb::of(weibull(mu, e)));
-                    }
-                }
-            },
+            DetectionModel::Weibull => {
+                let omega = zeta[1];
+                // (i − 1)^ω, carried over from the previous day.
+                let mut prev = 0.0f64.powf(omega);
+                self.held_pass(
+                    held,
+                    omega,
+                    |index| {
+                        let pow = self.day[index].powf(omega);
+                        let exponent = pow - prev;
+                        prev = pow;
+                        exponent
+                    },
+                    |index, exponent| f(index, hazard(ln_mu * exponent)),
+                );
+            }
         }
     }
 
-    /// Writes the schedule `p_1, …, p_horizon` of `model` at `zeta`
-    /// into `out` (cleared first): [`DetectionModel::probs`] without
-    /// its validation or allocation, for callers that reuse one buffer.
+    /// Runs `f(index, factor)` over the day factors keyed by `key`:
+    /// read from `held` when it holds them, otherwise computed in day
+    /// order by `compute` and, when `held` is given, stored in it in
+    /// the same loop.
+    #[inline]
+    fn held_pass(
+        &self,
+        held: Option<&mut HeldFactors>,
+        key: f64,
+        mut compute: impl FnMut(usize) -> f64,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        let bits = key.to_bits();
+        match held {
+            Some(memo) if memo.key == Some(bits) => {
+                debug_assert_eq!(memo.factors.len(), self.horizon());
+                for (index, &factor) in memo.factors.iter().enumerate() {
+                    f(index, factor);
+                }
+            }
+            Some(memo) => {
+                memo.key = None;
+                memo.factors.clear();
+                for index in 0..self.horizon() {
+                    let factor = compute(index);
+                    memo.factors.push(factor);
+                    f(index, factor);
+                }
+                memo.key = Some(bits);
+            }
+            None => {
+                for index in 0..self.horizon() {
+                    f(index, compute(index));
+                }
+            }
+        }
+    }
+
+    /// Writes the day logs of `model` at `zeta` into `out` (cleared
+    /// first), for callers that reuse one buffer across many `ζ`.
     /// `zeta` must have passed [`DetectionModel::validate`].
-    pub fn fill_probs(&self, model: DetectionModel, zeta: &[f64], out: &mut Vec<f64>) {
+    pub fn fill_logs(&self, model: DetectionModel, zeta: &[f64], out: &mut Vec<DayLogs>) {
         out.clear();
-        self.pass(model, zeta, None, |_, day| out.push(day.p()));
+        self.pass(model, zeta, None, |_, day| out.push(day));
     }
 }
 
-/// One day of a [`DayTables::pass`]: the detection probability `p_i`,
-/// with `ln p_i` and `ln q_i = ln(1 − p_i)` on demand.
-#[derive(Debug, Clone, Copy)]
-pub struct DayProb {
-    p: f64,
-    /// `(ln p, ln q)` when the curve is flat, computed once per pass.
-    logs: Option<(f64, f64)>,
+/// A per-chain memo of the day factors that a curve's held
+/// coordinate fixes, for [`DayTables::pass`]. While one coordinate of
+/// `ζ` is probed, the other stays put, so the factors it alone
+/// determines are computed once and then only read.
+#[derive(Debug, Clone, Default)]
+pub struct HeldFactors {
+    /// Bits of the coordinate the factors were computed at.
+    key: Option<u64>,
+    factors: Vec<f64>,
 }
 
-impl DayProb {
-    #[inline]
-    fn of(p: f64) -> Self {
-        Self { p, logs: None }
-    }
-
-    /// `p_i`.
-    #[inline]
+impl HeldFactors {
+    /// Whether the memo holds the factors computed at `value` of its
+    /// keying coordinate.
     #[must_use]
-    pub fn p(self) -> f64 {
-        self.p
-    }
-
-    /// `ln p_i`.
-    #[inline]
-    #[must_use]
-    pub fn ln_p(self) -> f64 {
-        match self.logs {
-            Some((ln_p, _)) => ln_p,
-            None => self.p.ln(),
-        }
-    }
-
-    /// `ln q_i`, computed as `(1 − p_i).ln()`.
-    #[inline]
-    #[must_use]
-    pub fn ln_q(self) -> f64 {
-        match self.logs {
-            Some((_, ln_q)) => ln_q,
-            None => (1.0 - self.p).ln(),
-        }
+    pub fn holds(&self, value: f64) -> bool {
+        self.key == Some(value.to_bits())
     }
 }
 
@@ -678,26 +780,58 @@ mod tests {
             .collect()
     }
 
+    /// The paper's Eqs. (3)–(7) written directly with `powf` and `ln`,
+    /// independently of the log forms: `p_i` on day `i`.
+    fn direct_p(model: DetectionModel, zeta: &[f64], i: f64) -> f64 {
+        let mu = zeta[0];
+        match model {
+            DetectionModel::Constant => mu,
+            DetectionModel::PadgettSpurrier => 1.0 - mu / (zeta[1] * i + 1.0),
+            DetectionModel::LogLogistic => (1.0 - mu) / (mu.powf(i.ln() - zeta[1] + 1.0) + 1.0),
+            DetectionModel::Pareto => 1.0 - mu.powf(((i + 2.0) / (i + 1.0)).ln()),
+            DetectionModel::Weibull => 1.0 - mu.powf(i.powf(zeta[1]) - (i - 1.0).powf(zeta[1])),
+        }
+    }
+
+    /// Asserts `got` within 1e-12 of the direct form's `want`, relative
+    /// to `scale`. A direct `1 − x` form is itself only good to about
+    /// `ε / min(p, q)` relative, so the bound widens by that where `p`
+    /// or `q` is small.
+    fn assert_close(got: f64, want: f64, scale: f64, p: f64, at: &str) {
+        let tol = 1e-12f64.max(8.0 * f64::EPSILON / p.min(1.0 - p));
+        assert!(
+            (got - want).abs() <= tol * scale,
+            "{at}: {got} vs direct {want} (tol {tol:e})"
+        );
+    }
+
     #[test]
-    fn passes_equal_prob_unchecked_day_by_day() {
+    fn passes_match_direct_forms_day_by_day() {
         for horizon in [1usize, 146, 10_000] {
             let tables = DayTables::new(horizon);
             assert_eq!(tables.horizon(), horizon);
-            let mut schedule = Vec::new();
-            let mut exponents = Vec::new();
+            let mut logs = Vec::new();
             for model in DetectionModel::ALL {
                 for zeta in edge_zetas(model) {
                     model.validate(&zeta).unwrap();
-                    let reference: Vec<f64> = (1..=horizon as u64)
-                        .map(|day| model.prob_unchecked(&zeta, day))
-                        .collect();
-                    let check = |index: usize, day: DayProb| {
-                        let p = reference[index];
+                    let check = |index: usize, day: DayLogs| {
                         let at = format!("{model} {zeta:?} day {}", index + 1);
-                        assert_eq!(day.p().to_bits(), p.to_bits(), "p at {at}");
-                        assert_eq!(day.ln_p().to_bits(), p.ln().to_bits(), "ln p at {at}");
-                        let ln_q = (1.0 - p).ln();
-                        assert_eq!(day.ln_q().to_bits(), ln_q.to_bits(), "ln q at {at}");
+                        let (p, ln_p, ln_q) = (day.p(), day.ln_p(), day.ln_q());
+                        assert!(p > 0.0 && p < 1.0, "p = {p} at {at}");
+                        assert!(ln_p.is_finite() && ln_p < 0.0, "ln p = {ln_p} at {at}");
+                        assert!(ln_q.is_finite() && ln_q < 0.0, "ln q = {ln_q} at {at}");
+                        let want = direct_p(model, &zeta, (index + 1) as f64);
+                        if want >= 1e-6 && 1.0 - want >= 1e-6 {
+                            assert_close(p, want, want, want, &format!("p at {at}"));
+                            // The logs enter the likelihood times a count,
+                            // so below magnitude 1 their error is absolute.
+                            let (ln_p_want, ln_q_want) = (want.ln(), (1.0 - want).ln());
+                            let scale = |v: f64| v.abs().max(1.0);
+                            let at_p = format!("ln p at {at}");
+                            assert_close(ln_p, ln_p_want, scale(ln_p_want), want, &at_p);
+                            let at_q = format!("ln q at {at}");
+                            assert_close(ln_q, ln_q_want, scale(ln_q_want), want, &at_q);
+                        }
                     };
                     let mut seen = 0;
                     tables.pass(model, &zeta, None, |index, day| {
@@ -706,23 +840,61 @@ mod tests {
                         check(index, day);
                     });
                     assert_eq!(seen, horizon);
-                    if model == DetectionModel::Weibull {
-                        let omega = zeta[1];
-                        tables.weibull_exponents(omega, &mut exponents);
-                        for (index, e) in exponents.iter().enumerate() {
-                            let i = (index + 1) as f64;
-                            let direct = i.powf(omega) - (i - 1.0).powf(omega);
-                            assert_eq!(e.to_bits(), direct.to_bits(), "exponent day {i}");
-                        }
-                        tables.pass(model, &zeta, Some(&exponents), check);
+                    // A memo miss stores the factors, a hit reads them:
+                    // both give the unmemoised pass's bits.
+                    tables.fill_logs(model, &zeta, &mut logs);
+                    let mut memo = HeldFactors::default();
+                    for _ in 0..2 {
+                        tables.pass(model, &zeta, Some(&mut memo), |index, day| {
+                            let direct = logs[index];
+                            assert_eq!(day.ln_q().to_bits(), direct.ln_q().to_bits());
+                            assert_eq!(day.ln_p().to_bits(), direct.ln_p().to_bits());
+                        });
                     }
-                    tables.fill_probs(model, &zeta, &mut schedule);
                     let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&schedule), bits(&reference), "{model} {zeta:?}");
+                    let from_logs: Vec<f64> = logs.iter().map(|day| day.p()).collect();
                     let probs = model.probs(&zeta, horizon).unwrap();
-                    assert_eq!(bits(&probs), bits(&reference), "{model} {zeta:?}");
+                    assert_eq!(bits(&probs), bits(&from_logs), "{model} {zeta:?}");
+                    let day = horizon as u64;
+                    let last = model.prob_unchecked(&zeta, day);
+                    assert_eq!(last.to_bits(), from_logs[horizon - 1].to_bits());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn probabilities_below_the_old_clamp_are_exact() {
+        // At μ = 1 − OPEN_EPS these days' probabilities lie below 1e-9,
+        // where a clamp into (OPEN_EPS, 1 − OPEN_EPS) used to return 1e-9.
+        let mu = 1.0 - OPEN_EPS;
+        let cases = [
+            (
+                DetectionModel::Pareto,
+                vec![mu],
+                1_000u64,
+                -(mu.ln() * (1.0f64 / 1_001.0).ln_1p()).exp_m1(),
+            ),
+            (
+                DetectionModel::Weibull,
+                vec![mu, 0.5],
+                100,
+                -(mu.ln() * (10.0 - 99.0f64.sqrt())).exp_m1(),
+            ),
+            (
+                DetectionModel::LogLogistic,
+                vec![mu, 0.0],
+                50,
+                (1.0 - mu) / (mu.powf(50.0f64.ln() + 1.0) + 1.0),
+            ),
+        ];
+        for (model, zeta, day, want) in cases {
+            assert!(want < 1e-9, "{model}: {want}");
+            let got = model.prob(&zeta, day).unwrap();
+            assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "{model} day {day}: {got} vs {want}"
+            );
         }
     }
 

@@ -45,7 +45,7 @@ pub mod predictive;
 pub mod prior;
 pub mod reliability;
 
-pub use detection::{DayProb, DayTables, DetectionModel, ModelError, ZetaBounds};
+pub use detection::{DayLogs, DayTables, DetectionModel, HeldFactors, ModelError, ZetaBounds};
 pub use likelihood::GroupedLikelihood;
 pub use posterior::{nb_posterior, poisson_posterior, ResidualPosterior};
 pub use prior::BugPrior;

@@ -12,6 +12,7 @@
 //! binomial p.m.f. of Eq. (1); WAIC treats those as the pointwise
 //! predictive terms.
 
+use crate::detection::DayLogs;
 use srm_data::BugCountData;
 use srm_math::special::{ln_binomial, ln_factorial, LnFactorialTable};
 
@@ -123,35 +124,51 @@ impl GroupedLikelihood {
     /// Panics if `day` is 0 or beyond the horizon.
     #[must_use]
     pub fn ln_pointwise(&self, n: u64, probs: &[f64], day: usize) -> f64 {
-        self.pointwise(n, probs, day, ln_binomial)
+        let Some((x, trials)) = self.day_trials(n, day) else {
+            return f64::NEG_INFINITY;
+        };
+        let p = probs[day - 1];
+        if p <= 0.0 {
+            return if x == 0 { 0.0 } else { f64::NEG_INFINITY };
+        }
+        if p >= 1.0 {
+            return if x == trials { 0.0 } else { f64::NEG_INFINITY };
+        }
+        ln_binomial(trials, x) + x as f64 * p.ln() + (trials - x) as f64 * (1.0 - p).ln()
     }
 
-    /// [`GroupedLikelihood::ln_pointwise`] with `ln k!` read from
-    /// `table`, bit-identical to it: for loops over many draws, which
-    /// then take no lock per term.
+    /// The pointwise log term of 1-based day `day` from the day's logs
+    /// (a [`DayLogs`] of [`crate::DayTables::pass`]), with `ln k!` read
+    /// from `table`: for loops over many draws, which then take no lock
+    /// per term. On a zero-count day the term is `trials · ln q_i`, and
+    /// `ln p_i` is only computed on days with detections.
+    ///
+    /// Returns `-inf` for impossible configurations.
     ///
     /// # Panics
     ///
     /// Panics if `day` is 0 or beyond the horizon.
     #[must_use]
-    pub fn ln_pointwise_with(
+    pub fn ln_pointwise_term(
         &self,
         n: u64,
-        probs: &[f64],
         day: usize,
+        logs: DayLogs,
         table: &LnFactorialTable,
     ) -> f64 {
-        self.pointwise(n, probs, day, |m, k| table.ln_binomial(m, k))
+        let Some((x, trials)) = self.day_trials(n, day) else {
+            return f64::NEG_INFINITY;
+        };
+        if x == 0 {
+            return trials as f64 * logs.ln_q();
+        }
+        table.ln_binomial(trials, x) + x as f64 * logs.ln_p() + (trials - x) as f64 * logs.ln_q()
     }
 
+    /// Day `day`'s count `x_i` and trials `N − s_{i−1}`, or `None` when
+    /// `N` cannot have produced the counts up to that day.
     #[inline]
-    fn pointwise(
-        &self,
-        n: u64,
-        probs: &[f64],
-        day: usize,
-        ln_binomial: impl Fn(u64, u64) -> f64,
-    ) -> f64 {
+    fn day_trials(&self, n: u64, day: usize) -> Option<(u64, u64)> {
         assert!(
             day >= 1 && day <= self.counts.len(),
             "day {day} out of range"
@@ -162,18 +179,7 @@ impl GroupedLikelihood {
         } else {
             self.cumulative[day - 2]
         };
-        if n < s_prev + x {
-            return f64::NEG_INFINITY;
-        }
-        let trials = n - s_prev;
-        let p = probs[day - 1];
-        if p <= 0.0 {
-            return if x == 0 { 0.0 } else { f64::NEG_INFINITY };
-        }
-        if p >= 1.0 {
-            return if x == trials { 0.0 } else { f64::NEG_INFINITY };
-        }
-        ln_binomial(trials, x) + x as f64 * p.ln() + (trials - x) as f64 * (1.0 - p).ln()
+        (n >= s_prev + x).then(|| (x, n - s_prev))
     }
 
     /// All pointwise log terms at once (one per day).

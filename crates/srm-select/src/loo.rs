@@ -18,7 +18,7 @@ use srm_math::special::LnFactorialTable;
 use srm_mcmc::gibbs::GibbsSampler;
 use srm_mcmc::runner::{run_chains, McmcConfig, McmcOutput};
 use srm_mcmc::SrmError;
-use srm_model::GroupedLikelihood;
+use srm_model::{DayLogs, GroupedLikelihood};
 
 /// Streaming IS-LOO accumulator over posterior draws.
 ///
@@ -47,11 +47,15 @@ impl LooAccumulator {
         }
     }
 
-    /// Feeds one posterior draw.
-    pub fn add_draw(&mut self, n: u64, probs: &[f64]) {
+    /// Feeds one posterior draw: `N` and the day logs of its
+    /// detection schedule, as for [`crate::waic::WaicAccumulator::add_draw`].
+    pub fn add_draw(&mut self, n: u64, days: &[DayLogs]) {
         self.ln_fact.cover(n);
-        for day in 1..=self.lik.horizon() {
-            self.log_terms[day - 1].push(self.lik.ln_pointwise_with(n, probs, day, &self.ln_fact));
+        for (index, &logs) in days[..self.lik.horizon()].iter().enumerate() {
+            let term = self
+                .lik
+                .ln_pointwise_term(n, index + 1, logs, &self.ln_fact);
+            self.log_terms[index].push(term);
         }
     }
 
@@ -131,7 +135,7 @@ pub fn loo_for(sampler: &GibbsSampler, config: &McmcConfig) -> Loo {
 /// a stored `ζ` outside the model's domain, or no draws at all.
 pub fn loo_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<Loo, SrmError> {
     let mut acc = LooAccumulator::new(&reconstruct_data(sampler));
-    replay(sampler, output, "LOO", |n, probs| acc.add_draw(n, probs))?;
+    replay(sampler, output, "LOO", |n, days| acc.add_draw(n, days))?;
     Ok(acc.finish())
 }
 
@@ -207,12 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn replayed_terms_equal_ln_pointwise_bit_for_bit() {
+    fn replayed_terms_match_direct_form_pointwise() {
         use crate::waic::reference;
         use srm_math::special::LN_FACTORIAL_CACHE_LIMIT;
         for (sampler, output) in reference::cases() {
             let mut acc = LooAccumulator::new(&reconstruct_data(&sampler));
-            replay(&sampler, &output, "LOO", |n, probs| acc.add_draw(n, probs)).unwrap();
+            replay(&sampler, &output, "LOO", |n, days| acc.add_draw(n, days)).unwrap();
             let terms = reference::pointwise(&sampler, &output);
             assert_eq!(acc.draws(), terms.len());
             for (day, column) in acc.log_terms.iter().enumerate() {
@@ -239,13 +243,13 @@ mod tests {
         // finite and reasonable.
         let data = datasets::musa_cc96().truncated(10).unwrap();
         let mut acc = LooAccumulator::new(&data);
-        let good = vec![0.05; 10];
+        let good = crate::waic::reference::flat(0.05, 10);
         for _ in 0..100 {
             acc.add_draw(200, &good);
         }
         // One pathological draw: tiny detection probability makes the
         // observed counts nearly impossible.
-        acc.add_draw(200, &[1e-9; 10]);
+        acc.add_draw(200, &crate::waic::reference::flat(1e-9, 10));
         let loo = acc.finish();
         assert!(loo.elpd.is_finite());
     }

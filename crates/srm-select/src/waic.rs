@@ -21,7 +21,7 @@ use srm_math::special::LnFactorialTable;
 use srm_mcmc::gibbs::GibbsSampler;
 use srm_mcmc::runner::{run_chains, McmcConfig, McmcOutput};
 use srm_mcmc::SrmError;
-use srm_model::{DayTables, GroupedLikelihood};
+use srm_model::{DayLogs, DayTables, GroupedLikelihood};
 use srm_obs::{Event, Recorder, Span, NOOP};
 
 /// Streaming WAIC accumulator over posterior draws.
@@ -48,18 +48,21 @@ impl WaicAccumulator {
         }
     }
 
-    /// Feeds one posterior draw: the current `N` and detection
-    /// schedule.
-    pub fn add_draw(&mut self, n: u64, probs: &[f64]) {
+    /// Feeds one posterior draw: the current `N` and the day logs of
+    /// its detection schedule (one per day, from
+    /// [`DayTables::fill_logs`]).
+    pub fn add_draw(&mut self, n: u64, days: &[DayLogs]) {
         // Day 1 has the most trials (N); later days reuse the table.
         self.ln_fact.cover(n);
-        for day in 1..=self.lik.horizon() {
-            let ln_p = self.lik.ln_pointwise_with(n, probs, day, &self.ln_fact);
-            self.predictive[day - 1].add(ln_p);
+        for (index, &logs) in days[..self.lik.horizon()].iter().enumerate() {
+            let ln_p = self
+                .lik
+                .ln_pointwise_term(n, index + 1, logs, &self.ln_fact);
+            self.predictive[index].add(ln_p);
             // A −inf pointwise term would put zero predictive mass on
             // observed data; it cannot arise from valid sampler states
             // (N ≥ s_k) but is clamped defensively for the variance.
-            self.log_terms[day - 1].push(ln_p.max(-1e300));
+            self.log_terms[index].push(ln_p.max(-1e300));
         }
     }
 
@@ -175,9 +178,9 @@ pub fn waic_for(sampler: &GibbsSampler, config: &McmcConfig) -> Waic {
 }
 
 /// Replays recorded chains through a fresh WAIC accumulator: every
-/// stored draw, in chain order then draw order, with its detection
-/// schedule recomputed from its stored `ζ`. The schedule is a pure
-/// function of `ζ`, so the criterion is bit-identical for any thread
+/// stored draw, in chain order then draw order, with its day logs
+/// recomputed from its stored `ζ`. The logs are a pure function of
+/// `ζ`, so the criterion is bit-identical for any thread
 /// count, and the fault-tolerant pipeline computes it from whatever
 /// chains survived a degraded run. The replay runs under a `waic`
 /// phase span (and profiler span), and an enabled `recorder` receives
@@ -199,7 +202,7 @@ pub fn waic_from_output(
     let result = {
         let _profile = srm_obs::profile::span("waic");
         let mut acc = WaicAccumulator::new(&reconstruct_data(sampler));
-        replay(sampler, output, "WAIC", |n, probs| acc.add_draw(n, probs))
+        replay(sampler, output, "WAIC", |n, days| acc.add_draw(n, days))
             .map(|draws| (acc.finish(), draws))
     };
     span.end();
@@ -217,11 +220,10 @@ pub fn waic_from_output(
 
 /// The replay loop shared by [`waic_from_output`] and
 /// [`crate::loo::loo_from_output`]: feeds every stored draw of
-/// `output` — chain order, then draw order — to `add_draw` as
-/// `(N, p_1..p_k)`, recomputing the detection schedule from the
-/// draw's stored `ζ`. The day tables are built once per call and every
-/// draw, once its `ζ` is validated, refills one schedule buffer.
-/// Returns the number of draws replayed.
+/// `output` — chain order, then draw order — to `add_draw` as `N` and
+/// the day logs of its stored `ζ`. The day tables are built once per
+/// call and every draw, once its `ζ` is validated, refills one buffer
+/// of day logs. Returns the number of draws replayed.
 ///
 /// # Errors
 ///
@@ -231,12 +233,12 @@ pub(crate) fn replay(
     sampler: &GibbsSampler,
     output: &McmcOutput,
     criterion: &str,
-    mut add_draw: impl FnMut(u64, &[f64]),
+    mut add_draw: impl FnMut(u64, &[DayLogs]),
 ) -> Result<usize, SrmError> {
     let model = sampler.model();
     let zeta_names = model.param_names();
     let tables = DayTables::new(sampler.likelihood().horizon());
-    let mut probs = Vec::with_capacity(tables.horizon());
+    let mut days = Vec::with_capacity(tables.horizon());
     let mut zeta = vec![0.0; zeta_names.len()];
     let mut draws = 0;
     for (ci, chain) in output.chains.iter().enumerate() {
@@ -261,8 +263,8 @@ pub(crate) fn replay(
                     detail: format!("replayed zeta outside model domain: {e:?}"),
                     sweep: t,
                 })?;
-            tables.fill_probs(model, &zeta, &mut probs);
-            add_draw(n as u64, &probs);
+            tables.fill_logs(model, &zeta, &mut days);
+            add_draw(n as u64, &days);
         }
         draws += n_draws.len();
     }
@@ -287,11 +289,12 @@ pub(crate) fn reconstruct_data(sampler: &GibbsSampler) -> srm_data::BugCountData
 #[cfg(test)]
 pub(crate) mod reference {
     use srm_data::BugCountData;
+    use srm_math::special::LnFactorialTable;
     use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
     use srm_mcmc::runner::McmcOutput;
     use srm_mcmc::Chain;
     use srm_model::detection::OPEN_EPS;
-    use srm_model::{DetectionModel, ZetaBounds};
+    use srm_model::{DayLogs, DayTables, DetectionModel, ZetaBounds};
 
     /// One chain of hand-set draws `(N, ζ)` in the sampler's layout.
     fn chain(sampler: &GibbsSampler, draws: &[(u64, Vec<f64>)]) -> Chain {
@@ -365,26 +368,76 @@ pub(crate) mod reference {
         cases
     }
 
-    /// `GroupedLikelihood::ln_pointwise` on a `DetectionModel::probs`
-    /// schedule for every stored draw (chain order, then draw order),
-    /// one row of day terms per draw.
+    /// The paper's Eqs. (3)–(7) written directly with `powf` and
+    /// `ln`, independently of the log forms: `p_i` on day `i`.
+    fn direct_p(model: DetectionModel, zeta: &[f64], i: f64) -> f64 {
+        let mu = zeta[0];
+        match model {
+            DetectionModel::Constant => mu,
+            DetectionModel::PadgettSpurrier => 1.0 - mu / (zeta[1] * i + 1.0),
+            DetectionModel::LogLogistic => (1.0 - mu) / (mu.powf(i.ln() - zeta[1] + 1.0) + 1.0),
+            DetectionModel::Pareto => 1.0 - mu.powf(((i + 2.0) / (i + 1.0)).ln()),
+            DetectionModel::Weibull => 1.0 - mu.powf(i.powf(zeta[1]) - (i - 1.0).powf(zeta[1])),
+        }
+    }
+
+    /// The replay's pointwise terms for every stored draw (chain order,
+    /// then draw order), one row of day terms per draw, each checked
+    /// against `GroupedLikelihood::ln_pointwise` on the direct forms'
+    /// schedule. The tolerance is 1e-12 of the term (at least 1), plus
+    /// the direct forms' own error: `ε / min(p, q)` per `ln p` or `ln q`,
+    /// times its weight. An impossible day must be `−∞`, every other
+    /// term finite.
     pub(crate) fn pointwise(sampler: &GibbsSampler, output: &McmcOutput) -> Vec<Vec<f64>> {
         let model = sampler.model();
         let lik = sampler.likelihood();
+        let tables = DayTables::new(lik.horizon());
+        let mut table = LnFactorialTable::default();
+        let mut logs = Vec::new();
         let mut rows = Vec::new();
         for chain in &output.chains {
             let column = |name: &str| chain.draws(name).unwrap_or_else(|| panic!("{name}"));
             let n = column("n");
             let zeta_cols: Vec<&[f64]> = model.param_names().iter().map(|p| column(p)).collect();
             for (t, &n) in n.iter().enumerate() {
+                let n = n as u64;
                 let zeta: Vec<f64> = zeta_cols.iter().map(|c| c[t]).collect();
-                let probs = model
-                    .probs(&zeta, lik.horizon())
-                    .unwrap_or_else(|e| panic!("{e}"));
-                rows.push(lik.ln_pointwise_all(n as u64, &probs));
+                tables.fill_logs(model, &zeta, &mut logs);
+                let direct: Vec<f64> = (1..=lik.horizon())
+                    .map(|i| direct_p(model, &zeta, i as f64))
+                    .collect();
+                table.cover(n);
+                let mut s_prev = 0;
+                let mut row = Vec::new();
+                for (index, &x) in lik.counts().iter().enumerate() {
+                    let at = format!("{model} {zeta:?} n {n} day {}", index + 1);
+                    let got = lik.ln_pointwise_term(n, index + 1, logs[index], &table);
+                    if n < s_prev + x {
+                        assert_eq!(got, f64::NEG_INFINITY, "{at}");
+                    } else {
+                        assert!(got.is_finite(), "{at}: {got}");
+                        let want = lik.ln_pointwise(n, &direct, index + 1);
+                        let p = direct[index];
+                        let error = 8.0 * f64::EPSILON / p.min(1.0 - p);
+                        let tol = 1e-12 * want.abs().max(1.0) + (n - s_prev) as f64 * error;
+                        if tol.is_finite() {
+                            assert!((got - want).abs() <= tol, "{at}: {got} vs {want}");
+                        }
+                    }
+                    s_prev += x;
+                    row.push(got);
+                }
+                rows.push(row);
             }
         }
         rows
+    }
+
+    /// The day logs of a flat schedule `p = μ` over `days` days.
+    pub(crate) fn flat(mu: f64, days: usize) -> Vec<DayLogs> {
+        let mut logs = Vec::new();
+        DayTables::new(days).fill_logs(DetectionModel::Constant, &[mu], &mut logs);
+        logs
     }
 }
 
@@ -406,9 +459,9 @@ mod tests {
     fn accumulator_counts_draws() {
         let data = datasets::musa_cc96().truncated(10).unwrap();
         let mut acc = WaicAccumulator::new(&data);
-        let probs = vec![0.05; 10];
-        acc.add_draw(200, &probs);
-        acc.add_draw(210, &probs);
+        let days = reference::flat(0.05, 10);
+        acc.add_draw(200, &days);
+        acc.add_draw(210, &days);
         assert_eq!(acc.draws(), 2);
         let waic = acc.finish();
         assert_eq!(waic.observations, 10);
@@ -429,8 +482,9 @@ mod tests {
         let data = datasets::musa_cc96().truncated(10).unwrap();
         let mut acc = WaicAccumulator::new(&data);
         let probs = vec![0.05; 10];
+        let days = reference::flat(0.05, 10);
         for _ in 0..50 {
-            acc.add_draw(200, &probs);
+            acc.add_draw(200, &days);
         }
         let waic = acc.finish();
         assert!(waic.functional_variance.abs() < 1e-18);
@@ -460,9 +514,9 @@ mod tests {
     fn pointwise_sums_to_total_and_se_positive() {
         let data = datasets::musa_cc96().truncated(20).unwrap();
         let mut acc = WaicAccumulator::new(&data);
-        let probs = vec![0.05; 20];
+        let days = reference::flat(0.05, 20);
         for n in 0..200u64 {
-            acc.add_draw(150 + (n % 60), &probs);
+            acc.add_draw(150 + (n % 60), &days);
         }
         let w = acc.finish();
         let sum: f64 = w.pointwise.iter().sum();
@@ -553,13 +607,13 @@ mod tests {
     }
 
     #[test]
-    fn replayed_terms_equal_ln_pointwise_bit_for_bit() {
+    fn replayed_terms_match_direct_form_pointwise() {
         use srm_math::special::LN_FACTORIAL_CACHE_LIMIT;
         let mut impossible = 0;
         for (sampler, output) in reference::cases() {
             let data = reconstruct_data(&sampler);
             let mut acc = WaicAccumulator::new(&data);
-            replay(&sampler, &output, "WAIC", |n, probs| acc.add_draw(n, probs)).unwrap();
+            replay(&sampler, &output, "WAIC", |n, days| acc.add_draw(n, days)).unwrap();
             let terms = reference::pointwise(&sampler, &output);
             let mut predictive = vec![StreamingLogSumExp::new(); data.len()];
             let mut log_terms = vec![RunningMoments::new(); data.len()];

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for `srm sbc`: runs the reduced CI calibration grid
 # (2 curves x 2 priors) with --check, lints the emitted trace against
-# the event schema, and proves same-seed reruns are byte-identical.
+# the event schema, runs the default full battery (all 5 curves x 2
+# priors) with --check, and proves same-seed reruns are byte-identical.
 #
 # Requires: a release build of the `srm` binary.
 set -euo pipefail
@@ -49,6 +50,13 @@ grep -q "overall: pass" "$WORK/summary.txt" \
     || fail "summary does not report an overall pass"
 grep -q '"all_passed": true' "$WORK/sbc.json" \
     || fail "report does not record all_passed"
+
+echo "sbc-smoke: running the default full battery with --check"
+"$SRM" sbc --out "$WORK/sbc_full.json" --check \
+    | tee "$WORK/summary_full.txt" \
+    || fail "calibration gate rejected the default battery"
+grep -q "overall: pass" "$WORK/summary_full.txt" \
+    || fail "default battery does not report an overall pass"
 
 echo "sbc-smoke: linting the trace (strict)"
 "$SRM" trace lint --file "$WORK/sbc.jsonl" --strict \
