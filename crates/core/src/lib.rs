@@ -32,6 +32,7 @@
 
 pub mod experiment;
 pub mod fit;
+pub mod limits;
 pub mod multidata;
 pub mod ppc;
 pub mod predict;
@@ -40,6 +41,7 @@ pub use experiment::{
     CellFailure, Experiment, ExperimentCell, ExperimentConfig, ExperimentResults, FitKey,
 };
 pub use fit::{FaultTolerantFit, Fit, FitConfig};
+pub use limits::{check_request, Request};
 pub use multidata::{compare_across_datasets, MultiDatasetResults};
 pub use ppc::{posterior_predictive_check, PpcResult};
 pub use predict::{predict_from_fit, Prediction};

@@ -37,7 +37,8 @@ pub struct Prediction {
 ///
 /// Returns [`SrmError::InvalidConfig`] when `horizon` is zero or the
 /// posterior-mean parameters fall outside the model's domain (which
-/// indicates a degenerate fit).
+/// indicates a degenerate fit, such as a `λ_max` so small that the
+/// posterior-mean `λ0` underflows to 0).
 pub fn predict_from_fit(
     fit: &Fit,
     data: &BugCountData,
@@ -64,7 +65,15 @@ pub fn predict_from_fit(
             detail: format!("fitted parameters invalid: {e}"),
         })?;
     let posterior = match fit.prior {
-        PriorSpec::Poisson { .. } => poisson_posterior(mean_of("lambda0"), &schedule, data),
+        PriorSpec::Poisson { .. } => {
+            let lambda0 = mean_of("lambda0");
+            if !(lambda0.is_finite() && lambda0 > 0.0) {
+                return Err(SrmError::InvalidConfig {
+                    detail: format!("fitted lambda0 must be finite and > 0, got {lambda0}"),
+                });
+            }
+            poisson_posterior(lambda0, &schedule, data)
+        }
         PriorSpec::NegBinomial { .. } => nb_posterior(
             mean_of("alpha0").max(1e-9),
             mean_of("beta0").clamp(1e-9, 1.0 - 1e-9),
@@ -124,6 +133,19 @@ mod tests {
         let (fit, data) = smoke_fit();
         let err = predict_from_fit(&fit, &data, 0).unwrap_err();
         assert!(matches!(err, SrmError::InvalidConfig { .. }));
+    }
+
+    #[test]
+    fn vanishing_lambda0_is_a_typed_error() {
+        let data = datasets::musa_cc96();
+        let config = FitConfig {
+            mcmc: McmcConfig::smoke(7),
+            ..FitConfig::default()
+        };
+        let prior = PriorSpec::Poisson { lambda_max: 1e-300 };
+        let fit = Fit::run(prior, DetectionModel::Constant, &data, &config);
+        let err = predict_from_fit(&fit, &data, 30).unwrap_err();
+        assert!(matches!(err, SrmError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]

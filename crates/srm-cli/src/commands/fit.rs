@@ -2,10 +2,10 @@
 //! directory of fits via `--batch`.
 
 use crate::args::{ArgError, Args};
-use crate::commands::{load_data, parse_mcmc, parse_model, parse_prior};
+use crate::commands::{load_data, parse_model, parse_run};
 use crate::obs::Observability;
 use srm_batch::{run_batch_traced, BatchSpec};
-use srm_core::{Fit, FitConfig};
+use srm_core::{Fit, FitConfig, Request};
 use srm_mcmc::runner::RunOptions;
 use srm_mcmc::{AcceptanceSummary, FaultPlan, PosteriorSummary, RetryPolicy};
 use srm_obs::RunManifest;
@@ -42,8 +42,7 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
     }
     let data = load_data(&args)?;
     let model = parse_model(&args)?;
-    let prior = parse_prior(&args)?;
-    let mcmc = parse_mcmc(&args)?;
+    let (prior, mcmc) = parse_run(&args, Request::Fit)?;
     let obs = Observability::from_args(&args)?;
     obs.emit_run_start("fit", model.name(), prior.label(), mcmc.seed, &data);
 
@@ -199,8 +198,7 @@ fn run_batch_dir(args: &Args) -> Result<String, ArgError> {
         ));
     }
     let model = parse_model(args)?;
-    let prior = parse_prior(args)?;
-    let mcmc = parse_mcmc(args)?;
+    let (prior, mcmc) = parse_run(args, Request::Fit)?;
     let obs = Observability::from_args(args)?;
 
     let path = std::path::Path::new(dir);

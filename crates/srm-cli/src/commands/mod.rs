@@ -13,6 +13,7 @@ pub mod version;
 
 use crate::args::{ArgError, Args};
 use crate::obs::{OBS_FLAGS, OBS_SWITCHES};
+use srm_core::Request;
 use srm_data::BugCountData;
 use srm_mcmc::gibbs::PriorSpec;
 use srm_mcmc::runner::McmcConfig;
@@ -205,8 +206,21 @@ pub(crate) fn parse_model(args: &Args) -> Result<DetectionModel, ArgError> {
         .ok_or_else(|| ArgError(format!("unknown model `{name}` (model0..model4)")))
 }
 
+/// Parses `--prior` with its limit flag and the MCMC run-length
+/// flags, then holds them to [`srm_core::check_request`] for
+/// `request`, the same check the server runs on every job.
+pub(crate) fn parse_run(
+    args: &Args,
+    request: Request,
+) -> Result<(PriorSpec, McmcConfig), ArgError> {
+    let prior = parse_prior(args)?;
+    let mcmc = parse_mcmc(args)?;
+    srm_core::check_request(request, &prior, &mcmc).map_err(ArgError)?;
+    Ok((prior, mcmc))
+}
+
 /// Parses `--prior` plus its limit flag.
-pub(crate) fn parse_prior(args: &Args) -> Result<PriorSpec, ArgError> {
+fn parse_prior(args: &Args) -> Result<PriorSpec, ArgError> {
     match args.get("prior").unwrap_or("poisson") {
         "poisson" => Ok(PriorSpec::Poisson {
             lambda_max: args.get_parsed("lambda-max", 2_000.0)?,
@@ -220,26 +234,15 @@ pub(crate) fn parse_prior(args: &Args) -> Result<PriorSpec, ArgError> {
     }
 }
 
-/// Parses the MCMC run-length flags, rejecting configurations the
-/// sampler cannot run (zero chains, zero samples, zero thinning).
-pub(crate) fn parse_mcmc(args: &Args) -> Result<McmcConfig, ArgError> {
-    let mcmc = McmcConfig {
+/// Parses the MCMC run-length flags.
+fn parse_mcmc(args: &Args) -> Result<McmcConfig, ArgError> {
+    Ok(McmcConfig {
         chains: args.get_parsed("chains", 4usize)?,
         burn_in: args.get_parsed("burn-in", 1_000usize)?,
         samples: args.get_parsed("samples", 4_000usize)?,
         thin: args.get_parsed("thin", 1usize)?,
         seed: args.get_parsed("seed", 2_024u64)?,
-    };
-    for (flag, value) in [
-        ("chains", mcmc.chains),
-        ("samples", mcmc.samples),
-        ("thin", mcmc.thin),
-    ] {
-        if value == 0 {
-            return Err(ArgError(format!("`--{flag}` must be at least 1")));
-        }
-    }
-    Ok(mcmc)
+    })
 }
 
 #[cfg(test)]
@@ -326,7 +329,7 @@ mod tests {
     #[test]
     fn zero_run_lengths_rejected() {
         for flag in ["--chains", "--samples", "--thin"] {
-            let err = parse_mcmc(&args_from(&["fit", flag, "0"])).unwrap_err();
+            let err = parse_run(&args_from(&["fit", flag, "0"]), Request::Fit).unwrap_err();
             assert!(
                 err.to_string().contains("must be at least 1"),
                 "{flag}: {err}"

@@ -2,8 +2,9 @@
 //! expected detections over a future horizon.
 
 use crate::args::{ArgError, Args};
-use crate::commands::{load_data, parse_mcmc, parse_model, parse_prior};
-use srm_core::{predict_from_fit, Fit, FitConfig};
+use crate::commands::{load_data, parse_model, parse_run};
+use srm_core::{predict_from_fit, Fit, FitConfig, Request};
+use srm_mcmc::{RetryPolicy, RunOptions};
 
 pub(super) const FLAGS: &[&str] = &[
     "data",
@@ -24,19 +25,16 @@ pub(super) const FLAGS: &[&str] = &[
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] on bad flags or unreadable data.
+/// Returns [`ArgError`] on bad flags, unreadable data, or a fit or
+/// prediction that fails.
 pub fn run(raw: &[String]) -> Result<String, ArgError> {
     let args = Args::parse(raw, FLAGS, &[])?;
     let data = load_data(&args)?;
     let model = parse_model(&args)?;
-    let prior = parse_prior(&args)?;
-    let mcmc = parse_mcmc(&args)?;
     let horizon: usize = args.get_parsed("horizon", 30usize)?;
-    if horizon == 0 {
-        return Err(ArgError("`--horizon` must be positive".into()));
-    }
+    let (prior, mcmc) = parse_run(&args, Request::Predict { horizon })?;
 
-    let fit = Fit::run(
+    let fit = Fit::try_run(
         prior,
         model,
         &data,
@@ -44,7 +42,13 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
             mcmc,
             ..FitConfig::default()
         },
-    );
+        &RunOptions {
+            retry: RetryPolicy::default(),
+            ..RunOptions::none()
+        },
+    )
+    .map_err(|e| ArgError(format!("fit failed: {e}")))?
+    .fit;
 
     let prediction = predict_from_fit(&fit, &data, horizon)
         .map_err(|e| ArgError(format!("prediction failed: {e}")))?;

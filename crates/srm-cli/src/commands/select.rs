@@ -1,8 +1,9 @@
 //! `srm select` — WAIC comparison across the five detection models.
 
 use crate::args::ArgError;
-use crate::commands::{load_data, parse_mcmc, parse_prior};
+use crate::commands::{load_data, parse_run};
 use crate::obs::Observability;
+use srm_core::Request;
 use srm_mcmc::gibbs::GibbsSampler;
 use srm_mcmc::runner::{run_chains_fault_tolerant_traced, RunOptions};
 use srm_model::{DetectionModel, ZetaBounds};
@@ -33,13 +34,9 @@ pub(super) const FLAGS: &[&str] = &[
 pub fn run(raw: &[String]) -> Result<String, ArgError> {
     let args = super::parse_instrumented(raw)?;
     let data = load_data(&args)?;
-    let prior = parse_prior(&args)?;
-    let mcmc = parse_mcmc(&args)?;
     let theta_max: f64 = args.get_parsed("theta-max", 10.0)?;
-    let bounds = ZetaBounds {
-        theta_max,
-        gamma_max: theta_max.max(1.0),
-    };
+    let (prior, mcmc) = parse_run(&args, Request::Select { theta_max })?;
+    let bounds = ZetaBounds::from_theta_max(theta_max);
     let threads: usize = args.get_parsed("threads", 0usize)?;
     let mut options = RunOptions::with_threads(threads);
     options.checkpoint_every = args.get_parsed("checkpoint-every", 0usize)?;

@@ -191,3 +191,77 @@ fn deterministic_across_invocations() {
     ];
     assert_eq!(run(&args).unwrap(), run(&args).unwrap());
 }
+
+/// Flag sets that once aborted the process (a 34 GB horizon vector, a
+/// 4-billion-draw chain, 100,000 pool threads) or failed only after
+/// sampling began: each must exit 1 with one `srm:` line, before any
+/// work starts.
+#[test]
+fn door_check_rejects_each_flag_set_with_exit_1() {
+    for (args, needle) in [
+        (
+            &["predict", "--horizon", "4294967295"][..],
+            "`horizon` must be at most",
+        ),
+        (&["fit", "--samples", "4294967295"], "kept draws"),
+        (
+            &[
+                "fit",
+                "--chains",
+                "100000",
+                "--threads",
+                "100000",
+                "--samples",
+                "1",
+            ],
+            "`chains` must be at most",
+        ),
+        (
+            &["fit", "--lambda-max", "-1"],
+            "`lambda_max` must be finite and > 0",
+        ),
+        (
+            &["predict", "--prior", "negbinom", "--alpha-max", "0"],
+            "`alpha_max` must be finite and > 0",
+        ),
+        (
+            &["select", "--theta-max", "-5"],
+            "`theta_max` must be finite and > 0",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_srm"))
+            .args(args)
+            .args(["--dataset", "musa_cc96"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("srm: ") && first.contains(needle),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn predict_with_a_vanishing_lambda_max_is_an_error_not_a_panic() {
+    let err = run(&[
+        "predict",
+        "--dataset",
+        "musa_cc96",
+        "--lambda-max",
+        "1e-300",
+        "--chains",
+        "2",
+        "--samples",
+        "100",
+        "--burn-in",
+        "10",
+    ])
+    .unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("lambda0"), "{msg}");
+    assert!(!msg.contains('\n'), "diagnostic must be one line: {msg}");
+}

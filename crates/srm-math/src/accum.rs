@@ -1,68 +1,8 @@
-//! Compensated summation and streaming moments.
+//! Streaming moments.
 //!
-//! MCMC summaries average tens of thousands of draws; Neumaier
-//! compensation keeps the accumulated error independent of chain
-//! length, and Welford's algorithm gives single-pass, numerically
-//! stable means and (co)variances for the convergence diagnostics.
-
-/// Neumaier-compensated summation accumulator.
-///
-/// # Examples
-///
-/// ```
-/// use srm_math::KahanSum;
-/// let mut s = KahanSum::new();
-/// for _ in 0..10 { s.add(0.1); }
-/// assert!((s.sum() - 1.0).abs() < 1e-15);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KahanSum {
-    sum: f64,
-    compensation: f64,
-}
-
-impl KahanSum {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one term.
-    pub fn add(&mut self, value: f64) {
-        let t = self.sum + value;
-        if self.sum.abs() >= value.abs() {
-            self.compensation += (self.sum - t) + value;
-        } else {
-            self.compensation += (value - t) + self.sum;
-        }
-        self.sum = t;
-    }
-
-    /// The compensated total.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum + self.compensation
-    }
-}
-
-impl FromIterator<f64> for KahanSum {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut acc = Self::new();
-        for v in iter {
-            acc.add(v);
-        }
-        acc
-    }
-}
-
-impl Extend<f64> for KahanSum {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.add(v);
-        }
-    }
-}
+//! MCMC summaries average tens of thousands of draws; Welford's
+//! algorithm gives single-pass, numerically stable means and
+//! variances for the convergence diagnostics.
 
 /// Streaming mean/variance via Welford's algorithm.
 ///
@@ -134,23 +74,6 @@ impl RunningMoments {
     pub fn sample_sd(&self) -> f64 {
         self.sample_variance().sqrt()
     }
-
-    /// Merges another accumulator (parallel Welford / Chan's method).
-    pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
-        self.count = total;
-    }
 }
 
 impl FromIterator<f64> for RunningMoments {
@@ -163,43 +86,10 @@ impl FromIterator<f64> for RunningMoments {
     }
 }
 
-impl Extend<f64> for RunningMoments {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
-
-    #[test]
-    fn kahan_beats_naive_on_ill_conditioned_sum() {
-        // 1 followed by many tiny terms that naive f64 summation drops.
-        let mut naive = 1.0_f64;
-        let mut kahan = KahanSum::new();
-        kahan.add(1.0);
-        let tiny = 1e-16;
-        for _ in 0..10_000 {
-            naive += tiny;
-            kahan.add(tiny);
-        }
-        let exact = 1.0 + 10_000.0 * tiny;
-        assert!((kahan.sum() - exact).abs() < (naive - exact).abs());
-        assert!(approx_eq(kahan.sum(), exact, 1e-15));
-    }
-
-    #[test]
-    fn kahan_handles_cancellation() {
-        let mut s = KahanSum::new();
-        s.add(1e100);
-        s.add(1.0);
-        s.add(-1e100);
-        assert_eq!(s.sum(), 1.0);
-    }
 
     #[test]
     fn welford_matches_two_pass() {
@@ -219,33 +109,5 @@ mod tests {
         let m: RunningMoments = [5.0].into_iter().collect();
         assert_eq!(m.mean(), 5.0);
         assert_eq!(m.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let a: Vec<f64> = (0..500).map(|i| (i as f64).sin()).collect();
-        let b: Vec<f64> = (0..700).map(|i| (i as f64).cos() * 3.0).collect();
-        let mut left: RunningMoments = a.iter().copied().collect();
-        let right: RunningMoments = b.iter().copied().collect();
-        left.merge(&right);
-        let combined: RunningMoments = a.iter().chain(b.iter()).copied().collect();
-        assert!(approx_eq(left.mean(), combined.mean(), 1e-12));
-        assert!(approx_eq(
-            left.sample_variance(),
-            combined.sample_variance(),
-            1e-10
-        ));
-        assert_eq!(left.count(), combined.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut m: RunningMoments = [1.0, 2.0].into_iter().collect();
-        let before = m;
-        m.merge(&RunningMoments::new());
-        assert_eq!(m, before);
-        let mut empty = RunningMoments::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 }

@@ -5,14 +5,14 @@
 //! Everything is implemented from scratch so that the whole
 //! reproduction is self-contained and bit-reproducible:
 //!
-//! * [`special`] — `ln Γ`, factorials, binomial coefficients, digamma.
+//! * [`special`] — `ln Γ`, factorials, binomial coefficients.
 //! * [`incgamma`] — regularised incomplete gamma `P(a, x)` / `Q(a, x)`
 //!   and its inverse (used for truncated-gamma sampling).
 //! * [`incbeta`] — regularised incomplete beta `I_x(a, b)` and inverse
 //!   (binomial/beta CDFs and quantiles).
 //! * [`erf`](mod@crate::erf) — error function, normal CDF and quantile.
 //! * [`logsumexp`] — stable `log Σ exp` reductions used by WAIC.
-//! * [`accum`] — Kahan/Neumaier summation and Welford moments.
+//! * [`accum`] — Welford streaming moments.
 //! * [`optim`] — Nelder–Mead simplex optimiser (MLE baseline).
 //! * [`quadrature`] — adaptive Simpson integration (model validation).
 //! * [`stats`] — Kolmogorov–Smirnov and chi-square goodness-of-fit tests.
@@ -38,7 +38,7 @@ pub mod quadrature;
 pub mod special;
 pub mod stats;
 
-pub use accum::{KahanSum, RunningMoments};
+pub use accum::RunningMoments;
 pub use erf::{erf, erfc, norm_cdf, norm_quantile};
 pub use incbeta::{inc_beta_reg, inv_inc_beta_reg};
 pub use incgamma::{inc_gamma_p, inc_gamma_q, inv_inc_gamma_p};

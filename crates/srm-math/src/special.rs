@@ -258,73 +258,6 @@ pub fn ln_nb_coeff(a: f64, k: u64) -> f64 {
     ln_gamma(a + k as f64) - ln_gamma(a) - ln_factorial(k)
 }
 
-/// Digamma function `ψ(x) = d/dx ln Γ(x)` for `x > 0`.
-///
-/// Uses the recurrence to shift the argument above 6 and then the
-/// asymptotic series; accuracy ~1e-12.
-///
-/// # Panics
-///
-/// Panics if `x <= 0`.
-///
-/// # Examples
-///
-/// ```
-/// use srm_math::special::digamma;
-/// // ψ(1) = −γ (Euler–Mascheroni)
-/// assert!((digamma(1.0) + 0.5772156649015329).abs() < 1e-10);
-/// ```
-#[must_use]
-pub fn digamma(x: f64) -> f64 {
-    assert!(x > 0.0 && x.is_finite(), "digamma requires x > 0, got {x}");
-    let mut x = x;
-    let mut result = 0.0;
-    while x < 6.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    // Asymptotic expansion: ln x − 1/(2x) − Σ B_{2n} / (2n x^{2n}).
-    result + x.ln()
-        - 0.5 * inv
-        - inv2
-            * (1.0 / 12.0
-                - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
-}
-
-/// Trigamma function `ψ'(x)` for `x > 0` (variance of log-gamma
-/// conditionals; also handy for Geweke spectral checks).
-///
-/// # Panics
-///
-/// Panics if `x <= 0`.
-///
-/// # Examples
-///
-/// ```
-/// use srm_math::special::trigamma;
-/// // ψ'(1) = π²/6
-/// assert!((trigamma(1.0) - std::f64::consts::PI.powi(2) / 6.0).abs() < 1e-9);
-/// ```
-#[must_use]
-pub fn trigamma(x: f64) -> f64 {
-    assert!(x > 0.0 && x.is_finite(), "trigamma requires x > 0, got {x}");
-    let mut x = x;
-    let mut result = 0.0;
-    while x < 6.0 {
-        result += 1.0 / (x * x);
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result
-        + inv
-            * (1.0
-                + 0.5 * inv
-                + inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,31 +386,6 @@ mod tests {
                 let rhs = ln_binomial(a + k - 1, k);
                 assert!(approx_eq(lhs, rhs, 1e-10), "a = {a}, k = {k}");
             }
-        }
-    }
-
-    #[test]
-    fn digamma_recurrence() {
-        for &x in &[0.2, 0.9, 2.5, 7.0, 42.0] {
-            let lhs = digamma(x + 1.0);
-            let rhs = digamma(x) + 1.0 / x;
-            assert!(approx_eq(lhs, rhs, 1e-10), "x = {x}");
-        }
-    }
-
-    #[test]
-    fn digamma_half() {
-        // ψ(1/2) = −γ − 2 ln 2
-        let expected = -0.577_215_664_901_532_9 - 2.0 * std::f64::consts::LN_2;
-        assert!(approx_eq(digamma(0.5), expected, 1e-10));
-    }
-
-    #[test]
-    fn trigamma_recurrence() {
-        for &x in &[0.3, 1.0, 3.7, 15.0] {
-            let lhs = trigamma(x + 1.0);
-            let rhs = trigamma(x) - 1.0 / (x * x);
-            assert!(approx_eq(lhs, rhs, 1e-9), "x = {x}");
         }
     }
 

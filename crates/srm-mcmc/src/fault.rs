@@ -282,7 +282,7 @@ pub struct RecoveryLog {
     pub last_fault: Option<SrmError>,
     /// Per-parameter move statistics for the kernel-sampled (ζ)
     /// parameters, accumulated over every attempted sweep.
-    pub accept: Vec<crate::metropolis::ParamAcceptance>,
+    pub accept: Vec<srm_obs::AcceptStat>,
 }
 
 /// A chain that could not complete: the fatal fault and the retries
@@ -308,7 +308,7 @@ pub struct ChainReport {
     /// Whether the chain contributed draws to the output.
     pub recovered: bool,
     /// Per-parameter acceptance statistics (empty for lost chains).
-    pub accept: Vec<crate::metropolis::ParamAcceptance>,
+    pub accept: Vec<srm_obs::AcceptStat>,
 }
 
 impl fmt::Display for ChainReport {

@@ -18,13 +18,13 @@
 
 use crate::chain::Chain;
 use crate::fault::{ChainFailure, FaultKind, RecoveryLog, SrmError};
-use crate::metropolis::{AdaptiveRw, ParamAcceptance};
+use crate::metropolis::AdaptiveRw;
 use crate::runner::{McmcConfig, RunOptions};
-use crate::slice::{try_slice_sample, SliceConfig, SliceError};
+use crate::slice::{try_slice_sample, SliceError};
 use srm_data::BugCountData;
 use srm_math::special::ln_gamma;
 use srm_model::detection::OPEN_EPS;
-use srm_obs::{profile, Event, Recorder, NOOP};
+use srm_obs::{profile, AcceptStat, Event, Recorder, NOOP};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -32,18 +32,6 @@ use std::time::Instant;
 /// their open supports after floating-point round-off.
 const OPEN_SHIFT: f64 = 1e-12;
 
-/// Converts the sampler's live acceptance tally into the owned form
-/// carried by `chain-done` and `diagnostic-checkpoint` events.
-fn accept_stats(tally: &[ParamAcceptance]) -> Vec<srm_obs::AcceptStat> {
-    tally
-        .iter()
-        .map(|t| srm_obs::AcceptStat {
-            parameter: t.parameter.to_string(),
-            steps: t.steps,
-            accepted: t.accepted,
-        })
-        .collect()
-}
 use srm_model::{DayTables, DetectionModel, GroupedLikelihood, HeldFactors, ZetaBounds};
 use srm_rand::{Beta, Distribution, NegativeBinomial, Poisson, Rng, TruncatedGamma};
 
@@ -232,7 +220,6 @@ pub struct GibbsSampler {
     /// the sweep's hot loops skip the integer conversions.
     counts_f: Vec<f64>,
     total: u64,
-    slice_config: SliceConfig,
     sweep_kind: SweepKind,
     hyper_prior: HyperPrior,
     zeta_kernel: ZetaKernel,
@@ -258,7 +245,6 @@ impl GibbsSampler {
             cumulative: data.cumulative().to_vec(),
             counts_f: data.counts().iter().map(|&c| c as f64).collect(),
             total: data.total(),
-            slice_config: SliceConfig::default(),
             sweep_kind: SweepKind::default(),
             hyper_prior: HyperPrior::default(),
             zeta_kernel: ZetaKernel::default(),
@@ -669,10 +655,10 @@ impl GibbsSampler {
             usize::MAX
         };
         let zeta_names = self.model.param_names();
-        let mut tally: Vec<ParamAcceptance> = zeta_names
+        let mut tally: Vec<AcceptStat> = zeta_names
             .iter()
-            .map(|&name| ParamAcceptance {
-                parameter: name,
+            .map(|&name| AcceptStat {
+                parameter: name.to_string(),
                 steps: 0,
                 accepted: 0,
             })
@@ -760,7 +746,7 @@ impl GibbsSampler {
                             recorder.record(&Event::Metropolis {
                                 chain: chain_id,
                                 sweep,
-                                parameter: t.parameter,
+                                parameter: zeta_names[j],
                                 accepted: moved,
                             });
                         }
@@ -773,7 +759,7 @@ impl GibbsSampler {
                                     sweep,
                                     kept,
                                     chain_clock.elapsed().as_secs_f64() * 1e3,
-                                    accept_stats(&tally),
+                                    tally.clone(),
                                 ),
                             });
                             last_checkpoint = Some(sweep);
@@ -832,19 +818,19 @@ impl GibbsSampler {
                         total_sweeps - 1,
                         kept,
                         chain_clock.elapsed().as_secs_f64() * 1e3,
-                        accept_stats(&tally),
+                        tally.clone(),
                     ),
                 });
             }
         }
-        log.accept = tally;
         if on {
             recorder.record(&Event::ChainDone {
                 chain: chain_id,
                 retries: log.retries as u64,
-                accept: accept_stats(&log.accept),
+                accept: tally.clone(),
             });
         }
+        log.accept = tally;
         Ok((chain, log))
     }
 
@@ -902,7 +888,6 @@ impl GibbsSampler {
                                 state.beta0.clamp(OPEN_EPS, 1.0 - OPEN_EPS),
                                 OPEN_EPS,
                                 1.0 - OPEN_EPS,
-                                &self.slice_config,
                                 rng,
                             )
                             .map_err(|e| slice_fault(e, "beta0", sweep))?;
@@ -916,7 +901,6 @@ impl GibbsSampler {
                                 state.alpha0.clamp(OPEN_EPS, alpha_max - OPEN_EPS),
                                 OPEN_EPS,
                                 alpha_max,
-                                &self.slice_config,
                                 rng,
                             )
                             .map_err(|e| slice_fault(e, "alpha0", sweep))?;
@@ -949,10 +933,8 @@ impl GibbsSampler {
                         }
                     };
                     state.zeta[j] = match self.zeta_kernel {
-                        ZetaKernel::Slice => {
-                            try_slice_sample(ln_f, current, lo, hi, &self.slice_config, rng)
-                                .map_err(|e| slice_fault(e, zeta_names[j], sweep))?
-                        }
+                        ZetaKernel::Slice => try_slice_sample(ln_f, current, lo, hi, rng)
+                            .map_err(|e| slice_fault(e, zeta_names[j], sweep))?,
                         ZetaKernel::AdaptiveRw => state.rw_kernels[j]
                             .try_step(ln_f, current, rng)
                             .map_err(|value| SrmError::NonFiniteLikelihood {
@@ -1003,7 +985,6 @@ impl GibbsSampler {
                                 state.alpha0.clamp(OPEN_EPS, alpha_max - OPEN_EPS),
                                 OPEN_EPS,
                                 alpha_max,
-                                &self.slice_config,
                                 rng,
                             )
                             .map_err(|e| slice_fault(e, "alpha0", sweep))?;
@@ -1029,10 +1010,8 @@ impl GibbsSampler {
                         self.zeta_log_target(&z[..zeta_len], last_n)
                     };
                     state.zeta[j] = match self.zeta_kernel {
-                        ZetaKernel::Slice => {
-                            try_slice_sample(ln_f, current, lo, hi, &self.slice_config, rng)
-                                .map_err(|e| slice_fault(e, zeta_names[j], sweep))?
-                        }
+                        ZetaKernel::Slice => try_slice_sample(ln_f, current, lo, hi, rng)
+                            .map_err(|e| slice_fault(e, zeta_names[j], sweep))?,
                         ZetaKernel::AdaptiveRw => state.rw_kernels[j]
                             .try_step(ln_f, current, rng)
                             .map_err(|value| SrmError::NonFiniteLikelihood {

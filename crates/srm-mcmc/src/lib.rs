@@ -61,7 +61,6 @@ pub use fault::{
 pub use gibbs::{
     FixedParams, GibbsSampler, GibbsState, HyperPrior, PriorSpec, SweepKind, ZetaKernel,
 };
-pub use metropolis::ParamAcceptance;
 pub use runner::{
     assemble_run, effective_threads, run_chain_task, run_chains, run_chains_fault_tolerant,
     run_chains_fault_tolerant_traced, run_pool, ChainOutcome, FaultTolerantRun, McmcConfig,

@@ -8,41 +8,12 @@
 //! `gibbs` benchmark ablation and available to library users who want
 //! a cheaper-per-iteration kernel than slice sampling.
 
+use srm_obs::AcceptStat;
 use srm_rand::{Distribution, Normal, Rng};
 
 /// Target acceptance rate for univariate random-walk Metropolis
 /// (Roberts–Gelman–Gilks optimum ≈ 0.44 in one dimension).
 pub const TARGET_ACCEPTANCE: f64 = 0.44;
-
-/// Move statistics for one sampled parameter over a chain: how many
-/// kernel steps it took and on how many the parameter actually moved.
-///
-/// For [`AdaptiveRw`] a "move" is exactly a Metropolis acceptance; for
-/// the slice kernel it means the shrinkage loop found a new point
-/// (returning the current point is the slice sampler's degenerate
-/// give-up outcome). Collected per sweep by the Gibbs loop and carried
-/// home in [`crate::fault::RecoveryLog::accept`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParamAcceptance {
-    /// The parameter's name (from the model's parameter table).
-    pub parameter: &'static str,
-    /// Kernel steps taken.
-    pub steps: u64,
-    /// Steps on which the parameter moved.
-    pub accepted: u64,
-}
-
-impl ParamAcceptance {
-    /// Fraction of steps accepted (0 when no steps were taken).
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.steps as f64
-        }
-    }
-}
 
 /// One adaptive random-walk Metropolis updater for a scalar parameter
 /// restricted to `(lo, hi)` (proposals outside the box are rejected,
@@ -129,23 +100,11 @@ impl AdaptiveRw {
         self.ln_step.exp()
     }
 
-    /// Total Metropolis steps taken so far.
+    /// The kernel's counters as a named [`AcceptStat`] record.
     #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Accepted proposals so far.
-    #[must_use]
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// The kernel's counters as a named [`ParamAcceptance`] record.
-    #[must_use]
-    pub fn acceptance(&self, parameter: &'static str) -> ParamAcceptance {
-        ParamAcceptance {
-            parameter,
+    pub fn acceptance(&self, parameter: &str) -> AcceptStat {
+        AcceptStat {
+            parameter: parameter.to_string(),
             steps: self.steps,
             accepted: self.accepted,
         }

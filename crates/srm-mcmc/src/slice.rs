@@ -42,27 +42,13 @@ pub enum SliceError {
     Exhausted,
 }
 
-/// Configuration of the stepping-out slice sampler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SliceConfig {
-    /// Initial bracket width, as a fraction of the support length.
-    pub width_fraction: f64,
-    /// Maximum stepping-out expansions on each side.
-    pub max_step_out: usize,
-    /// Maximum shrinkage iterations before giving up and returning
-    /// the current point (a formally valid, if wasteful, move).
-    pub max_shrink: usize,
-}
-
-impl Default for SliceConfig {
-    fn default() -> Self {
-        Self {
-            width_fraction: 0.1,
-            max_step_out: 16,
-            max_shrink: 100,
-        }
-    }
-}
+/// Initial bracket width, as a fraction of the support length.
+const WIDTH_FRACTION: f64 = 0.1;
+/// Maximum stepping-out expansions on each side.
+const MAX_STEP_OUT: usize = 16;
+/// Maximum shrinkage iterations before giving up and returning the
+/// current point (a formally valid, if wasteful, move).
+const MAX_SHRINK: usize = 100;
 
 /// Draws one slice-sampling update for a log-density `ln_f` restricted
 /// to `(lo, hi)`, starting from `x0` (which must satisfy
@@ -72,68 +58,30 @@ impl Default for SliceConfig {
 /// `exp(ln_f)` (restricted and renormalised on the interval)
 /// invariant.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `lo >= hi`, `x0` is outside `[lo, hi]`, or
-/// `ln_f(x0) = -inf`.
+/// Invalid intervals, infeasible starting points and exhausted
+/// brackets come back as [`SliceError`] values; see its variants.
 ///
 /// # Examples
 ///
 /// ```
-/// use srm_mcmc::slice::{slice_sample, SliceConfig};
+/// use srm_mcmc::slice::try_slice_sample;
 /// use srm_rand::SplitMix64;
 ///
 /// // Sample a truncated standard normal on (-1, 3).
 /// let mut rng = SplitMix64::seed_from(1);
 /// let mut x = 0.5;
 /// for _ in 0..100 {
-///     x = slice_sample(|v| -0.5 * v * v, x, -1.0, 3.0, &SliceConfig::default(), &mut rng);
+///     x = try_slice_sample(|v| -0.5 * v * v, x, -1.0, 3.0, &mut rng).unwrap();
 ///     assert!((-1.0..=3.0).contains(&x));
 /// }
 /// ```
-pub fn slice_sample<F, R>(
-    ln_f: F,
-    x0: f64,
-    lo: f64,
-    hi: f64,
-    config: &SliceConfig,
-    rng: &mut R,
-) -> f64
-where
-    F: Fn(f64) -> f64,
-    R: Rng + ?Sized,
-{
-    match try_slice_sample(ln_f, x0, lo, hi, config, rng) {
-        Ok(x) => x,
-        // Historical behaviour: an exhausted bracket keeps the current
-        // point (a formally valid, if wasteful, move).
-        Err(SliceError::Exhausted) => x0,
-        Err(SliceError::InvalidInterval { lo, hi }) => {
-            panic!("slice_sample requires lo < hi ({lo} >= {hi})")
-        }
-        Err(SliceError::StartOutOfRange { x0, lo, hi }) => {
-            panic!("starting point {x0} outside [{lo}, {hi}]")
-        }
-        Err(SliceError::InfeasibleStart { .. }) => {
-            panic!("slice_sample requires a feasible starting point")
-        }
-    }
-}
-
-/// Fallible form of [`slice_sample`]: the same update, but invalid
-/// intervals, infeasible starting points, and exhausted brackets come
-/// back as [`SliceError`] values instead of panics. Consumes the RNG
-/// identically to [`slice_sample`] on the success path.
-///
-/// # Errors
-///
-/// See [`SliceError`] for the failure cases.
 pub fn try_slice_sample<F, R>(
     ln_f: F,
     x0: f64,
     lo: f64,
     hi: f64,
-    config: &SliceConfig,
     rng: &mut R,
 ) -> Result<f64, SliceError>
 where
@@ -160,16 +108,16 @@ where
 
     // Horizontal step: position a width-w bracket around x0, then
     // step out while the endpoints are still inside the slice.
-    let w = (hi - lo) * config.width_fraction;
+    let w = (hi - lo) * WIDTH_FRACTION;
     let mut left = (x0 - w * rng.next_f64()).max(lo);
     let mut right = (left + w).min(hi);
-    for _ in 0..config.max_step_out {
+    for _ in 0..MAX_STEP_OUT {
         if left <= lo || ln_f(left) <= ln_u {
             break;
         }
         left = (left - w).max(lo);
     }
-    for _ in 0..config.max_step_out {
+    for _ in 0..MAX_STEP_OUT {
         if right >= hi || ln_f(right) <= ln_u {
             break;
         }
@@ -178,7 +126,7 @@ where
 
     // Shrinkage: sample inside the bracket, shrink toward x0 on
     // rejection.
-    for _ in 0..config.max_shrink {
+    for _ in 0..MAX_SHRINK {
         let x = left + (right - left) * rng.next_f64();
         if ln_f(x) > ln_u {
             return Ok(x);
@@ -209,11 +157,10 @@ mod tests {
         seed: u64,
     ) -> Vec<f64> {
         let mut rng = SplitMix64::seed_from(seed);
-        let cfg = SliceConfig::default();
         let mut x = x0;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            x = slice_sample(&ln_f, x, lo, hi, &cfg, &mut rng);
+            x = try_slice_sample(&ln_f, x, lo, hi, &mut rng).unwrap();
             out.push(x);
         }
         out
@@ -266,36 +213,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "feasible starting point")]
-    fn infeasible_start_panics() {
-        let mut rng = SplitMix64::seed_from(75);
-        let _ = slice_sample(
-            |_| f64::NEG_INFINITY,
-            0.5,
-            0.0,
-            1.0,
-            &SliceConfig::default(),
-            &mut rng,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "requires lo < hi")]
-    fn inverted_interval_panics() {
-        let mut rng = SplitMix64::seed_from(76);
-        let _ = slice_sample(|_| 0.0, 0.5, 1.0, 0.0, &SliceConfig::default(), &mut rng);
-    }
-
-    #[test]
     fn try_variant_types_the_failures() {
         let mut rng = SplitMix64::seed_from(78);
-        let cfg = SliceConfig::default();
         assert_eq!(
-            try_slice_sample(|_| 0.0, 0.5, 1.0, 0.0, &cfg, &mut rng),
+            try_slice_sample(|_| 0.0, 0.5, 1.0, 0.0, &mut rng),
             Err(SliceError::InvalidInterval { lo: 1.0, hi: 0.0 })
         );
         assert_eq!(
-            try_slice_sample(|_| 0.0, 2.0, 0.0, 1.0, &cfg, &mut rng),
+            try_slice_sample(|_| 0.0, 2.0, 0.0, 1.0, &mut rng),
             Err(SliceError::StartOutOfRange {
                 x0: 2.0,
                 lo: 0.0,
@@ -303,30 +228,15 @@ mod tests {
             })
         );
         assert!(matches!(
-            try_slice_sample(|_| f64::NEG_INFINITY, 0.5, 0.0, 1.0, &cfg, &mut rng),
+            try_slice_sample(|_| f64::NEG_INFINITY, 0.5, 0.0, 1.0, &mut rng),
             Err(SliceError::InfeasibleStart { x0, ln_f0 })
                 if x0 == 0.5 && ln_f0 == f64::NEG_INFINITY
         ));
         assert!(matches!(
-            try_slice_sample(|_| f64::NAN, 0.5, 0.0, 1.0, &cfg, &mut rng),
+            try_slice_sample(|_| f64::NAN, 0.5, 0.0, 1.0, &mut rng),
             Err(SliceError::InfeasibleStart { x0, ln_f0 })
                 if x0 == 0.5 && ln_f0.is_nan()
         ));
-    }
-
-    #[test]
-    fn try_variant_matches_panicking_form_on_success() {
-        let ln_f = |x: f64| -0.5 * x * x;
-        let cfg = SliceConfig::default();
-        let mut rng_a = SplitMix64::seed_from(79);
-        let mut rng_b = SplitMix64::seed_from(79);
-        let mut xa = 0.3;
-        let mut xb = 0.3;
-        for _ in 0..500 {
-            xa = slice_sample(ln_f, xa, -4.0, 4.0, &cfg, &mut rng_a);
-            xb = try_slice_sample(ln_f, xb, -4.0, 4.0, &cfg, &mut rng_b).unwrap();
-            assert_eq!(xa.to_bits(), xb.to_bits());
-        }
     }
 
     #[test]

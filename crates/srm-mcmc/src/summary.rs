@@ -3,8 +3,8 @@
 //! kernel acceptance rates surfaced by the observability layer.
 
 use crate::fault::ChainReport;
-use crate::metropolis::ParamAcceptance;
 use srm_math::accum::RunningMoments;
+use srm_obs::AcceptStat;
 
 /// Summary statistics of a set of posterior draws.
 ///
@@ -153,27 +153,25 @@ impl PosteriorSummary {
 /// # Examples
 ///
 /// ```
-/// use srm_mcmc::metropolis::ParamAcceptance;
 /// use srm_mcmc::AcceptanceSummary;
+/// use srm_obs::AcceptStat;
 ///
-/// let per_chain = [
-///     vec![ParamAcceptance { parameter: "zeta0", steps: 10, accepted: 4 }],
-///     vec![ParamAcceptance { parameter: "zeta0", steps: 10, accepted: 6 }],
-/// ];
+/// let stat = |accepted| AcceptStat { parameter: "zeta0".into(), steps: 10, accepted };
+/// let per_chain = [vec![stat(4)], vec![stat(6)]];
 /// let pooled = AcceptanceSummary::pooled(per_chain.iter().map(Vec::as_slice));
 /// assert_eq!(pooled.rate("zeta0"), Some(0.5));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AcceptanceSummary {
     /// Pooled per-parameter statistics, in parameter order.
-    pub params: Vec<ParamAcceptance>,
+    pub params: Vec<AcceptStat>,
 }
 
 impl AcceptanceSummary {
     /// Pools per-chain acceptance slices (parameters are matched by
     /// name, so chains with differing parameter sets still pool).
-    pub fn pooled<'a>(chains: impl IntoIterator<Item = &'a [ParamAcceptance]>) -> Self {
-        let mut params: Vec<ParamAcceptance> = Vec::new();
+    pub fn pooled<'a>(chains: impl IntoIterator<Item = &'a [AcceptStat]>) -> Self {
+        let mut params: Vec<AcceptStat> = Vec::new();
         for chain in chains {
             for stat in chain {
                 match params.iter_mut().find(|p| p.parameter == stat.parameter) {
@@ -181,7 +179,7 @@ impl AcceptanceSummary {
                         p.steps += stat.steps;
                         p.accepted += stat.accepted;
                     }
-                    None => params.push(*stat),
+                    None => params.push(stat.clone()),
                 }
             }
         }
@@ -201,7 +199,7 @@ impl AcceptanceSummary {
         self.params
             .iter()
             .find(|p| p.parameter == parameter)
-            .map(ParamAcceptance::rate)
+            .map(AcceptStat::rate)
     }
 
     /// Whether any statistics were collected.

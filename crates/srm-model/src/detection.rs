@@ -72,6 +72,19 @@ impl Default for ZetaBounds {
     }
 }
 
+impl ZetaBounds {
+    /// The bounds `srm select`, served select and the WAIC grid search
+    /// use for a `θ_max` limit: `γ` shares it, but its limit never
+    /// falls below 1.
+    #[must_use]
+    pub fn from_theta_max(theta_max: f64) -> Self {
+        Self {
+            theta_max,
+            gamma_max: theta_max.max(1.0),
+        }
+    }
+}
+
 /// Numerical margin keeping `μ`, `ω` strictly inside their open
 /// intervals during sampling/optimisation.
 pub const OPEN_EPS: f64 = 1e-9;

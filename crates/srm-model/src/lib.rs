@@ -14,9 +14,7 @@
 //! * [`predictive`] — expected future detections under the residual
 //!   posterior;
 //! * [`mle`] — the maximum-likelihood baseline (NHPP marginal fits
-//!   with AIC/BIC), used for comparison against the Bayesian fits;
-//! * [`nhpp`] — the continuous-time NHPP/NHMPP correspondence (mean
-//!   value functions).
+//!   with AIC/BIC), used for comparison against the Bayesian fits.
 //!
 //! # Examples
 //!
@@ -34,12 +32,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod continuous;
 pub mod detection;
 pub mod likelihood;
 pub mod markov;
 pub mod mle;
-pub mod nhpp;
 pub mod posterior;
 pub mod predictive;
 pub mod prior;

@@ -34,22 +34,6 @@ pub struct MleFit {
     pub converged: bool,
 }
 
-impl MleFit {
-    /// Expected residual bugs after the last observed day:
-    /// `λ̂0 Π q̂_i`.
-    #[must_use]
-    pub fn expected_residual(&self, horizon: usize) -> f64 {
-        // The optimiser only ever stores in-domain parameters; an
-        // out-of-domain vector would have scored -inf and been rejected.
-        let probs = self
-            .model
-            .probs(&self.zeta, horizon)
-            .unwrap_or_else(|_| unreachable!());
-        let survival: f64 = probs.iter().map(|&p| (1.0 - p).ln()).sum();
-        self.lambda0 * survival.exp()
-    }
-}
-
 /// The marginal (NHPP) log-likelihood for a given schedule, profiled
 /// over `λ0`; returns `(profile λ0, log-likelihood)`.
 fn profile_loglik(counts: &[u64], probs: &[f64]) -> (f64, f64) {
@@ -241,21 +225,6 @@ mod tests {
         let data = datasets::musa_cc96();
         let fit = fit_nhpp(&data, DetectionModel::Weibull, &ZetaBounds::default()).unwrap();
         assert!(fit.bic > fit.aic);
-    }
-
-    #[test]
-    fn expected_residual_decreases_with_horizon() {
-        let data = datasets::musa_cc96();
-        let fit = fit_nhpp(
-            &data,
-            DetectionModel::PadgettSpurrier,
-            &ZetaBounds::default(),
-        )
-        .unwrap();
-        let r96 = fit.expected_residual(96);
-        let r146 = fit.expected_residual(146);
-        assert!(r146 < r96);
-        assert!(r146 >= 0.0);
     }
 
     #[test]

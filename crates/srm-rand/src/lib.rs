@@ -10,10 +10,9 @@
 //! * [`rng`] — the [`Rng`] trait and the SplitMix64, xoshiro256\*\*
 //!   and PCG64 generators (with jump/stream splitting for parallel
 //!   chains).
-//! * Continuous samplers: [`Uniform`], [`Exponential`], [`Normal`],
-//!   [`Gamma`], [`Beta`], [`TruncatedGamma`].
-//! * Discrete samplers: [`Poisson`], [`Binomial`], [`NegativeBinomial`],
-//!   [`Geometric`], [`UniformInt`].
+//! * Continuous samplers: [`Uniform`], [`Normal`], [`Gamma`], [`Beta`],
+//!   [`TruncatedGamma`].
+//! * Discrete samplers: [`Poisson`], [`Binomial`], [`NegativeBinomial`].
 //!
 //! Every sampler implements the [`Distribution`] trait and exposes its
 //! analytic `mean`/`variance` so tests can verify the stream against
@@ -36,9 +35,7 @@
 pub mod beta;
 pub mod binomial;
 pub mod error;
-pub mod exponential;
 pub mod gamma;
-pub mod geometric;
 pub mod negbinom;
 pub mod normal;
 pub mod poisson;
@@ -49,15 +46,13 @@ pub mod uniform;
 pub use beta::Beta;
 pub use binomial::Binomial;
 pub use error::DistributionError;
-pub use exponential::Exponential;
 pub use gamma::Gamma;
-pub use geometric::Geometric;
 pub use negbinom::NegativeBinomial;
 pub use normal::Normal;
 pub use poisson::Poisson;
 pub use rng::{Pcg64, Rng, SplitMix64, Xoshiro256StarStar};
 pub use truncated::TruncatedGamma;
-pub use uniform::{Uniform, UniformInt};
+pub use uniform::Uniform;
 
 /// A sampleable probability distribution.
 ///

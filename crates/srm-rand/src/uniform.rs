@@ -1,4 +1,4 @@
-//! Uniform distributions over real intervals and integer ranges.
+//! The continuous uniform distribution over a real interval.
 
 use crate::error::{require, DistributionError};
 use crate::{Distribution, Rng};
@@ -36,27 +36,6 @@ impl Uniform {
         Ok(Self { low, high })
     }
 
-    /// The standard uniform on `[0, 1)`.
-    #[must_use]
-    pub fn standard() -> Self {
-        Self {
-            low: 0.0,
-            high: 1.0,
-        }
-    }
-
-    /// Lower bound.
-    #[must_use]
-    pub fn low(&self) -> f64 {
-        self.low
-    }
-
-    /// Upper bound.
-    #[must_use]
-    pub fn high(&self) -> f64 {
-        self.high
-    }
-
     /// Mean `(low + high)/2`.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -76,56 +55,6 @@ impl Distribution for Uniform {
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.low + (self.high - self.low) * rng.next_f64()
-    }
-}
-
-/// Discrete uniform distribution on the integers `low..=high`.
-///
-/// # Examples
-///
-/// ```
-/// use srm_rand::{Distribution, SplitMix64, UniformInt};
-/// let d = UniformInt::new(1, 6).unwrap();
-/// let mut rng = SplitMix64::seed_from(2);
-/// let roll = d.sample(&mut rng);
-/// assert!((1..=6).contains(&roll));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct UniformInt {
-    low: i64,
-    high: i64,
-}
-
-impl UniformInt {
-    /// Creates a uniform distribution on `low..=high`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `low > high`.
-    pub fn new(low: i64, high: i64) -> Result<Self, DistributionError> {
-        require(low <= high, "low", low as f64, "must be <= `high`")?;
-        Ok(Self { low, high })
-    }
-
-    /// Inclusive lower bound.
-    #[must_use]
-    pub fn low(&self) -> i64 {
-        self.low
-    }
-
-    /// Inclusive upper bound.
-    #[must_use]
-    pub fn high(&self) -> i64 {
-        self.high
-    }
-}
-
-impl Distribution for UniformInt {
-    type Value = i64;
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
-        let span = (self.high - self.low) as u64 + 1;
-        self.low + rng.next_below(span) as i64
     }
 }
 
@@ -162,30 +91,5 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - u.mean()).abs() < 0.05);
         assert!((var - u.variance()).abs() < 0.15);
-    }
-
-    #[test]
-    fn uniform_int_covers_all_values() {
-        let d = UniformInt::new(-2, 2).unwrap();
-        let mut rng = SplitMix64::seed_from(8);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..1000 {
-            seen.insert(d.sample(&mut rng));
-        }
-        assert_eq!(seen.len(), 5);
-    }
-
-    #[test]
-    fn uniform_int_single_point() {
-        let d = UniformInt::new(4, 4).unwrap();
-        let mut rng = SplitMix64::seed_from(9);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 4);
-        }
-    }
-
-    #[test]
-    fn uniform_int_rejects_inverted() {
-        assert!(UniformInt::new(3, 2).is_err());
     }
 }

@@ -109,11 +109,8 @@ impl GridSearch {
             } else {
                 PriorSpec::NegBinomial { alpha_max: limit }
             };
-            let bounds = ZetaBounds {
-                theta_max,
-                gamma_max: theta_max.max(1.0),
-            };
-            let sampler = GibbsSampler::new(prior, model, bounds, data);
+            let sampler =
+                GibbsSampler::new(prior, model, ZetaBounds::from_theta_max(theta_max), data);
             GridCell {
                 prior_limit: limit,
                 theta_max,

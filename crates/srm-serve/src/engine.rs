@@ -34,6 +34,9 @@ pub enum JobError {
     Timeout,
     /// The estimation pipeline reported a typed fault.
     Engine(SrmError),
+    /// The job panicked; the worker caught it and carries the panic
+    /// message.
+    Panicked(String),
 }
 
 impl JobError {
@@ -43,6 +46,7 @@ impl JobError {
         match self {
             Self::Timeout => "timeout",
             Self::Engine(e) => e.kind(),
+            Self::Panicked(_) => "job-panicked",
         }
     }
 }
@@ -52,6 +56,7 @@ impl std::fmt::Display for JobError {
         match self {
             Self::Timeout => f.write_str("job deadline expired before completion"),
             Self::Engine(e) => e.fmt(f),
+            Self::Panicked(message) => write!(f, "job panicked: {message}"),
         }
     }
 }
@@ -222,10 +227,7 @@ fn run_select(
     deadline: Option<Instant>,
     recorder: &dyn Recorder,
 ) -> Result<JobOutput, JobError> {
-    let bounds = ZetaBounds {
-        theta_max: spec.theta_max,
-        gamma_max: spec.theta_max.max(1.0),
-    };
+    let bounds = ZetaBounds::from_theta_max(spec.theta_max);
     let options = run_options(spec);
     let mut rows = Vec::new();
     let mut best: Option<(DetectionModel, f64)> = None;

@@ -13,6 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use srm_core::{check_request, Request};
 use srm_data::BugCountData;
 use srm_mcmc::gibbs::PriorSpec;
 use srm_mcmc::runner::McmcConfig;
@@ -109,8 +110,8 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns a user-facing message on a missing/unknown `kind`,
-    /// missing or malformed data, unknown model/prior, or run lengths
-    /// the sampler cannot execute.
+    /// missing or malformed data, unknown model/prior, or settings
+    /// outside [`check_request`]'s limits.
     pub fn from_json(body: &Value) -> Result<Self, String> {
         let kind_label = body
             .get("kind")
@@ -151,21 +152,14 @@ impl JobSpec {
             thin: usize_field(body, "thin", 1)?,
             seed: usize_field(body, "seed", 2_024)? as u64,
         };
-        for (name, value) in [
-            ("chains", mcmc.chains),
-            ("samples", mcmc.samples),
-            ("thin", mcmc.thin),
-        ] {
-            if value == 0 {
-                return Err(format!("field `{name}` must be at least 1"));
-            }
-        }
-
         let horizon = usize_field(body, "horizon", 30)?;
-        if kind == JobKind::Predict && horizon == 0 {
-            return Err("field `horizon` must be at least 1".into());
-        }
         let theta_max = num_field(body, "theta_max")?.unwrap_or(10.0);
+        let request = match kind {
+            JobKind::Fit => Request::Fit,
+            JobKind::Select => Request::Select { theta_max },
+            JobKind::Predict => Request::Predict { horizon },
+        };
+        check_request(request, &prior, &mcmc)?;
         let timeout_ms = match usize_field(body, "timeout_ms", 0)? {
             0 => None,
             ms => Some(ms as u64),

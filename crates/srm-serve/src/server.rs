@@ -23,11 +23,13 @@
 //! drain contract documented in DESIGN.md §11 and §13.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use srm_mcmc::fault::panic_message;
 use srm_obs::json::{parse, Value};
 use srm_obs::{
     aggregate, build_info_value, flightrec, lock_ignoring_poison, process_trace_id,
@@ -39,7 +41,7 @@ use srm_store::SyncPolicy;
 use crate::access_log::{AccessLog, DEFAULT_ACCESS_LOG_MAX_BYTES};
 use crate::batch::{BatchItemRef, BatchRecord, BatchStore};
 use crate::cache::FitCache;
-use crate::engine::run_job;
+use crate::engine::{run_job, JobError};
 use crate::http::{read_request, Request, Response};
 use crate::job::{JobRecord, JobSpec, JobStatus, JobStore, JOB_HISTORY_LIMIT};
 use crate::metrics::{render_prometheus, GaugeSnapshot, ServeMetrics};
@@ -1446,9 +1448,14 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
         record.progress = Some(Arc::clone(&per_job));
     });
     let started = Instant::now();
+    // A panic anywhere in the job fails that job alone: the worker
+    // lives on, and the failure arm below settles the record.
     let outcome = {
         let _fit_span = srm_obs::profile::span("fit");
-        run_job(&job.spec, job.deadline, &recorder)
+        catch_unwind(AssertUnwindSafe(|| {
+            run_job(&job.spec, job.deadline, &recorder)
+        }))
+        .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(payload.as_ref()))))
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
     state.running.fetch_sub(1, Ordering::SeqCst);
@@ -1783,6 +1790,132 @@ mod tests {
         let (status, body) = http(server.addr(), "POST", "/v1/jobs", r#"{"kind":"fit"}"#);
         assert_eq!(status, 400);
         assert!(body.contains("missing data"));
+        server.request_shutdown();
+        let _ = server.join();
+    }
+
+    /// Submits `body`, expects a one-line 400 naming `needle`, and
+    /// checks that nothing reached the job store.
+    fn rejected_at_the_door(body: &str, needle: &str) {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let (status, reply) = http(server.addr(), "POST", "/v1/jobs", body);
+        assert_eq!(status, 400, "{body}: {reply}");
+        let doc = parse(&reply).unwrap();
+        let message = doc.get("error").unwrap().get("message").unwrap();
+        let message = message.as_str().unwrap();
+        assert!(message.contains(needle), "{body}: {message}");
+        assert!(!message.contains('\n'), "{message}");
+        server.request_shutdown();
+        let state = server.join();
+        assert_eq!(state.store.counts(), (0, 0, 0, 0, 0), "{body}");
+    }
+
+    #[test]
+    fn a_horizon_past_the_limit_is_rejected() {
+        rejected_at_the_door(
+            r#"{"kind":"predict","dataset":"musa_cc96","horizon":4294967295}"#,
+            "`horizon` must be at most",
+        );
+    }
+
+    #[test]
+    fn samples_past_the_draw_budget_are_rejected() {
+        rejected_at_the_door(
+            r#"{"kind":"fit","dataset":"musa_cc96","samples":4294967295}"#,
+            "kept draws",
+        );
+    }
+
+    #[test]
+    fn chains_and_threads_past_the_limit_are_rejected() {
+        rejected_at_the_door(
+            r#"{"kind":"fit","dataset":"musa_cc96","chains":100000,"threads":100000,"samples":1}"#,
+            "`chains` must be at most",
+        );
+    }
+
+    #[test]
+    fn a_negative_lambda_max_is_rejected() {
+        rejected_at_the_door(
+            r#"{"kind":"fit","dataset":"musa_cc96","lambda_max":-1}"#,
+            "`lambda_max` must be finite and > 0",
+        );
+    }
+
+    #[test]
+    fn a_zero_alpha_max_is_rejected() {
+        rejected_at_the_door(
+            r#"{"kind":"fit","dataset":"musa_cc96","prior":"negbinom","alpha_max":0}"#,
+            "`alpha_max` must be finite and > 0",
+        );
+    }
+
+    #[test]
+    fn a_negative_theta_max_is_rejected_for_select() {
+        rejected_at_the_door(
+            r#"{"kind":"select","dataset":"musa_cc96","theta_max":-5}"#,
+            "`theta_max` must be finite and > 0",
+        );
+    }
+
+    /// Polls `id` until it leaves queued/running, for at most 60 s.
+    fn wait_terminal(addr: SocketAddr, id: &str) -> Value {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let (_, body) = http(addr, "GET", &format!("/v1/jobs/{id}"), "");
+            let doc = parse(&body).unwrap();
+            let status = doc.get("status").unwrap().as_str().unwrap().to_owned();
+            if status != "queued" && status != "running" {
+                return doc;
+            }
+            assert!(Instant::now() < deadline, "{id} stuck {status}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    fn submit(addr: SocketAddr, body: &str) -> String {
+        let (status, reply) = http(addr, "POST", "/v1/jobs", body);
+        assert_eq!(status, 202, "{reply}");
+        let doc = parse(&reply).unwrap();
+        doc.get("id").unwrap().as_str().unwrap().to_owned()
+    }
+
+    #[test]
+    fn a_failing_predict_frees_its_worker_for_the_next_job() {
+        // λ_max this small passes the door, but the fitted λ0 mean
+        // underflows to 0. predict_from_fit turns that into a typed
+        // error; were it to panic instead, the worker contains the
+        // panic as `job-panicked`. Either way the one worker must live
+        // on and run the fit queued behind the predict.
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr();
+        let predict = submit(
+            addr,
+            r#"{"kind":"predict","dataset":"musa_cc96","lambda_max":1e-300,
+                "chains":2,"samples":100,"burn_in":10}"#,
+        );
+        let fit = submit(
+            addr,
+            r#"{"kind":"fit","dataset":"short_campaign_25","model":"model0",
+                "chains":1,"samples":120,"burn_in":40,"seed":9}"#,
+        );
+        let failed = wait_terminal(addr, &predict);
+        assert_eq!(failed.get("status").unwrap().as_str(), Some("failed"));
+        let kind = failed.get("error").unwrap().get("kind").unwrap();
+        assert!(
+            matches!(kind.as_str(), Some("invalid-config" | "job-panicked")),
+            "{kind:?}"
+        );
+        let done = wait_terminal(addr, &fit);
+        assert_eq!(done.get("status").unwrap().as_str(), Some("done"));
+        let (_, health) = http(addr, "GET", "/healthz", "");
+        let health = parse(&health).unwrap();
+        let running = health.get("jobs").unwrap().get("running").unwrap();
+        assert_eq!(running.as_f64(), Some(0.0));
         server.request_shutdown();
         let _ = server.join();
     }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for `srm serve`: boots the server on an ephemeral port,
-# submits a fit job over HTTP, and checks the result against the same
-# fit run through the `srm fit` CLI. Also exercises the fit cache
+# checks that bodies past the request limits get 400 and that failing
+# predict jobs leave their workers alive, then submits a fit job over
+# HTTP and checks the result against the same fit run through the
+# `srm fit` CLI. Also exercises the fit cache
 # (second submission must be a 201 cache hit with an identical body)
 # and graceful SIGTERM drain.
 #
@@ -49,6 +51,38 @@ curl -sf "$BASE/healthz" | jq -e '.status == "ok" and (.build.crate_version | le
 
 BODY=$(printf '{"kind":"fit","dataset":"musa_cc96","model":"%s","prior":"%s","chains":%d,"samples":%d,"burn_in":%d,"seed":%d}' \
     "$MODEL" "$PRIOR" "$CHAINS" "$SAMPLES" "$BURN_IN" "$SEED")
+
+# Bodies that once aborted the server (a 34 GB horizon vector, a
+# 4-billion-draw chain) or failed only after taking a worker: each
+# must get a 400 before it is queued.
+for BAD in \
+    '{"kind":"predict","dataset":"musa_cc96","horizon":4294967295}' \
+    '{"kind":"fit","dataset":"musa_cc96","samples":4294967295}' \
+    '{"kind":"fit","dataset":"musa_cc96","lambda_max":-1}'; do
+    CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/jobs" -d "$BAD")
+    [ "$CODE" = "400" ] || fail "got $CODE, expected 400, for $BAD"
+done
+echo "serve-smoke: door check rejected 3 bodies with 400"
+
+# Two predicts whose fitted lambda0 underflows to 0: each must end
+# `failed` without taking its worker down, so the fit below still
+# finds both default workers alive.
+PREDICTS=""
+for PSEED in 1 2; do
+    PBODY=$(printf '{"kind":"predict","dataset":"musa_cc96","lambda_max":1e-300,"chains":2,"samples":100,"burn_in":10,"seed":%d}' "$PSEED")
+    PREDICTS="$PREDICTS $(curl -sf -X POST "$BASE/v1/jobs" -d "$PBODY" | jq -r .id)"
+done
+for PJOB in $PREDICTS; do
+    for _ in $(seq 1 300); do
+        STATUS=$(curl -sf "$BASE/v1/jobs/$PJOB" | jq -r .status)
+        case "$STATUS" in
+            queued | running) sleep 0.2 ;;
+            *) break ;;
+        esac
+    done
+    [ "$STATUS" = "failed" ] || fail "predict $PJOB ended $STATUS, expected failed"
+done
+echo "serve-smoke: both degenerate predicts failed cleanly"
 
 echo "serve-smoke: submitting fit job"
 SUBMIT=$(curl -sf -X POST "$BASE/v1/jobs" -d "$BODY")
@@ -101,6 +135,10 @@ grep -q '^srm_build_info{' "$WORK/metrics.txt" \
     || fail "/metrics missing srm_build_info"
 grep -q '^srm_serve_phase_seconds_total{phase="fit"}' "$WORK/metrics.txt" \
     || fail "/metrics missing the fit phase series"
+
+curl -sf "$BASE/healthz" >"$WORK/healthz.json" || fail "/healthz fetch failed"
+jq -e '.jobs.running == 0' "$WORK/healthz.json" >/dev/null \
+    || fail "/healthz reports running jobs: $(cat "$WORK/healthz.json")"
 
 echo "serve-smoke: SIGTERM drain"
 kill -TERM "$SERVER_PID"
