@@ -1,10 +1,13 @@
 //! The one check every fit, select and predict request passes before
 //! anything runs: the CLI runs it on its flags and the server on every
 //! job body (batch items and WAL replays included), so no request can
-//! ask the sampler for more memory or threads than these limits allow.
+//! ask the sampler for more memory, threads or sweeps than these
+//! limits allow, or for a hyper-prior box the sampler cannot keep its
+//! `OPEN_EPS` margins in.
 
 use srm_mcmc::gibbs::PriorSpec;
 use srm_mcmc::runner::McmcConfig;
+use srm_model::detection::OPEN_EPS;
 
 /// Most chains one request may run (each may get its own thread).
 pub const MAX_CHAINS: usize = 64;
@@ -12,6 +15,12 @@ pub const MAX_CHAINS: usize = 64;
 /// Most kept draws (`chains × samples`) one request may ask for:
 /// 62× the paper's 4 × 4,000.
 pub const MAX_KEPT_DRAWS: usize = 1_000_000;
+
+/// Most sweeps (`chains × (burn_in + samples × thin)`) one request may
+/// run: 500× the paper's 4 × (1,000 + 4,000). At tens of µs a sweep
+/// that is minutes of CPU, where an unbounded `burn_in` held a worker
+/// for days, past its deadline and a cancel.
+const MAX_SWEEPS: usize = 10_000_000;
 
 /// Longest prediction horizon, in days.
 pub const MAX_HORIZON: usize = 100_000;
@@ -35,7 +44,9 @@ pub enum Request {
 
 /// Checks a request: `chains`, `samples` and `thin` at least 1, the
 /// limits above, and a finite, positive `lambda_max`/`alpha_max` (and
-/// select `theta_max`).
+/// select `theta_max`). `alpha_max` must also exceed `2·OPEN_EPS` and
+/// `theta_max` `OPEN_EPS`: the sampler keeps `α0` `OPEN_EPS` inside
+/// both ends of `(0, α_max)`, and `θ` in `(OPEN_EPS, θ_max)`.
 ///
 /// # Errors
 ///
@@ -62,14 +73,29 @@ pub fn check_request(request: Request, prior: &PriorSpec, mcmc: &McmcConfig) -> 
             "`chains` × `samples` must be at most {MAX_KEPT_DRAWS} kept draws, got {kept}"
         ));
     }
-    let (limit, value) = match *prior {
-        PriorSpec::Poisson { lambda_max } => ("lambda_max", lambda_max),
-        PriorSpec::NegBinomial { alpha_max } => ("alpha_max", alpha_max),
-    };
-    positive(limit, value)?;
+    let sweeps = mcmc
+        .samples
+        .saturating_mul(mcmc.thin)
+        .saturating_add(mcmc.burn_in)
+        .saturating_mul(mcmc.chains);
+    if sweeps > MAX_SWEEPS {
+        return Err(format!(
+            "`chains` × (`burn_in` + `samples` × `thin`) must be at most {MAX_SWEEPS} sweeps, got {sweeps}"
+        ));
+    }
+    match *prior {
+        PriorSpec::Poisson { lambda_max } => positive("lambda_max", lambda_max)?,
+        PriorSpec::NegBinomial { alpha_max } => {
+            positive("alpha_max", alpha_max)?;
+            above("alpha_max", alpha_max, 2.0 * OPEN_EPS, "2·OPEN_EPS")?;
+        }
+    }
     match request {
         Request::Fit => Ok(()),
-        Request::Select { theta_max } => positive("theta_max", theta_max),
+        Request::Select { theta_max } => {
+            positive("theta_max", theta_max)?;
+            above("theta_max", theta_max, OPEN_EPS, "OPEN_EPS")
+        }
         Request::Predict { horizon: 0 } => Err("`horizon` must be at least 1".into()),
         Request::Predict { horizon } if horizon > MAX_HORIZON => Err(format!(
             "`horizon` must be at most {MAX_HORIZON}, got {horizon}"
@@ -83,6 +109,16 @@ fn positive(name: &str, value: f64) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("`{name}` must be finite and > 0, got {value}"))
+    }
+}
+
+fn above(name: &str, value: f64, floor: f64, floor_name: &str) -> Result<(), String> {
+    if value > floor {
+        Ok(())
+    } else {
+        Err(format!(
+            "`{name}` must be above {floor_name} = {floor:e}, got {value:e}"
+        ))
     }
 }
 
@@ -126,8 +162,10 @@ mod tests {
             check_request(request, &POISSON, &mcmc(4, 4_000, 1)).unwrap();
         }
         check_request(Request::Fit, &POISSON, &mcmc(MAX_CHAINS, 15_625, 7)).unwrap();
-        let nb = PriorSpec::NegBinomial { alpha_max: 1e-300 };
+        let nb = PriorSpec::NegBinomial { alpha_max: 3e-9 };
         check_request(Request::Fit, &nb, &mcmc(1, MAX_KEPT_DRAWS, 1)).unwrap();
+        let select = Request::Select { theta_max: 2e-9 };
+        check_request(select, &POISSON, &mcmc(4, 4_000, 1)).unwrap();
     }
 
     #[test]
@@ -189,6 +227,42 @@ mod tests {
                 POISSON,
                 mcmc(1, 1, 1),
                 "`theta_max` must be finite and > 0",
+            );
+        }
+        for burn_in in [4_294_967_295, usize::MAX] {
+            let config = McmcConfig {
+                burn_in,
+                ..mcmc(1, 1, 1)
+            };
+            rejects(
+                Request::Fit,
+                POISSON,
+                config,
+                "must be at most 10000000 sweeps",
+            );
+        }
+        rejects(
+            Request::Fit,
+            POISSON,
+            mcmc(MAX_CHAINS, 15_625, usize::MAX),
+            "must be at most 10000000 sweeps",
+        );
+        for tiny in [1e-300, 2.0 * OPEN_EPS] {
+            let nb = PriorSpec::NegBinomial { alpha_max: tiny };
+            rejects(
+                Request::Fit,
+                nb,
+                mcmc(1, 1, 1),
+                "`alpha_max` must be above 2·OPEN_EPS = 2e-9",
+            );
+            let select = Request::Select {
+                theta_max: tiny / 2.0,
+            };
+            rejects(
+                select,
+                POISSON,
+                mcmc(1, 1, 1),
+                "`theta_max` must be above OPEN_EPS = 1e-9",
             );
         }
         rejects(

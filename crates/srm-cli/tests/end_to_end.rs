@@ -246,6 +246,42 @@ fn door_check_rejects_each_flag_set_with_exit_1() {
 }
 
 #[test]
+fn door_check_bounds_sweeps_and_the_open_margins_in_one_line() {
+    // Each of these used to run: a burn-in that holds a worker for
+    // days, an α_max whose chains all panicked on `clamp`, and a θ_max
+    // that failed inside the sampler with a 300-digit message.
+    for (args, needle) in [
+        (
+            &["fit", "--burn-in", "4294967295"][..],
+            "must be at most 10000000 sweeps",
+        ),
+        (
+            &["fit", "--prior", "negbinom", "--alpha-max", "1e-300"],
+            "`alpha_max` must be above 2·OPEN_EPS = 2e-9, got 1e-300",
+        ),
+        (
+            &["select", "--theta-max", "1e-300"],
+            "`theta_max` must be above OPEN_EPS = 1e-9, got 1e-300",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_srm"))
+            .args(args)
+            .args(["--dataset", "musa_cc96"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with("srm: ")).collect();
+        assert_eq!(lines.len(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(lines[0]) && lines[0].contains(needle),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn predict_with_a_vanishing_lambda_max_is_an_error_not_a_panic() {
     let err = run(&[
         "predict",

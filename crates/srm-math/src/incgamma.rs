@@ -2,7 +2,9 @@
 //!
 //! `P(a, x) = γ(a, x)/Γ(a)` is the Poisson/Gamma CDF kernel; the Gibbs
 //! sampler draws the Poisson-prior rate `λ0` from a Gamma distribution
-//! truncated to `(0, λ_max)`, which needs the inverse of `P` in `x`.
+//! truncated to `(0, λ_max)`, which needs the inverse of `P` in `x`,
+//! and its `ζ` target with `λ0` integrated out carries `ln P`, which
+//! [`ln_inc_gamma_p`] evaluates where `P` itself underflows.
 //!
 //! Implementation follows the classic series/continued-fraction split
 //! (Numerical Recipes §6.2): the power series converges fast for
@@ -35,9 +37,43 @@ pub fn inc_gamma_p(a: f64, x: f64) -> f64 {
         return 0.0;
     }
     if x < a + 1.0 {
-        gamma_p_series(a, x)
+        ln_gamma_p_series(a, x).exp().clamp(0.0, 1.0)
     } else {
-        1.0 - gamma_q_cf(a, x)
+        1.0 - ln_gamma_q_cf(a, x).exp().clamp(0.0, 1.0)
+    }
+}
+
+/// `ln P(a, x)`, finite wherever `P(a, x) > 0` in exact arithmetic,
+/// including far below the range where `P` itself underflows.
+///
+/// Below `x = a + 1` the power series is summed in log space; above
+/// it, `ln P = ln(1 − Q)` is taken as `ln_1p(−Q)` from the continued
+/// fraction, so it keeps full relative accuracy as `P → 1`.
+///
+/// # Panics
+///
+/// Panics if `a <= 0` or `x < 0`.
+///
+/// # Examples
+///
+/// ```
+/// use srm_math::incgamma::{inc_gamma_p, ln_inc_gamma_p};
+/// assert!((ln_inc_gamma_p(3.0, 2.0) - inc_gamma_p(3.0, 2.0).ln()).abs() < 1e-13);
+/// // P(137, 1e-3) underflows a double; its logarithm does not.
+/// assert_eq!(inc_gamma_p(137.0, 1e-3), 0.0);
+/// assert!(ln_inc_gamma_p(137.0, 1e-3).is_finite());
+/// ```
+#[must_use]
+pub fn ln_inc_gamma_p(a: f64, x: f64) -> f64 {
+    assert!(a > 0.0, "ln_inc_gamma_p requires a > 0, got {a}");
+    assert!(x >= 0.0, "ln_inc_gamma_p requires x >= 0, got {x}");
+    if x == 0.0 {
+        return f64::NEG_INFINITY;
+    }
+    if x < a + 1.0 {
+        ln_gamma_p_series(a, x).min(0.0)
+    } else {
+        (-ln_gamma_q_cf(a, x).exp().clamp(0.0, 1.0)).ln_1p()
     }
 }
 
@@ -66,14 +102,14 @@ pub fn inc_gamma_q(a: f64, x: f64) -> f64 {
         return 1.0;
     }
     if x < a + 1.0 {
-        1.0 - gamma_p_series(a, x)
+        1.0 - ln_gamma_p_series(a, x).exp().clamp(0.0, 1.0)
     } else {
-        gamma_q_cf(a, x)
+        ln_gamma_q_cf(a, x).exp().clamp(0.0, 1.0)
     }
 }
 
-/// Power-series evaluation of `P(a, x)`, convergent for `x < a + 1`.
-fn gamma_p_series(a: f64, x: f64) -> f64 {
+/// Power-series evaluation of `ln P(a, x)`, convergent for `x < a + 1`.
+fn ln_gamma_p_series(a: f64, x: f64) -> f64 {
     let ln_pre = a * x.ln() - x - ln_gamma(a);
     let mut term = 1.0 / a;
     let mut sum = term;
@@ -86,12 +122,12 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (ln_pre + sum.ln()).exp().clamp(0.0, 1.0)
+    ln_pre + sum.ln()
 }
 
-/// Modified-Lentz continued fraction for `Q(a, x)`, convergent for
+/// Modified-Lentz continued fraction for `ln Q(a, x)`, convergent for
 /// `x >= a + 1`.
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
+fn ln_gamma_q_cf(a: f64, x: f64) -> f64 {
     let ln_pre = a * x.ln() - x - ln_gamma(a);
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / TINY;
@@ -115,7 +151,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (ln_pre + h.ln()).exp().clamp(0.0, 1.0)
+    ln_pre + h.ln()
 }
 
 /// Inverse of the regularised lower incomplete gamma in `x`:
@@ -276,6 +312,51 @@ mod tests {
     fn inverse_edges() {
         assert_eq!(inv_inc_gamma_p(2.0, 0.0), 0.0);
         assert!(inv_inc_gamma_p(2.0, 1.0).is_infinite());
+    }
+
+    #[test]
+    fn log_form_matches_the_log_of_p_wherever_p_is_normal() {
+        // Relative to |ln P|, or absolute below 1: near P = 1 the
+        // reference `inc_gamma_p(a, x).ln()` itself keeps only
+        // absolute accuracy.
+        let mut compared = 0;
+        for &a in &[0.5, 1.0, 2.5, 10.0, 37.5, 137.0, 1_000.5] {
+            for &x in &[
+                1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 36.0, 100.0, 136.0, 138.5, 200.0, 900.0,
+                1_100.0, 2_000.0,
+            ] {
+                let p = inc_gamma_p(a, x);
+                if !p.is_normal() {
+                    continue;
+                }
+                let (got, want) = (ln_inc_gamma_p(a, x), p.ln());
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                    "a = {a}, x = {x}: {got} vs {want}"
+                );
+                compared += 1;
+            }
+        }
+        assert!(compared > 60, "{compared}");
+    }
+
+    #[test]
+    fn log_form_survives_underflow_of_p() {
+        assert_eq!(inc_gamma_p(137.0, 1e-3), 0.0);
+        let got = ln_inc_gamma_p(137.0, 1e-3);
+        // Leading term of the series: a ln x − x − ln Γ(a + 1).
+        let leading = 137.0 * 1e-3f64.ln() - 1e-3 - ln_gamma(138.0);
+        assert!(got.is_finite() && (got - leading).abs() < 1e-3, "{got}");
+        // Deep in the upper tail ln P ≈ −Q keeps its digits.
+        let q = inc_gamma_q(5.0, 60.0);
+        assert!(approx_eq(ln_inc_gamma_p(5.0, 60.0), -q, 1e-10));
+    }
+
+    #[test]
+    fn log_form_is_minus_infinity_at_zero() {
+        for &a in &[0.5, 1.0, 137.0] {
+            assert_eq!(ln_inc_gamma_p(a, 0.0), f64::NEG_INFINITY);
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! reproduction is self-contained and bit-reproducible:
 //!
 //! * [`special`] — `ln Γ`, factorials, binomial coefficients.
-//! * [`incgamma`] — regularised incomplete gamma `P(a, x)` / `Q(a, x)`
-//!   and its inverse (used for truncated-gamma sampling).
+//! * [`incgamma`] — regularised incomplete gamma `P(a, x)` / `Q(a, x)`,
+//!   `ln P(a, x)` and the inverse of `P` (used for truncated-gamma
+//!   sampling and the λ0-marginal `ζ` target).
 //! * [`incbeta`] — regularised incomplete beta `I_x(a, b)` and inverse
 //!   (binomial/beta CDFs and quantiles).
 //! * [`erf`](mod@crate::erf) — error function, normal CDF and quantile.
@@ -41,7 +42,7 @@ pub mod stats;
 pub use accum::RunningMoments;
 pub use erf::{erf, erfc, norm_cdf, norm_quantile};
 pub use incbeta::{inc_beta_reg, inv_inc_beta_reg};
-pub use incgamma::{inc_gamma_p, inc_gamma_q, inv_inc_gamma_p};
+pub use incgamma::{inc_gamma_p, inc_gamma_q, inv_inc_gamma_p, ln_inc_gamma_p};
 pub use logsumexp::{log_mean_exp, log_sum_exp};
 pub use special::{ln_binomial, ln_factorial, ln_gamma};
 

@@ -1,20 +1,32 @@
 //! The Gibbs samplers of Eqs. (14)–(22).
 //!
-//! Each sweep updates, in order:
+//! The default (collapsed) sweep integrates `N` out of every update
+//! but the last, and under the Poisson prior integrates `λ0` out of
+//! the `ζ` update too. With `w_i = p_i Π_{j<i} q_j` and
+//! `W = Σ w_i = 1 − Π q_i`, it updates, in order:
 //!
-//! 1. `N` — exact: the residual `R = N − s_k` is `Poisson(λ0 Π q_i)`
+//! 1. Poisson prior: the detection parameters `ζ` by coordinate-wise
+//!    slice sampling of the λ0-marginal target
+//!    `Σ x_i ln w_i − a ln W + ln P(a, λ_max W)` (`a = s_k + 1`, or
+//!    `s_k + ½` under Jeffreys; `P` the regularised lower incomplete
+//!    gamma), then `λ0 | ζ ~ Gamma(a, rate W)` truncated to
+//!    `(0, λ_max)`. A pinned `λ0` keeps the conditional target
+//!    `Σ x_i ln w_i − λ0 W`.
+//!
+//!    NB prior: `β0` and `α0` by slice sampling of the
+//!    negative-multinomial kernel, then `ζ` on
+//!    `Σ x_i ln w_i − (α0 + s_k) ln(1 − (1−β0) Π q_i)`;
+//! 2. `N` — exact: the residual `R = N − s_k` is `Poisson(λ0 Π q_i)`
 //!    (Prop. 1) or `NB(α0 + s_k, 1 − (1−β0) Π q_i)` (corrected
-//!    Prop. 2);
-//! 2. the prior hyper-parameters — `λ0 | N ~ Gamma(N+1, 1)` truncated
-//!    to `(0, λ_max)`; `β0 | N, α0 ~ Beta(α0+1, N+1)`;
-//!    `α0 | N, β0` by slice sampling on `(0, α_max)`;
-//! 3. the detection parameters `ζ` — coordinate-wise slice sampling
-//!    of `Σ x_i ln p_i + Σ (N − s_i) ln q_i` on their uniform-prior
-//!    boxes.
+//!    Prop. 2).
 //!
-//! All conditional densities follow directly from the joint
-//! `P(N) · P(x | N, p(ζ)) · priors`, so the sweep targets the exact
-//! posterior of the paper's hierarchical model.
+//! Drawing `ζ` from a marginal and then `λ0` and `N` from their full
+//! conditionals is a partially collapsed Gibbs sampler (van Dyk &
+//! Park 2008): each step leaves the exact posterior of the paper's
+//! hierarchical model invariant. The naive sweep ([`SweepKind::Naive`])
+//! conditions every update on the current `N` instead: `λ0 | N`,
+//! `β0 | N, α0`, `α0 | N, β0`, then `ζ` on
+//! `Σ x_i ln p_i + Σ (N − s_i) ln q_i`, then `N`.
 
 use crate::chain::Chain;
 use crate::fault::{ChainFailure, FaultKind, RecoveryLog, SrmError};
@@ -22,6 +34,7 @@ use crate::metropolis::AdaptiveRw;
 use crate::runner::{McmcConfig, RunOptions};
 use crate::slice::{try_slice_sample, SliceError};
 use srm_data::BugCountData;
+use srm_math::incgamma::ln_inc_gamma_p;
 use srm_math::special::ln_gamma;
 use srm_model::detection::OPEN_EPS;
 use srm_obs::{profile, AcceptStat, Event, Recorder, NOOP};
@@ -111,7 +124,9 @@ pub enum ZetaKernel {
 /// and `ζ` update analytically (the thinned model's marginal is a
 /// product of independent Poissons given `λ0`, and a closed-form
 /// negative-multinomial given `(α0, β0)`), which removes the strong
-/// `λ0 ↔ N` posterior coupling and mixes dramatically better. The
+/// `λ0 ↔ N` posterior coupling and mixes dramatically better; under
+/// the Poisson prior it integrates `λ0` out of the `ζ` update too,
+/// which removes the `λ0 ↔ ζ` ridge. The
 /// naive sweep conditions every update on the current `N` — the
 /// textbook scheme of Eqs. (14)–(22) — and is kept as an ablation
 /// target.
@@ -202,6 +217,69 @@ impl SuffStatsCache {
     }
 }
 
+/// The λ0-marginal `ζ` target of the Poisson prior.
+///
+/// Integrating `λ0` over its hyper-prior on `(0, λ_max)` out of
+/// `Π_i Poisson(x_i; λ0 w_i)` leaves, up to a constant,
+/// `Σ x_i ln w_i − a ln W + ln P(a, λ_max W)`. Built once per sampler:
+/// past `x_star` the `ln P` term is skipped, because there
+/// `a ln x − x − ln Γ(a) ≤ −50`, so `0 ≤ −ln P(a, x) < 2e-22`, which
+/// the rest of the target absorbs without changing a bit (see
+/// DESIGN.md §4).
+#[derive(Debug, Clone, Copy)]
+struct LambdaMarginal {
+    /// Gamma shape `a` of `λ0 | ζ`: `s_k + 1`, or `s_k + ½` under
+    /// Jeffreys.
+    shape: f64,
+    lambda_max: f64,
+    /// The `x > a` past which `a ln x − x − ln Γ(a) ≤ −50`.
+    x_star: f64,
+}
+
+impl LambdaMarginal {
+    fn new(shape: f64, lambda_max: f64) -> Self {
+        // a ln x − x − ln Γ(a) decreases for x > a: bracket the point
+        // where it crosses −50, then bisect, keeping the upper end.
+        let ln_gamma_a = ln_gamma(shape);
+        let past = |x: f64| shape * x.ln() - x - ln_gamma_a <= -50.0;
+        let (mut lo, mut step) = (shape, 1.0 + shape.sqrt());
+        let mut x_star = f64::INFINITY;
+        for _ in 0..64 {
+            if past(shape + step) {
+                x_star = shape + step;
+                break;
+            }
+            lo = shape + step;
+            step *= 2.0;
+        }
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + x_star);
+            if past(mid) {
+                x_star = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Self {
+            shape,
+            lambda_max,
+            x_star,
+        }
+    }
+
+    /// The target at collapsed statistics `(Σ x_i ln w_i, ln Π q_i)`.
+    fn ln_target(&self, sum_x_ln_w: f64, ln_q: f64) -> f64 {
+        let w = (1.0 - ln_q.exp()).max(f64::MIN_POSITIVE);
+        let x = self.lambda_max * w;
+        let ln_f = sum_x_ln_w - self.shape * w.ln();
+        if x >= self.x_star {
+            ln_f
+        } else {
+            ln_f + ln_inc_gamma_p(self.shape, x)
+        }
+    }
+}
+
 /// The Gibbs sampler for one (prior, detection-model, dataset)
 /// combination.
 ///
@@ -225,6 +303,8 @@ pub struct GibbsSampler {
     zeta_kernel: ZetaKernel,
     cache_stats: bool,
     fixed: FixedParams,
+    /// Set under the Poisson prior, for the hyper-prior in force.
+    lambda_marginal: Option<LambdaMarginal>,
 }
 
 impl GibbsSampler {
@@ -250,7 +330,9 @@ impl GibbsSampler {
             zeta_kernel: ZetaKernel::default(),
             cache_stats: true,
             fixed: FixedParams::default(),
+            lambda_marginal: None,
         }
+        .with_hyper_prior(HyperPrior::default())
     }
 
     /// Selects the `ζ` transition kernel (slice by default).
@@ -283,6 +365,13 @@ impl GibbsSampler {
     #[must_use]
     pub fn with_hyper_prior(mut self, hyper: HyperPrior) -> Self {
         self.hyper_prior = hyper;
+        self.lambda_marginal = match self.prior {
+            PriorSpec::Poisson { lambda_max } => Some(LambdaMarginal::new(
+                (self.total as f64 + 1.0 + self.lambda_shape_shift()).max(0.5),
+                lambda_max,
+            )),
+            PriorSpec::NegBinomial { .. } => None,
+        };
         self
     }
 
@@ -454,10 +543,13 @@ impl GibbsSampler {
     /// data-informed initials (or their pinned values), `N` at `s_k`.
     fn build_initial_state(&self) -> Result<(Vec<(f64, f64)>, SweepState), SrmError> {
         let zeta_bounds = self.model.bounds(&self.bounds);
-        let mut rw_kernels = Vec::with_capacity(zeta_bounds.len());
-        for &(lo, hi) in &zeta_bounds {
-            rw_kernels.push(AdaptiveRw::try_new(0.0, lo, hi)?);
-        }
+        let rw_kernels = match self.zeta_kernel {
+            ZetaKernel::Slice => Vec::new(),
+            ZetaKernel::AdaptiveRw => zeta_bounds
+                .iter()
+                .map(|&(lo, hi)| AdaptiveRw::try_new(0.0, lo, hi))
+                .collect::<Result<_, _>>()?,
+        };
         let (lambda0, alpha0, beta0) = match self.prior {
             PriorSpec::Poisson { lambda_max } => {
                 let init = (2.0 * self.total as f64 + 10.0).min(0.9 * lambda_max);
@@ -519,10 +611,14 @@ impl GibbsSampler {
         })
     }
 
-    /// Advances `state` by exactly one Gibbs sweep (hyper-parameters,
-    /// ζ, then the exact `N`-step), returning the new residual draw.
-    /// Equivalent to one iteration of the chain loop with no burn-in
-    /// bookkeeping, no fault injection and no instrumentation.
+    /// Advances `state` by exactly one Gibbs sweep, returning the new
+    /// residual draw. The collapsed sweep runs, under the Poisson prior,
+    /// ζ on the λ0-marginal target, then `λ0 | ζ`, then the exact
+    /// `N`-step (the `λ0` held in `state` is overwritten, never read,
+    /// unless it is pinned); under the NB prior `β0`, `α0`, ζ, then
+    /// `N`. See the module docs. Equivalent to one iteration of the
+    /// chain loop with no burn-in bookkeeping, no fault injection and
+    /// no instrumentation.
     ///
     /// # Errors
     ///
@@ -834,8 +930,8 @@ impl GibbsSampler {
         Ok((chain, log))
     }
 
-    /// One full Gibbs sweep (hyper-parameters, ζ, then the exact
-    /// N-step) over `state`, returning the new residual draw.
+    /// One full Gibbs sweep over `state` in the order the module docs
+    /// give, returning the new residual draw.
     fn try_sweep<R: Rng + ?Sized>(
         &self,
         state: &mut SweepState,
@@ -856,60 +952,45 @@ impl GibbsSampler {
         let zeta_names = self.model.param_names();
         match self.sweep_kind {
             SweepKind::Collapsed => {
-                // --- 1. Hyper-parameters | ζ (N marginalised out) -----
-                let (_, ln_q) = self.stats_cached(&state.zeta, cache);
-                let survival = ln_q.exp();
-                match self.prior {
-                    PriorSpec::Poisson { lambda_max } => {
-                        // Marginally x_i ~ Poisson(λ0 w_i), so
-                        // λ0 | x, ζ ~ Gamma(s_k+1+shift, 1/Σw_i)
-                        // on (0, λ_max); Σ w_i = 1 − Π q_i. The
-                        // Jeffreys hyper-prior shifts the shape
-                        // by −1/2.
-                        if self.fixed.lambda0.is_none() {
-                            let w_sum = (1.0 - survival).max(OPEN_SHIFT);
-                            let shape =
-                                (self.total as f64 + 1.0 + self.lambda_shape_shift()).max(0.5);
-                            state.lambda0 = TruncatedGamma::new(shape, 1.0 / w_sum, lambda_max)
-                                .map_err(|e| degenerate("lambda0 conditional", &e, sweep))?
-                                .sample(rng);
-                        }
+                // --- 1. NB hyper-parameters | ζ (N marginalised) ------
+                if let PriorSpec::NegBinomial { alpha_max } = self.prior {
+                    let survival = self.stats_cached(&state.zeta, cache).1.exp();
+                    // β0 | α0, ζ, x via the collapsed kernel.
+                    if self.fixed.beta0.is_none() {
+                        let a0 = state.alpha0;
+                        let ln_f_beta = |b: f64| {
+                            self.nb_collapsed_kernel(a0, b, survival) + self.ln_beta0_hyper_prior(b)
+                        };
+                        state.beta0 = try_slice_sample(
+                            ln_f_beta,
+                            state.beta0.clamp(OPEN_EPS, 1.0 - OPEN_EPS),
+                            OPEN_EPS,
+                            1.0 - OPEN_EPS,
+                            rng,
+                        )
+                        .map_err(|e| slice_fault(e, "beta0", sweep))?;
                     }
-                    PriorSpec::NegBinomial { alpha_max } => {
-                        // β0 | α0, ζ, x via the collapsed kernel.
-                        if self.fixed.beta0.is_none() {
-                            let a0 = state.alpha0;
-                            let ln_f_beta = |b: f64| {
-                                self.nb_collapsed_kernel(a0, b, survival)
-                                    + self.ln_beta0_hyper_prior(b)
-                            };
-                            state.beta0 = try_slice_sample(
-                                ln_f_beta,
-                                state.beta0.clamp(OPEN_EPS, 1.0 - OPEN_EPS),
-                                OPEN_EPS,
-                                1.0 - OPEN_EPS,
-                                rng,
-                            )
-                            .map_err(|e| slice_fault(e, "beta0", sweep))?;
-                        }
-                        // α0 | β0, ζ, x via the same kernel.
-                        if self.fixed.alpha0.is_none() {
-                            let b0 = state.beta0;
-                            let ln_f_alpha = |a: f64| self.nb_collapsed_kernel(a, b0, survival);
-                            state.alpha0 = try_slice_sample(
-                                ln_f_alpha,
-                                state.alpha0.clamp(OPEN_EPS, alpha_max - OPEN_EPS),
-                                OPEN_EPS,
-                                alpha_max,
-                                rng,
-                            )
-                            .map_err(|e| slice_fault(e, "alpha0", sweep))?;
-                        }
+                    // α0 | β0, ζ, x via the same kernel.
+                    if self.fixed.alpha0.is_none() {
+                        let b0 = state.beta0;
+                        let ln_f_alpha = |a: f64| self.nb_collapsed_kernel(a, b0, survival);
+                        state.alpha0 = try_slice_sample(
+                            ln_f_alpha,
+                            state.alpha0.clamp(OPEN_EPS, alpha_max - OPEN_EPS),
+                            OPEN_EPS,
+                            alpha_max,
+                            rng,
+                        )
+                        .map_err(|e| slice_fault(e, "alpha0", sweep))?;
                     }
                 }
 
-                // --- 2. ζ | hyper-parameters (N marginalised) ----------
+                // --- 2. ζ (N marginalised; under the Poisson prior λ0
+                // too, unless it is pinned) ----------------------------
                 let (lambda0, alpha0, beta0) = (state.lambda0, state.alpha0, state.beta0);
+                let marginal = self
+                    .lambda_marginal
+                    .filter(|_| self.fixed.lambda0.is_none());
                 let zeta_len = if self.fixed.zeta.is_some() {
                     0
                 } else {
@@ -925,7 +1006,10 @@ impl GibbsSampler {
                         z[j] = v;
                         let (sum_x_ln_w, ln_qz) = self.stats_cached(&z[..zeta_len], cache);
                         match self.prior {
-                            PriorSpec::Poisson { .. } => sum_x_ln_w - lambda0 * (1.0 - ln_qz.exp()),
+                            PriorSpec::Poisson { .. } => match &marginal {
+                                Some(marginal) => marginal.ln_target(sum_x_ln_w, ln_qz),
+                                None => sum_x_ln_w - lambda0 * (1.0 - ln_qz.exp()),
+                            },
                             PriorSpec::NegBinomial { .. } => {
                                 let beta_k = (1.0 - (1.0 - beta0) * ln_qz.exp()).max(OPEN_SHIFT);
                                 sum_x_ln_w - (alpha0 + self.total as f64) * beta_k.ln()
@@ -943,6 +1027,18 @@ impl GibbsSampler {
                                 sweep,
                             })?,
                     };
+                }
+
+                // --- 2b. λ0 | ζ (N marginalised) ----------------------
+                // Marginally x_i ~ Poisson(λ0 w_i), so λ0 | x, ζ ~
+                // Gamma(a, rate W) on (0, λ_max).
+                if let Some(marginal) = marginal {
+                    let ln_q = self.stats_cached(&state.zeta, cache).1;
+                    let w = (1.0 - ln_q.exp()).max(OPEN_SHIFT);
+                    state.lambda0 =
+                        TruncatedGamma::new(marginal.shape, 1.0 / w, marginal.lambda_max)
+                            .map_err(|e| degenerate("lambda0 conditional", &e, sweep))?
+                            .sample(rng);
                 }
             }
             SweepKind::Naive => {
@@ -1652,6 +1748,63 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lambda_marginal_cutoff_changes_no_bit() {
+        // Past x*, the λ0-marginal target skips ln P(a, λ_max W); it
+        // must equal the full evaluation bit for bit at every edge
+        // point of every curve, under both hyper-priors.
+        let base = datasets::musa_cc96();
+        let windows = [
+            base.truncated(20).unwrap(),
+            base.truncated(48).unwrap(),
+            base.clone(),
+            base.extended_with_zeros(50),
+        ];
+        let (mut cut, mut full) = (0, 0);
+        for data in &windows {
+            for hyper in [HyperPrior::Uniform, HyperPrior::Jeffreys] {
+                for model in DetectionModel::ALL {
+                    let sampler = GibbsSampler::new(
+                        PriorSpec::Poisson { lambda_max: 2e3 },
+                        model,
+                        ZetaBounds::default(),
+                        data,
+                    )
+                    .with_hyper_prior(hyper);
+                    let marginal = sampler.lambda_marginal.unwrap();
+                    let a = marginal.shape;
+                    // x* is the first point past which the prefactor of
+                    // Q(a, x) is at most e^−50.
+                    let ln_pre = |x: f64| a * x.ln() - x - ln_gamma(a);
+                    assert!(ln_pre(marginal.x_star) <= -50.0, "{model} a {a}");
+                    assert!(
+                        ln_pre(marginal.x_star * (1.0 - 1e-9)) > -50.0,
+                        "{model} a {a}"
+                    );
+                    for zeta in edge_zetas(model) {
+                        let (sum_x_ln_w, ln_q) = sampler.collapsed_stats(&zeta, None);
+                        let w = (1.0 - ln_q.exp()).max(f64::MIN_POSITIVE);
+                        let x = 2e3 * w;
+                        let reference = sum_x_ln_w - a * w.ln() + ln_inc_gamma_p(a, x);
+                        let got = marginal.ln_target(sum_x_ln_w, ln_q);
+                        assert_eq!(
+                            got.to_bits(),
+                            reference.to_bits(),
+                            "{model} {hyper:?} {zeta:?} horizon {}: {got} vs {reference}",
+                            data.len()
+                        );
+                        if x >= marginal.x_star {
+                            cut += 1;
+                        } else {
+                            full += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cut > 0 && full > 0, "cut {cut}, full {full}");
     }
 
     #[test]

@@ -1851,6 +1851,22 @@ mod tests {
     }
 
     #[test]
+    fn a_burn_in_past_the_sweep_budget_is_rejected() {
+        rejected_at_the_door(
+            r#"{"kind":"fit","dataset":"musa_cc96","burn_in":4294967295,"samples":1,"chains":1,"timeout_ms":1000}"#,
+            "must be at most 10000000 sweeps",
+        );
+    }
+
+    #[test]
+    fn an_alpha_max_inside_the_open_margins_is_rejected() {
+        rejected_at_the_door(
+            r#"{"kind":"fit","dataset":"musa_cc96","prior":"negbinom","alpha_max":1e-300}"#,
+            "`alpha_max` must be above 2·OPEN_EPS",
+        );
+    }
+
+    #[test]
     fn a_negative_theta_max_is_rejected_for_select() {
         rejected_at_the_door(
             r#"{"kind":"select","dataset":"musa_cc96","theta_max":-5}"#,

@@ -53,16 +53,20 @@ BODY=$(printf '{"kind":"fit","dataset":"musa_cc96","model":"%s","prior":"%s","ch
     "$MODEL" "$PRIOR" "$CHAINS" "$SAMPLES" "$BURN_IN" "$SEED")
 
 # Bodies that once aborted the server (a 34 GB horizon vector, a
-# 4-billion-draw chain) or failed only after taking a worker: each
-# must get a 400 before it is queued.
+# 4-billion-draw chain), held a worker for days (a 4-billion-sweep
+# burn-in) or failed only after taking a worker (every NB chain
+# panicked on an alpha_max inside the sampler's OPEN_EPS margins):
+# each must get a 400 before it is queued.
 for BAD in \
     '{"kind":"predict","dataset":"musa_cc96","horizon":4294967295}' \
     '{"kind":"fit","dataset":"musa_cc96","samples":4294967295}' \
-    '{"kind":"fit","dataset":"musa_cc96","lambda_max":-1}'; do
+    '{"kind":"fit","dataset":"musa_cc96","lambda_max":-1}' \
+    '{"kind":"fit","dataset":"musa_cc96","burn_in":4294967295,"samples":1,"chains":1,"timeout_ms":1000}' \
+    '{"kind":"fit","dataset":"musa_cc96","prior":"negbinom","alpha_max":1e-300}'; do
     CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/jobs" -d "$BAD")
     [ "$CODE" = "400" ] || fail "got $CODE, expected 400, for $BAD"
 done
-echo "serve-smoke: door check rejected 3 bodies with 400"
+echo "serve-smoke: door check rejected 5 bodies with 400"
 
 # Two predicts whose fitted lambda0 underflows to 0: each must end
 # `failed` without taking its worker down, so the fit below still

@@ -15,8 +15,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers
 
-use srm::math::incgamma::inc_gamma_p;
+use srm::data::datasets;
+use srm::math::incgamma::{inc_gamma_p, ln_inc_gamma_p};
 use srm::math::quadrature::integrate;
+use srm::model::detection::OPEN_EPS;
 use srm::model::GroupedLikelihood;
 use srm::prelude::*;
 use srm::rand::Xoshiro256StarStar;
@@ -170,4 +172,140 @@ fn analytic_posterior_consistent_with_known_parameter_slice() {
     // The p.m.f. must normalise.
     let total: f64 = (0..200).map(|r| post.ln_pmf(r).exp()).sum();
     assert!((total - 1.0).abs() < 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// λ0-marginal quadrature goldens
+// ---------------------------------------------------------------------------
+
+/// `E[R | x]` for a one-parameter curve under the Poisson prior, by
+/// quadrature over `μ` of the λ0-marginal posterior:
+///
+/// ```text
+/// E[R | x] = ∫ p(μ | x) · (a/W) · P(a+1, λ_max W) / P(a, λ_max W) · Π q_i dμ
+/// p(μ | x) ∝ exp(Σ x_i ln w_i − a ln W + ln P(a, λ_max W))
+/// ```
+///
+/// with `w_i = p_i Π_{j<i} q_j`, `W = 1 − Π q_i` and `a = s_k + 1`
+/// (`s_k + ½` under the Jeffreys hyper-prior). Unlike the Props 1–2
+/// goldens, which pin `λ0`, this integrates the whole hierarchy. It
+/// integrates in `u = logit μ` over the sampler's box
+/// `(OPEN_EPS, 1 − OPEN_EPS)`, on the curve's public probabilities.
+fn marginal_quadrature_mean(
+    model: DetectionModel,
+    data: &BugCountData,
+    lambda_max: f64,
+    shape: f64,
+) -> f64 {
+    let counts = data.counts();
+    // (ln posterior density in u, E[R | μ]) at u.
+    let at = |u: f64| {
+        let mu = 1.0 / (1.0 + (-u).exp());
+        let probs = model.probs(&[mu], data.len()).unwrap();
+        let (mut sum_x_ln_w, mut ln_q) = (0.0, 0.0);
+        for (&p, &x) in probs.iter().zip(counts) {
+            if x > 0 {
+                sum_x_ln_w += x as f64 * (p.ln() + ln_q);
+            }
+            ln_q += (-p).ln_1p();
+        }
+        let w = -ln_q.exp_m1();
+        let ln_p = ln_inc_gamma_p(shape, lambda_max * w);
+        let jacobian = mu.ln() + (1.0 - mu).ln();
+        let ln_density = sum_x_ln_w - shape * w.ln() + ln_p + jacobian;
+        let ratio = (ln_inc_gamma_p(shape + 1.0, lambda_max * w) - ln_p).exp();
+        (ln_density, shape / w * ratio * ln_q.exp())
+    };
+    let logit = |p: f64| (p / (1.0 - p)).ln();
+    let (lo, hi) = (logit(OPEN_EPS), logit(1.0 - OPEN_EPS));
+    // Locate the peak and the support on a grid first: seeding the
+    // adaptive rule at three points would miss a narrow posterior.
+    let grid = 4_000;
+    let step = (hi - lo) / grid as f64;
+    let nodes: Vec<(f64, f64)> = (0..=grid)
+        .map(|i| {
+            let u = lo + step * i as f64;
+            (u, at(u).0)
+        })
+        .collect();
+    let peak = nodes.iter().map(|n| n.1).fold(f64::NEG_INFINITY, f64::max);
+    let inside: Vec<f64> = nodes
+        .iter()
+        .filter(|n| n.1 > peak - 45.0)
+        .map(|n| n.0)
+        .collect();
+    let a = (inside[0] - step).max(lo);
+    let b = (inside[inside.len() - 1] + step).min(hi);
+    let mass = integrate(|u| (at(u).0 - peak).exp(), a, b, 1e-11);
+    let moment = integrate(
+        |u| {
+            let (ln_density, mean) = at(u);
+            (ln_density - peak).exp() * mean
+        },
+        a,
+        b,
+        1e-9,
+    );
+    moment / mass
+}
+
+#[test]
+fn collapsed_gibbs_matches_lambda0_marginal_quadrature() {
+    use srm::mcmc::diagnostics::report;
+    use srm::mcmc::gibbs::HyperPrior;
+
+    let lambda_max = 2_000.0;
+    let base = datasets::musa_cc96();
+    let windows = [
+        base.truncated(48).unwrap(),
+        base.clone(),
+        base.extended_with_zeros(50),
+    ];
+    // (curve, window, hyper-prior, quadrature golden)
+    let cells = [
+        (DetectionModel::Constant, 0, HyperPrior::Uniform, 725.29),
+        (DetectionModel::Constant, 1, HyperPrior::Uniform, 1_188.91),
+        (DetectionModel::Constant, 2, HyperPrior::Uniform, 45.33),
+        (DetectionModel::Pareto, 0, HyperPrior::Uniform, 979.38),
+        (DetectionModel::Pareto, 1, HyperPrior::Uniform, 1_521.75),
+        (DetectionModel::Pareto, 2, HyperPrior::Uniform, 1_463.64),
+        (DetectionModel::Constant, 1, HyperPrior::Jeffreys, 1_114.35),
+    ];
+    let config = McmcConfig {
+        chains: 4,
+        burn_in: 1_000,
+        samples: 4_000,
+        thin: 1,
+        seed: 7,
+    };
+    for (model, window, hyper, golden) in cells {
+        let data = &windows[window];
+        let shape = data.total() as f64
+            + match hyper {
+                HyperPrior::Uniform => 1.0,
+                HyperPrior::Jeffreys => 0.5,
+            };
+        let exact = marginal_quadrature_mean(model, data, lambda_max, shape);
+        let at = format!("{model} {hyper:?} at {} days", data.len());
+        assert!(
+            (exact - golden).abs() < 0.01,
+            "{at}: quadrature {exact} vs {golden}"
+        );
+        let sampler = GibbsSampler::new(
+            PriorSpec::Poisson { lambda_max },
+            model,
+            ZetaBounds::default(),
+            data,
+        )
+        .with_hyper_prior(hyper);
+        let out = run_chains(&sampler, &config);
+        let chains = out.per_chain("residual").unwrap();
+        let pooled = out.pooled("residual");
+        let mean = pooled.iter().sum::<f64>() / pooled.len() as f64;
+        let mcse = report(&chains).mcse;
+        assert!(
+            (mean - exact).abs() < 4.0 * mcse,
+            "{at}: mcmc {mean} (MCSE {mcse}) vs quadrature {exact}"
+        );
+    }
 }
