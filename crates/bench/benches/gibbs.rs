@@ -9,7 +9,7 @@
 
 use srm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use srm_data::datasets;
-use srm_mcmc::gibbs::{GibbsSampler, PriorSpec, SweepKind, ZetaKernel};
+use srm_mcmc::gibbs::{GibbsSampler, PriorSpec, SweepKind};
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_rand::Xoshiro256StarStar;
 use std::hint::black_box;
@@ -94,35 +94,10 @@ fn bench_ablation_collapsed_vs_naive(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ablation_zeta_kernel(c: &mut Criterion) {
-    let data = datasets::musa_cc96();
-    let mut group = c.benchmark_group("gibbs/ablation_zeta_kernel");
-    group.sample_size(20);
-    for (label, kernel) in [
-        ("slice", ZetaKernel::Slice),
-        ("adaptive_rw", ZetaKernel::AdaptiveRw),
-    ] {
-        let sampler = GibbsSampler::new(
-            PriorSpec::Poisson {
-                lambda_max: 2_000.0,
-            },
-            DetectionModel::PadgettSpurrier,
-            ZetaBounds::default(),
-            &data,
-        )
-        .with_zeta_kernel(kernel);
-        group.bench_with_input(BenchmarkId::from_parameter(label), &sampler, |b, s| {
-            b.iter(|| black_box(run_sweeps(s, 100, 14)));
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sweep_cost_by_model,
     bench_sweep_cost_by_prior,
-    bench_ablation_collapsed_vs_naive,
-    bench_ablation_zeta_kernel
+    bench_ablation_collapsed_vs_naive
 );
 criterion_main!(benches);

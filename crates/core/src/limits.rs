@@ -25,6 +25,11 @@ const MAX_SWEEPS: usize = 10_000_000;
 /// Longest prediction horizon, in days.
 pub const MAX_HORIZON: usize = 100_000;
 
+/// Largest `alpha_max`: 100× the largest limit the prior-sensitivity
+/// sweep uses. Far past it the NB residual draw overflows (a saturated
+/// `u64` at 1e50) or the `β0` kernel stops being finite (1e308).
+const MAX_ALPHA_MAX: f64 = 1e6;
+
 /// What a request computes, with the setting only that kind reads.
 #[derive(Debug, Clone, Copy)]
 pub enum Request {
@@ -47,6 +52,7 @@ pub enum Request {
 /// select `theta_max`). `alpha_max` must also exceed `2·OPEN_EPS` and
 /// `theta_max` `OPEN_EPS`: the sampler keeps `α0` `OPEN_EPS` inside
 /// both ends of `(0, α_max)`, and `θ` in `(OPEN_EPS, θ_max)`.
+/// `alpha_max` is also at most 1e6.
 ///
 /// # Errors
 ///
@@ -88,6 +94,11 @@ pub fn check_request(request: Request, prior: &PriorSpec, mcmc: &McmcConfig) -> 
         PriorSpec::NegBinomial { alpha_max } => {
             positive("alpha_max", alpha_max)?;
             above("alpha_max", alpha_max, 2.0 * OPEN_EPS, "2·OPEN_EPS")?;
+            if alpha_max > MAX_ALPHA_MAX {
+                return Err(format!(
+                    "`alpha_max` must be at most {MAX_ALPHA_MAX:e}, got {alpha_max:e}"
+                ));
+            }
         }
     }
     match request {
@@ -162,8 +173,10 @@ mod tests {
             check_request(request, &POISSON, &mcmc(4, 4_000, 1)).unwrap();
         }
         check_request(Request::Fit, &POISSON, &mcmc(MAX_CHAINS, 15_625, 7)).unwrap();
-        let nb = PriorSpec::NegBinomial { alpha_max: 3e-9 };
-        check_request(Request::Fit, &nb, &mcmc(1, MAX_KEPT_DRAWS, 1)).unwrap();
+        for alpha_max in [3e-9, MAX_ALPHA_MAX] {
+            let nb = PriorSpec::NegBinomial { alpha_max };
+            check_request(Request::Fit, &nb, &mcmc(1, MAX_KEPT_DRAWS, 1)).unwrap();
+        }
         let select = Request::Select { theta_max: 2e-9 };
         check_request(select, &POISSON, &mcmc(4, 4_000, 1)).unwrap();
     }
@@ -263,6 +276,15 @@ mod tests {
                 POISSON,
                 mcmc(1, 1, 1),
                 "`theta_max` must be above OPEN_EPS = 1e-9",
+            );
+        }
+        for huge in [2.0 * MAX_ALPHA_MAX, 1e100, f64::MAX] {
+            let nb = PriorSpec::NegBinomial { alpha_max: huge };
+            rejects(
+                Request::Predict { horizon: 30 },
+                nb,
+                mcmc(1, 1, 1),
+                "`alpha_max` must be at most 1e6",
             );
         }
         rejects(

@@ -97,6 +97,7 @@ mod tests {
     use crate::fit::FitConfig;
     use srm_data::datasets;
     use srm_mcmc::runner::McmcConfig;
+    use srm_mcmc::Chain;
     use srm_model::DetectionModel;
 
     fn smoke_fit() -> (Fit, BugCountData) {
@@ -137,13 +138,24 @@ mod tests {
 
     #[test]
     fn vanishing_lambda0_is_a_typed_error() {
-        let data = datasets::musa_cc96();
-        let config = FitConfig {
-            mcmc: McmcConfig::smoke(7),
-            ..FitConfig::default()
-        };
-        let prior = PriorSpec::Poisson { lambda_max: 1e-300 };
-        let fit = Fit::run(prior, DetectionModel::Constant, &data, &config);
+        // A fit whose λ0 draws are all 0: its posterior mean is outside
+        // the Poisson prior's domain.
+        let (mut fit, data) = smoke_fit();
+        for chain in &mut fit.output.chains {
+            let names: Vec<&str> = chain.names().iter().map(String::as_str).collect();
+            let mut zeroed = Chain::new(&names);
+            for row in 0..chain.len() {
+                let values: Vec<f64> = names
+                    .iter()
+                    .map(|&name| match name {
+                        "lambda0" => 0.0,
+                        _ => chain.draws(name).unwrap()[row],
+                    })
+                    .collect();
+                zeroed.push(&values);
+            }
+            *chain = zeroed;
+        }
         let err = predict_from_fit(&fit, &data, 30).unwrap_err();
         assert!(matches!(err, SrmError::InvalidConfig { .. }), "{err}");
     }

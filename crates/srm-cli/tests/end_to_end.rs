@@ -248,8 +248,9 @@ fn door_check_rejects_each_flag_set_with_exit_1() {
 #[test]
 fn door_check_bounds_sweeps_and_the_open_margins_in_one_line() {
     // Each of these used to run: a burn-in that holds a worker for
-    // days, an α_max whose chains all panicked on `clamp`, and a θ_max
-    // that failed inside the sampler with a 300-digit message.
+    // days, an α_max whose chains all panicked on `clamp`, an α_max
+    // whose residual draws saturated a u64, and a θ_max that failed
+    // inside the sampler with a 300-digit message.
     for (args, needle) in [
         (
             &["fit", "--burn-in", "4294967295"][..],
@@ -258,6 +259,10 @@ fn door_check_bounds_sweeps_and_the_open_margins_in_one_line() {
         (
             &["fit", "--prior", "negbinom", "--alpha-max", "1e-300"],
             "`alpha_max` must be above 2·OPEN_EPS = 2e-9, got 1e-300",
+        ),
+        (
+            &["fit", "--prior", "negbinom", "--alpha-max", "1e100"],
+            "`alpha_max` must be at most 1e6, got 1e100",
         ),
         (
             &["select", "--theta-max", "1e-300"],
@@ -282,8 +287,12 @@ fn door_check_bounds_sweeps_and_the_open_margins_in_one_line() {
 }
 
 #[test]
-fn predict_with_a_vanishing_lambda_max_is_an_error_not_a_panic() {
-    let err = run(&[
+fn predict_with_a_vanishing_lambda_max_draws_a_positive_lambda0() {
+    // With λ_max this small every λ0 | ζ draw sits deep in its gamma's
+    // lower tail, where the kept mass underflows a double. The draws
+    // must still be positive: predict refuses a fitted λ0 that is not
+    // finite and > 0, so a prediction at all means λ0 > 0.
+    let out = run(&[
         "predict",
         "--dataset",
         "musa_cc96",
@@ -296,8 +305,12 @@ fn predict_with_a_vanishing_lambda_max_is_an_error_not_a_panic() {
         "--burn-in",
         "10",
     ])
-    .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("lambda0"), "{msg}");
-    assert!(!msg.contains('\n'), "diagnostic must be one line: {msg}");
+    .unwrap();
+    let expected: f64 = out
+        .lines()
+        .find_map(|l| l.strip_prefix("expected detections in the next 30 days: "))
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert!(expected.is_finite() && expected >= 0.0, "{out}");
 }

@@ -30,7 +30,6 @@
 
 use crate::chain::Chain;
 use crate::fault::{ChainFailure, FaultKind, RecoveryLog, SrmError};
-use crate::metropolis::AdaptiveRw;
 use crate::runner::{McmcConfig, RunOptions};
 use crate::slice::{try_slice_sample, SliceError};
 use srm_data::BugCountData;
@@ -44,6 +43,11 @@ use std::time::Instant;
 /// Tiny positive shift keeping exact conditionals strictly inside
 /// their open supports after floating-point round-off.
 const OPEN_SHIFT: f64 = 1e-12;
+
+/// The first residual draw the chain cannot keep: past 2^53 its `f64`
+/// columns are no longer exact (and a saturated `u64` draw would wrap
+/// `s_k + R`).
+const MAX_RESIDUAL: u64 = 1 << 53;
 
 use srm_model::{DayTables, DetectionModel, GroupedLikelihood, HeldFactors, ZetaBounds};
 use srm_rand::{Beta, Distribution, NegativeBinomial, Poisson, Rng, TruncatedGamma};
@@ -105,17 +109,6 @@ impl HyperPrior {
             Self::Jeffreys => "jeffreys",
         }
     }
-}
-
-/// Which transition kernel updates the detection parameters `ζ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ZetaKernel {
-    /// Stepping-out slice sampling (default; tuning-free, exact).
-    #[default]
-    Slice,
-    /// Adaptive random-walk Metropolis (cheaper per iteration;
-    /// adaptation runs during burn-in and freezes afterwards).
-    AdaptiveRw,
 }
 
 /// Which Gibbs sweep to run.
@@ -300,7 +293,6 @@ pub struct GibbsSampler {
     total: u64,
     sweep_kind: SweepKind,
     hyper_prior: HyperPrior,
-    zeta_kernel: ZetaKernel,
     cache_stats: bool,
     fixed: FixedParams,
     /// Set under the Poisson prior, for the hyper-prior in force.
@@ -327,7 +319,6 @@ impl GibbsSampler {
             total: data.total(),
             sweep_kind: SweepKind::default(),
             hyper_prior: HyperPrior::default(),
-            zeta_kernel: ZetaKernel::default(),
             cache_stats: true,
             fixed: FixedParams::default(),
             lambda_marginal: None,
@@ -335,30 +326,11 @@ impl GibbsSampler {
         .with_hyper_prior(HyperPrior::default())
     }
 
-    /// Selects the `ζ` transition kernel (slice by default).
-    #[must_use]
-    pub fn with_zeta_kernel(mut self, kernel: ZetaKernel) -> Self {
-        self.zeta_kernel = kernel;
-        self
-    }
-
-    /// The configured `ζ` kernel.
-    #[must_use]
-    pub fn zeta_kernel(&self) -> ZetaKernel {
-        self.zeta_kernel
-    }
-
     /// Selects the sweep variant (collapsed by default).
     #[must_use]
     pub fn with_sweep_kind(mut self, kind: SweepKind) -> Self {
         self.sweep_kind = kind;
         self
-    }
-
-    /// The configured sweep variant.
-    #[must_use]
-    pub fn sweep_kind(&self) -> SweepKind {
-        self.sweep_kind
     }
 
     /// Selects the non-informative hyper-prior (uniform by default).
@@ -543,13 +515,6 @@ impl GibbsSampler {
     /// data-informed initials (or their pinned values), `N` at `s_k`.
     fn build_initial_state(&self) -> Result<(Vec<(f64, f64)>, SweepState), SrmError> {
         let zeta_bounds = self.model.bounds(&self.bounds);
-        let rw_kernels = match self.zeta_kernel {
-            ZetaKernel::Slice => Vec::new(),
-            ZetaKernel::AdaptiveRw => zeta_bounds
-                .iter()
-                .map(|&(lo, hi)| AdaptiveRw::try_new(0.0, lo, hi))
-                .collect::<Result<_, _>>()?,
-        };
         let (lambda0, alpha0, beta0) = match self.prior {
             PriorSpec::Poisson { lambda_max } => {
                 let init = (2.0 * self.total as f64 + 10.0).min(0.9 * lambda_max);
@@ -587,7 +552,6 @@ impl GibbsSampler {
             beta0: self.fixed.beta0.unwrap_or(beta0),
             // The N the naive sweep conditions on (initialised at s_k).
             last_n: self.total,
-            rw_kernels,
         };
         Ok((zeta_bounds, state))
     }
@@ -685,10 +649,10 @@ impl GibbsSampler {
     /// exercise the runner's containment.
     ///
     /// Typed events (tagged with `chain_id`) go to `recorder` for
-    /// sweep progress, fault injections, faults, retries, Metropolis
-    /// decisions and chain completion. The recorder never touches
-    /// `rng`, so draws are bit-identical for any recorder; with a
-    /// disabled one no event is even constructed. With
+    /// sweep progress, fault injections, faults, retries and chain
+    /// completion. The recorder never touches `rng`, so draws are
+    /// bit-identical for any recorder; with a disabled one no event is
+    /// even constructed. With
     /// `options.checkpoint_every > 0` and an enabled recorder, streaming
     /// convergence accumulators over the kept rows emit a
     /// [`Event::DiagnosticCheckpoint`] every that many sweeps (plus a
@@ -750,8 +714,9 @@ impl GibbsSampler {
         } else {
             usize::MAX
         };
-        let zeta_names = self.model.param_names();
-        let mut tally: Vec<AcceptStat> = zeta_names
+        let mut tally: Vec<AcceptStat> = self
+            .model
+            .param_names()
             .iter()
             .map(|&name| AcceptStat {
                 parameter: name.to_string(),
@@ -772,11 +737,6 @@ impl GibbsSampler {
         let chain_clock = Instant::now();
         let mut sweep = 0usize;
         while sweep < total_sweeps {
-            if sweep == burn_in {
-                for kernel in &mut state.rw_kernels {
-                    kernel.freeze();
-                }
-            }
             let trace_sweep = on && sweep.is_multiple_of(stride);
             if trace_sweep {
                 recorder.record(&Event::SweepStart {
@@ -831,21 +791,12 @@ impl GibbsSampler {
                         }
                     }
                     // The ζ parameters update exactly once per sweep,
-                    // so before/after comparison is the kernel's
-                    // accept/reject decision (for slice sampling, its
-                    // shrink-to-start give-up).
+                    // so before/after comparison is the slice kernel's
+                    // shrink-to-start give-up.
                     for (j, t) in tally.iter_mut().enumerate() {
                         let moved = state.zeta[j].to_bits() != prev_zeta[j].to_bits();
                         t.steps += 1;
                         t.accepted += u64::from(moved);
-                        if trace_sweep && matches!(self.zeta_kernel, ZetaKernel::AdaptiveRw) {
-                            recorder.record(&Event::Metropolis {
-                                chain: chain_id,
-                                sweep,
-                                parameter: zeta_names[j],
-                                accepted: moved,
-                            });
-                        }
                     }
                     if let Some(acc) = streaming.as_ref() {
                         if kept > 0 && (sweep + 1).is_multiple_of(checkpoint_every) {
@@ -949,7 +900,6 @@ impl GibbsSampler {
                 sweep,
             });
         }
-        let zeta_names = self.model.param_names();
         match self.sweep_kind {
             SweepKind::Collapsed => {
                 // --- 1. NB hyper-parameters | ζ (N marginalised) ------
@@ -991,43 +941,19 @@ impl GibbsSampler {
                 let marginal = self
                     .lambda_marginal
                     .filter(|_| self.fixed.lambda0.is_none());
-                let zeta_len = if self.fixed.zeta.is_some() {
-                    0
-                } else {
-                    state.zeta.len()
-                };
-                for j in 0..zeta_len {
-                    let (lo, hi) = zeta_bounds[j];
-                    let current = state.zeta[j].clamp(lo, hi);
-                    let point = probe_buffer(&state.zeta);
-                    let ln_f = |v: f64| {
-                        let _span = profile::span("likelihood");
-                        let mut z = point;
-                        z[j] = v;
-                        let (sum_x_ln_w, ln_qz) = self.stats_cached(&z[..zeta_len], cache);
-                        match self.prior {
-                            PriorSpec::Poisson { .. } => match &marginal {
-                                Some(marginal) => marginal.ln_target(sum_x_ln_w, ln_qz),
-                                None => sum_x_ln_w - lambda0 * (1.0 - ln_qz.exp()),
-                            },
-                            PriorSpec::NegBinomial { .. } => {
-                                let beta_k = (1.0 - (1.0 - beta0) * ln_qz.exp()).max(OPEN_SHIFT);
-                                sum_x_ln_w - (alpha0 + self.total as f64) * beta_k.ln()
-                            }
+                self.update_zeta(&mut state.zeta, zeta_bounds, rng, sweep, |z| {
+                    let (sum_x_ln_w, ln_qz) = self.stats_cached(z, cache);
+                    match self.prior {
+                        PriorSpec::Poisson { .. } => match &marginal {
+                            Some(marginal) => marginal.ln_target(sum_x_ln_w, ln_qz),
+                            None => sum_x_ln_w - lambda0 * (1.0 - ln_qz.exp()),
+                        },
+                        PriorSpec::NegBinomial { .. } => {
+                            let beta_k = (1.0 - (1.0 - beta0) * ln_qz.exp()).max(OPEN_SHIFT);
+                            sum_x_ln_w - (alpha0 + self.total as f64) * beta_k.ln()
                         }
-                    };
-                    state.zeta[j] = match self.zeta_kernel {
-                        ZetaKernel::Slice => try_slice_sample(ln_f, current, lo, hi, rng)
-                            .map_err(|e| slice_fault(e, zeta_names[j], sweep))?,
-                        ZetaKernel::AdaptiveRw => state.rw_kernels[j]
-                            .try_step(ln_f, current, rng)
-                            .map_err(|value| SrmError::NonFiniteLikelihood {
-                                parameter: zeta_names[j],
-                                value,
-                                sweep,
-                            })?,
-                    };
-                }
+                    }
+                })?;
 
                 // --- 2b. λ0 | ζ (N marginalised) ----------------------
                 // Marginally x_i ~ Poisson(λ0 w_i), so λ0 | x, ζ ~
@@ -1090,33 +1016,9 @@ impl GibbsSampler {
 
                 // --- 2. ζ | current N --------------------------------
                 let last_n = state.last_n;
-                let zeta_len = if self.fixed.zeta.is_some() {
-                    0
-                } else {
-                    state.zeta.len()
-                };
-                for j in 0..zeta_len {
-                    let (lo, hi) = zeta_bounds[j];
-                    let current = state.zeta[j].clamp(lo, hi);
-                    let point = probe_buffer(&state.zeta);
-                    let ln_f = |v: f64| {
-                        let _span = profile::span("likelihood");
-                        let mut z = point;
-                        z[j] = v;
-                        self.zeta_log_target(&z[..zeta_len], last_n)
-                    };
-                    state.zeta[j] = match self.zeta_kernel {
-                        ZetaKernel::Slice => try_slice_sample(ln_f, current, lo, hi, rng)
-                            .map_err(|e| slice_fault(e, zeta_names[j], sweep))?,
-                        ZetaKernel::AdaptiveRw => state.rw_kernels[j]
-                            .try_step(ln_f, current, rng)
-                            .map_err(|value| SrmError::NonFiniteLikelihood {
-                                parameter: zeta_names[j],
-                                value,
-                                sweep,
-                            })?,
-                    };
-                }
+                self.update_zeta(&mut state.zeta, zeta_bounds, rng, sweep, |z| {
+                    self.zeta_log_target(z, last_n)
+                })?;
             }
         }
 
@@ -1174,8 +1076,46 @@ impl GibbsSampler {
                     .sample(rng)
             }
         };
+        if residual >= MAX_RESIDUAL {
+            return Err(SrmError::DegeneratePosterior {
+                detail: format!("residual draw {residual} is not below 2^53"),
+                sweep,
+            });
+        }
         state.last_n = self.total + residual;
         Ok(residual)
+    }
+
+    /// Slice-samples each coordinate of `ζ` in turn on `target`, the
+    /// sweep's `ζ` log-density, with the other coordinates held; a
+    /// pinned `ζ` is left as it is. Each probe edits a copy of `ζ` in
+    /// a fixed buffer, so no probe allocates.
+    fn update_zeta<R: Rng + ?Sized>(
+        &self,
+        zeta: &mut [f64],
+        zeta_bounds: &[(f64, f64)],
+        rng: &mut R,
+        sweep: usize,
+        target: impl Fn(&[f64]) -> f64,
+    ) -> Result<(), SrmError> {
+        if self.fixed.zeta.is_some() {
+            return Ok(());
+        }
+        let (len, names) = (zeta.len(), self.model.param_names());
+        for j in 0..len {
+            let (lo, hi) = zeta_bounds[j];
+            let current = zeta[j].clamp(lo, hi);
+            let point = probe_buffer(zeta);
+            let ln_f = |v: f64| {
+                let _span = profile::span("likelihood");
+                let mut z = point;
+                z[j] = v;
+                target(&z[..len])
+            };
+            zeta[j] = try_slice_sample(ln_f, current, lo, hi, rng)
+                .map_err(|e| slice_fault(e, names[j], sweep))?;
+        }
+        Ok(())
     }
 }
 
@@ -1188,7 +1128,6 @@ struct SweepState {
     alpha0: f64,
     beta0: f64,
     last_n: u64,
-    rw_kernels: Vec<AdaptiveRw>,
 }
 
 /// The full mutable state of one chain, exposed for single-sweep
@@ -1510,32 +1449,6 @@ mod tests {
         assert!(
             (uniform - jeffreys).abs() < 0.35 * uniform.max(5.0),
             "uniform {uniform} vs jeffreys {jeffreys}"
-        );
-    }
-
-    #[test]
-    fn adaptive_rw_kernel_agrees_with_slice() {
-        // Both ζ kernels target the same posterior; the residual
-        // means must match within MC error.
-        let data = datasets::musa_cc96().truncated(60).unwrap();
-        let mean_with = |kernel, seed| {
-            let sampler = GibbsSampler::new(
-                PriorSpec::Poisson { lambda_max: 2e3 },
-                DetectionModel::Constant,
-                ZetaBounds::default(),
-                &data,
-            )
-            .with_zeta_kernel(kernel);
-            let mut rng = Xoshiro256StarStar::seed_from(seed);
-            let chain = sampler.run_chain(&mut rng, 800, 3_000, 1);
-            let d = chain.draws("residual").unwrap();
-            d.iter().sum::<f64>() / d.len() as f64
-        };
-        let slice = mean_with(ZetaKernel::Slice, 401);
-        let rw = mean_with(ZetaKernel::AdaptiveRw, 402);
-        assert!(
-            (slice - rw).abs() < 0.3 * slice.max(10.0),
-            "slice {slice} vs adaptive RW {rw}"
         );
     }
 
@@ -1881,55 +1794,120 @@ mod tests {
             PriorSpec::Poisson { lambda_max: 2e3 },
             PriorSpec::NegBinomial { alpha_max: 50.0 },
         ] {
-            for kernel in [ZetaKernel::Slice, ZetaKernel::AdaptiveRw] {
-                let build = |cached| {
-                    GibbsSampler::new(
-                        prior,
-                        DetectionModel::PadgettSpurrier,
-                        ZetaBounds::default(),
-                        &data,
-                    )
-                    .with_zeta_kernel(kernel)
-                    .with_cached_stats(cached)
-                };
-                let run = |sampler: GibbsSampler| {
-                    let mut rng = Xoshiro256StarStar::seed_from(4_040);
-                    sampler.run_chain(&mut rng, 100, 150, 1)
-                };
-                assert_eq!(
-                    run(build(true)),
-                    run(build(false)),
-                    "{prior:?}/{kernel:?} diverged under caching"
+            let build = |cached| {
+                GibbsSampler::new(
+                    prior,
+                    DetectionModel::PadgettSpurrier,
+                    ZetaBounds::default(),
+                    &data,
+                )
+                .with_cached_stats(cached)
+            };
+            let run = |sampler: GibbsSampler| {
+                let mut rng = Xoshiro256StarStar::seed_from(4_040);
+                sampler.run_chain(&mut rng, 100, 150, 1)
+            };
+            assert_eq!(
+                run(build(true)),
+                run(build(false)),
+                "{prior:?} diverged under caching"
+            );
+        }
+    }
+
+    #[test]
+    fn fixed_params_pin_values_and_skip_updates() {
+        // model1 has two ζ coordinates, so a sweep that mishandled the
+        // pinned ζ under either sweep kind would move one of them.
+        let data = small_data();
+        let zeta = [0.99, 1e-3];
+        let cases = [
+            (
+                PriorSpec::Poisson { lambda_max: 2e3 },
+                FixedParams {
+                    zeta: Some(zeta.to_vec()),
+                    lambda0: Some(120.0),
+                    ..FixedParams::default()
+                },
+                vec![("lambda0", 120.0)],
+            ),
+            (
+                PriorSpec::NegBinomial { alpha_max: 50.0 },
+                FixedParams {
+                    zeta: Some(zeta.to_vec()),
+                    alpha0: Some(8.0),
+                    beta0: Some(0.2),
+                    ..FixedParams::default()
+                },
+                vec![("alpha0", 8.0), ("beta0", 0.2)],
+            ),
+        ];
+        for kind in [SweepKind::Collapsed, SweepKind::Naive] {
+            for (prior, fixed, hyper) in &cases {
+                let sampler = GibbsSampler::new(
+                    *prior,
+                    DetectionModel::PadgettSpurrier,
+                    ZetaBounds::default(),
+                    &data,
+                )
+                .with_sweep_kind(kind)
+                .with_fixed(fixed.clone());
+                let mut rng = Xoshiro256StarStar::seed_from(606);
+                let chain = sampler.run_chain(&mut rng, 0, 200, 1);
+                let pinned = hyper
+                    .iter()
+                    .copied()
+                    .chain([("mu", zeta[0]), ("theta", zeta[1])]);
+                for (name, value) in pinned {
+                    for &v in chain.draws(name).unwrap() {
+                        assert_eq!(v.to_bits(), value.to_bits(), "{kind:?} {prior:?} {name}");
+                    }
+                }
+                // The residual still moves: only the N-step consumes RNG.
+                let r = chain.draws("residual").unwrap();
+                assert!(
+                    r.iter().any(|&x| x.to_bits() != r[0].to_bits()),
+                    "{kind:?} {prior:?}"
                 );
             }
         }
     }
 
     #[test]
-    fn fixed_params_pin_values_and_skip_updates() {
-        let data = small_data();
-        let sampler = GibbsSampler::new(
-            PriorSpec::Poisson { lambda_max: 2e3 },
-            DetectionModel::Constant,
-            ZetaBounds::default(),
-            &data,
-        )
-        .with_fixed(FixedParams {
-            zeta: Some(vec![0.05]),
-            lambda0: Some(120.0),
-            ..FixedParams::default()
-        });
-        let mut rng = Xoshiro256StarStar::seed_from(606);
-        let chain = sampler.run_chain(&mut rng, 0, 200, 1);
-        for &l in chain.draws("lambda0").unwrap() {
-            assert_eq!(l.to_bits(), 120.0f64.to_bits());
+    fn a_residual_draw_past_2_pow_53_is_a_typed_fault() {
+        // At α_max 1e100 the NB residual draw saturates at u64::MAX, and
+        // so does the Poisson one at a pinned λ0 of 1e30 with a ζ that
+        // detects almost nothing.
+        let data = datasets::musa_cc96();
+        let samplers = [
+            GibbsSampler::new(
+                PriorSpec::NegBinomial { alpha_max: 1e100 },
+                DetectionModel::Constant,
+                ZetaBounds::default(),
+                &data,
+            ),
+            GibbsSampler::new(
+                PriorSpec::Poisson { lambda_max: 1e31 },
+                DetectionModel::Constant,
+                ZetaBounds::default(),
+                &data,
+            )
+            .with_fixed(FixedParams {
+                zeta: Some(vec![1e-6]),
+                lambda0: Some(1e30),
+                ..FixedParams::default()
+            }),
+        ];
+        for sampler in samplers {
+            let mut state = sampler.init_state().unwrap();
+            let mut rng = Xoshiro256StarStar::seed_from(7);
+            let err = sampler.sweep_state(&mut state, &mut rng).unwrap_err();
+            assert!(
+                matches!(err, SrmError::DegeneratePosterior { sweep: 0, .. }),
+                "{:?}: {err}",
+                sampler.prior()
+            );
         }
-        for &m in chain.draws("mu").unwrap() {
-            assert_eq!(m.to_bits(), 0.05f64.to_bits());
-        }
-        // The residual still moves: only the N-step consumes RNG.
-        let r = chain.draws("residual").unwrap();
-        assert!(r.iter().any(|&x| x.to_bits() != r[0].to_bits()));
     }
 
     #[test]

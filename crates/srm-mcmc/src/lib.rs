@@ -46,7 +46,6 @@ pub mod chain;
 pub mod diagnostics;
 pub mod fault;
 pub mod gibbs;
-pub mod metropolis;
 pub mod runner;
 pub mod slice;
 pub mod streaming;
@@ -58,9 +57,7 @@ pub use fault::{
     ChainFailure, ChainReport, FaultInjector, FaultKind, FaultPlan, FaultPoint, RecoveryLog,
     RetryPolicy, SrmError,
 };
-pub use gibbs::{
-    FixedParams, GibbsSampler, GibbsState, HyperPrior, PriorSpec, SweepKind, ZetaKernel,
-};
+pub use gibbs::{FixedParams, GibbsSampler, GibbsState, HyperPrior, PriorSpec, SweepKind};
 pub use runner::{
     assemble_run, effective_threads, run_chain_task, run_chains, run_chains_fault_tolerant,
     run_chains_fault_tolerant_traced, run_pool, ChainOutcome, FaultTolerantRun, McmcConfig,

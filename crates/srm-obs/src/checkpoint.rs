@@ -129,7 +129,7 @@ pub struct ChainCheckpoint {
     pub wall_ms: f64,
     /// Per-parameter streaming summaries, in chain column order.
     pub params: Vec<ParamCheckpoint>,
-    /// Per-parameter Metropolis acceptance so far.
+    /// Per-parameter `ζ` acceptance so far.
     pub accept: Vec<AcceptStat>,
 }
 

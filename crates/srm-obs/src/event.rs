@@ -5,7 +5,7 @@
 //! do with them (format a progress line, append a JSONL record, bump a
 //! counter). Serialisation lives here — `kind()` gives the stable
 //! kebab-case discriminator written to the `"type"` field,
-//! `to_value()` the full JSON payload, and `to_line()` the schema-v7
+//! `to_value()` the full JSON payload, and `to_line()` the trace
 //! line (payload plus `trace_id` and the writer's stamps) — so every
 //! sink shares a single formatting path.
 
@@ -25,8 +25,9 @@ use crate::profile::PhaseSnapshot;
 /// `batch-start` / `batch-item-done` / `batch-done`; version 7 makes
 /// `trace_id` a required field on every trace line (injected by the
 /// sinks, not carried by the variants) and adds the request-
-/// correlation kinds `access` / `flightrec-dump`.
-pub const SCHEMA_VERSION: u64 = 7;
+/// correlation kinds `access` / `flightrec-dump`; version 8 removes
+/// the `metropolis` kind, whose random-walk `ζ` kernel was deleted.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// The event-taxonomy version. Since v7 this is an alias of the
 /// workspace-wide [`SCHEMA_VERSION`] — the previously scattered
@@ -113,17 +114,6 @@ pub enum Event {
         total: usize,
         /// Post-thinning draws kept so far.
         kept: usize,
-    },
-    /// One Metropolis accept/reject decision (stride-sampled).
-    Metropolis {
-        /// Chain index.
-        chain: usize,
-        /// Sweep index.
-        sweep: usize,
-        /// Parameter the random-walk kernel updated.
-        parameter: &'static str,
-        /// Whether the proposal was accepted.
-        accepted: bool,
     },
     /// A sweep failed with a recoverable fault (slice-expansion
     /// exhaustion, non-finite rate, injected fault, …).
@@ -422,7 +412,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "chain-start",
     "sweep-start",
     "sweep-end",
-    "metropolis",
     "sweep-fault",
     "retry",
     "fault-injected",
@@ -461,7 +450,6 @@ impl Event {
             Event::ChainStart { .. } => "chain-start",
             Event::SweepStart { .. } => "sweep-start",
             Event::SweepEnd { .. } => "sweep-end",
-            Event::Metropolis { .. } => "metropolis",
             Event::SweepFault { .. } => "sweep-fault",
             Event::Retry { .. } => "retry",
             Event::FaultInjected { .. } => "fault-injected",
@@ -497,7 +485,6 @@ impl Event {
             Event::ChainStart { chain, .. }
             | Event::SweepStart { chain, .. }
             | Event::SweepEnd { chain, .. }
-            | Event::Metropolis { chain, .. }
             | Event::SweepFault { chain, .. }
             | Event::Retry { chain, .. }
             | Event::FaultInjected { chain, .. }
@@ -556,17 +543,6 @@ impl Event {
                 push("sweep", Value::Num(*sweep as f64));
                 push("total", Value::Num(*total as f64));
                 push("kept", Value::Num(*kept as f64));
-            }
-            Event::Metropolis {
-                chain,
-                sweep,
-                parameter,
-                accepted,
-            } => {
-                push("chain", Value::Num(*chain as f64));
-                push("sweep", Value::Num(*sweep as f64));
-                push("parameter", Value::Str(parameter.to_string()));
-                push("accepted", Value::Bool(*accepted));
             }
             Event::SweepFault {
                 chain,
@@ -853,7 +829,7 @@ impl Event {
         Value::Obj(pairs)
     }
 
-    /// One schema-v7 line as every writer emits it: `type`, then
+    /// One trace line as every writer emits it: `type`, then
     /// `trace_id`, then the writer's own `stamps` (a sink's `ms`, the
     /// flight recorder's `seq` and `thread`), then the payload.
     pub fn to_line<'a>(
@@ -882,7 +858,6 @@ pub fn required_fields(kind: &str) -> Option<&'static [&'static str]> {
         "chain-start" => &["chain", "sweeps"],
         "sweep-start" => &["chain", "sweep", "total"],
         "sweep-end" => &["chain", "sweep", "total", "kept"],
-        "metropolis" => &["chain", "sweep", "parameter", "accepted"],
         "sweep-fault" => &["chain", "sweep", "kind", "detail"],
         "retry" => &["chain", "sweep", "retries"],
         "fault-injected" => &["chain", "sweep", "kind"],
@@ -948,12 +923,6 @@ mod tests {
                 sweep: 0,
                 total: 100,
                 kept: 0,
-            },
-            Event::Metropolis {
-                chain: 1,
-                sweep: 3,
-                parameter: "zeta0",
-                accepted: true,
             },
             Event::SweepFault {
                 chain: 1,

@@ -25,8 +25,8 @@ pub trait Recorder: Send + Sync {
     fn enabled(&self) -> bool;
 
     /// Granularity for per-sweep events: emit `SweepStart`/`SweepEnd`
-    /// (and stride-sampled `Metropolis` decisions) every `n`-th sweep.
-    /// `usize::MAX` means "no per-sweep events, thanks".
+    /// every `n`-th sweep. `usize::MAX` means "no per-sweep events,
+    /// thanks".
     fn sweep_stride(&self) -> usize {
         usize::MAX
     }

@@ -74,9 +74,9 @@ impl JsonlSink {
 
     fn wants(&self, event: &Event) -> bool {
         match event {
-            Event::SweepStart { sweep, .. }
-            | Event::SweepEnd { sweep, .. }
-            | Event::Metropolis { sweep, .. } => sweep % self.stride == 0,
+            Event::SweepStart { sweep, .. } | Event::SweepEnd { sweep, .. } => {
+                sweep % self.stride == 0
+            }
             _ => true,
         }
     }

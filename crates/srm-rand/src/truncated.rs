@@ -6,12 +6,14 @@
 //! region keeps reasonable mass; otherwise the draw falls back to
 //! exact inverse-CDF sampling through the regularised incomplete
 //! gamma, so the sampler never loops unboundedly when `λ_max` cuts
-//! deep into the distribution's body.
+//! deep into the distribution's body. When the kept mass is too small
+//! for a double, the inverse is taken in log space.
 
 use crate::error::{require, DistributionError};
 use crate::gamma::Gamma;
 use crate::{Distribution, Rng};
-use srm_math::incgamma::{inc_gamma_p, inv_inc_gamma_p};
+use srm_math::incgamma::{inc_gamma_p, inv_inc_gamma_p, ln_inc_gamma_p};
+use srm_math::special::ln_gamma;
 
 /// Gamma distribution truncated to `(0, upper)`.
 ///
@@ -35,6 +37,10 @@ pub struct TruncatedGamma {
 /// Below this kept mass the sampler switches from rejection to
 /// inverse-CDF.
 const REJECTION_MASS_FLOOR: f64 = 0.1;
+
+/// Newton steps the log-space inverse may take; it converges in a
+/// handful.
+const MAX_NEWTON: usize = 100;
 
 impl TruncatedGamma {
     /// Creates a gamma distribution truncated above at `upper`.
@@ -88,6 +94,47 @@ impl TruncatedGamma {
             self.inner.cdf(x) / self.kept_mass
         }
     }
+
+    /// The inverse CDF for a kept mass that is zero or subnormal:
+    /// solves `ln P(a, x) = ln u + ln P(a, c)`, `c = upper/scale`, for
+    /// `t = ln x` by Newton steps kept inside a bracket. On `(0, c)`
+    /// the slope `d ln P / dt = x f(x) / P(a, x)` lies in `(0, a]`, so
+    /// the start `t = ln c + (ln u)/a`, exact in the limit `c → 0`
+    /// where `P(a, x) ∝ x^a`, is never below the root.
+    fn inverse_in_log_space<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let (a, ln_scale) = (self.inner.shape(), self.inner.scale().ln());
+        let ln_u = rng.next_open_f64().ln();
+        let ln_c = self.upper.ln() - ln_scale;
+        let mut t = ln_c + ln_u / a;
+        let c = ln_c.exp();
+        if c > 0.0 {
+            let (target, ln_gamma_a) = (ln_u + ln_inc_gamma_p(a, c), ln_gamma(a));
+            let (mut lo, mut hi) = (f64::NEG_INFINITY, ln_c);
+            for _ in 0..MAX_NEWTON {
+                let x = t.exp();
+                let ln_p = ln_inc_gamma_p(a, x);
+                let excess = ln_p - target;
+                if excess > 0.0 {
+                    hi = t;
+                } else {
+                    lo = t;
+                }
+                let next = t - excess / (a * t - x - ln_gamma_a - ln_p).exp();
+                if (next - t).abs() <= 1e-13 * t.abs().max(1.0) {
+                    t = next;
+                    break;
+                }
+                t = if next > lo && next < hi {
+                    next
+                } else if lo.is_finite() {
+                    0.5 * (lo + hi)
+                } else {
+                    t - (hi - t).max(1.0)
+                };
+            }
+        }
+        (t + ln_scale).exp()
+    }
 }
 
 impl Distribution for TruncatedGamma {
@@ -103,9 +150,14 @@ impl Distribution for TruncatedGamma {
                 }
             }
         }
-        // Inverse-CDF through the regularised incomplete gamma.
-        let u = rng.next_open_f64() * self.kept_mass;
-        let x = inv_inc_gamma_p(self.inner.shape(), u) * self.inner.scale();
+        // Inverse-CDF through the regularised incomplete gamma, in log
+        // space when the kept mass is too small for a double.
+        let x = if self.kept_mass < f64::MIN_POSITIVE {
+            self.inverse_in_log_space(rng)
+        } else {
+            let u = rng.next_open_f64() * self.kept_mass;
+            inv_inc_gamma_p(self.inner.shape(), u) * self.inner.scale()
+        };
         // Guard the boundary against inverse round-off.
         x.min(self.upper * (1.0 - 1e-15))
     }
@@ -144,6 +196,38 @@ mod tests {
         for _ in 0..5_000 {
             let x = tg.sample(&mut rng);
             assert!(x > 0.0 && x <= 50.0, "x = {x}");
+        }
+    }
+
+    #[test]
+    fn an_underflowed_kept_mass_draws_in_log_space() {
+        // P(137, 0.2) underflows a double, so the kept mass is 0 and an
+        // inverse through P itself would return 0 on every draw.
+        let (a, scale, upper) = (137.0, 1e4, 2_000.0);
+        let tg = TruncatedGamma::new(a, scale, upper).unwrap();
+        assert_eq!(tg.kept_mass(), 0.0);
+        let mut rng = SplitMix64::seed_from(57);
+        let n = 20_000;
+        let draws = tg.sample_n(&mut rng, n);
+        assert!(draws.iter().all(|&x| x > 0.0 && x < upper));
+        let mean = draws.iter().sum::<f64>() / n as f64;
+        let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+        // Truncated-gamma mean a·scale·P(a+1, c)/P(a, c), in log space.
+        let c = upper / scale;
+        let analytic = a * scale * (ln_inc_gamma_p(a + 1.0, c) - ln_inc_gamma_p(a, c)).exp();
+        let se = (var / n as f64).sqrt();
+        assert!(
+            (mean - analytic).abs() < 4.0 * se,
+            "mean {mean} vs {analytic} (se {se})"
+        );
+        // Where P itself is representable, the log-space inverse and the
+        // inverse through P take the same u to the same draw.
+        let tg = TruncatedGamma::new(a, 1.0, 40.0).unwrap();
+        assert!(tg.kept_mass() > f64::MIN_POSITIVE && tg.kept_mass() < REJECTION_MASS_FLOOR);
+        let (mut rng_p, mut rng_ln) = (SplitMix64::seed_from(58), SplitMix64::seed_from(58));
+        for _ in 0..500 {
+            let (x, y) = (tg.sample(&mut rng_p), tg.inverse_in_log_space(&mut rng_ln));
+            assert!((x - y).abs() <= 1e-10 * x, "{x} vs {y}");
         }
     }
 

@@ -119,7 +119,7 @@ fn run_options(spec: &JobSpec) -> RunOptions {
         checkpoint_every: SERVE_CHECKPOINT_EVERY,
         // Forward whatever profiler the worker thread has installed
         // (the server's always-on one) so chain threads flush their
-        // sweep/likelihood/proposal spans into the same profile.
+        // sweep/likelihood/suffstats spans into the same profile.
         profiler: srm_obs::profile::current(),
         ..RunOptions::none()
     }

@@ -1867,6 +1867,14 @@ mod tests {
     }
 
     #[test]
+    fn an_alpha_max_past_the_cap_is_rejected() {
+        rejected_at_the_door(
+            r#"{"kind":"fit","dataset":"musa_cc96","prior":"negbinom","alpha_max":1e100}"#,
+            "`alpha_max` must be at most 1e6, got 1e100",
+        );
+    }
+
+    #[test]
     fn a_negative_theta_max_is_rejected_for_select() {
         rejected_at_the_door(
             r#"{"kind":"select","dataset":"musa_cc96","theta_max":-5}"#,
@@ -1897,35 +1905,31 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_predict_frees_its_worker_for_the_next_job() {
-        // λ_max this small passes the door, but the fitted λ0 mean
-        // underflows to 0. predict_from_fit turns that into a typed
-        // error; were it to panic instead, the worker contains the
-        // panic as `job-panicked`. Either way the one worker must live
-        // on and run the fit queued behind the predict.
+    fn a_failing_job_frees_its_worker_for_the_next_job() {
+        // A select reads its 1 ms deadline between models, and its
+        // first model alone samples 4,200 sweeps, so the job fails
+        // inside the worker as `timeout`. The one worker must live on
+        // and run the fit queued behind it.
         let server = Server::start(ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         })
         .unwrap();
         let addr = server.addr();
-        let predict = submit(
+        let select = submit(
             addr,
-            r#"{"kind":"predict","dataset":"musa_cc96","lambda_max":1e-300,
-                "chains":2,"samples":100,"burn_in":10}"#,
+            r#"{"kind":"select","dataset":"musa_cc96","chains":2,"samples":2000,
+                "burn_in":100,"timeout_ms":1}"#,
         );
         let fit = submit(
             addr,
             r#"{"kind":"fit","dataset":"short_campaign_25","model":"model0",
                 "chains":1,"samples":120,"burn_in":40,"seed":9}"#,
         );
-        let failed = wait_terminal(addr, &predict);
+        let failed = wait_terminal(addr, &select);
         assert_eq!(failed.get("status").unwrap().as_str(), Some("failed"));
         let kind = failed.get("error").unwrap().get("kind").unwrap();
-        assert!(
-            matches!(kind.as_str(), Some("invalid-config" | "job-panicked")),
-            "{kind:?}"
-        );
+        assert_eq!(kind.as_str(), Some("timeout"), "{kind:?}");
         let done = wait_terminal(addr, &fit);
         assert_eq!(done.get("status").unwrap().as_str(), Some("done"));
         let (_, health) = http(addr, "GET", "/healthz", "");

@@ -1,7 +1,6 @@
 //! Ablation-a, mixing side: effective sample size per 2 000 sweeps of
-//! the collapsed versus naive Gibbs sweeps (and slice versus adaptive
-//! random-walk ζ kernels) — the numbers behind DESIGN.md's choice of
-//! the collapsed sweep as the default.
+//! the collapsed versus naive Gibbs sweeps — the numbers behind
+//! DESIGN.md's choice of the collapsed sweep as the default.
 //!
 //! ```text
 //! cargo run --release --example ess_ablation
@@ -10,12 +9,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // example code
 
 use srm::mcmc::diagnostics::effective_sample_size;
-use srm::mcmc::gibbs::{SweepKind, ZetaKernel};
+use srm::mcmc::gibbs::SweepKind;
 use srm::prelude::*;
 use srm::rand::Xoshiro256StarStar;
 use srm::report::Table;
 
-fn ess_of(prior: PriorSpec, sweep: SweepKind, kernel: ZetaKernel, seed: u64) -> (f64, f64) {
+fn ess_of(prior: PriorSpec, sweep: SweepKind, seed: u64) -> (f64, f64) {
     let data = datasets::musa_cc96();
     let sampler = GibbsSampler::new(
         prior,
@@ -23,8 +22,7 @@ fn ess_of(prior: PriorSpec, sweep: SweepKind, kernel: ZetaKernel, seed: u64) -> 
         ZetaBounds::default(),
         &data,
     )
-    .with_sweep_kind(sweep)
-    .with_zeta_kernel(kernel);
+    .with_sweep_kind(sweep);
     let mut rng = Xoshiro256StarStar::seed_from(seed);
     let chain = sampler.run_chain(&mut rng, 500, 2_000, 1);
     let residual = effective_sample_size(chain.draws("residual").unwrap());
@@ -40,52 +38,18 @@ fn main() {
         "ESS out of 2 000 kept sweeps — model0 on the full dataset",
         &["ESS(residual)", "ESS(hyper)"],
     );
-    let cases: [(&str, PriorSpec, SweepKind, ZetaKernel); 6] = [
-        (
-            "poisson collapsed+slice",
-            PriorSpec::Poisson {
-                lambda_max: 2_000.0,
-            },
-            SweepKind::Collapsed,
-            ZetaKernel::Slice,
-        ),
-        (
-            "poisson naive+slice",
-            PriorSpec::Poisson {
-                lambda_max: 2_000.0,
-            },
-            SweepKind::Naive,
-            ZetaKernel::Slice,
-        ),
-        (
-            "poisson collapsed+rw",
-            PriorSpec::Poisson {
-                lambda_max: 2_000.0,
-            },
-            SweepKind::Collapsed,
-            ZetaKernel::AdaptiveRw,
-        ),
-        (
-            "negbinom collapsed+slice",
-            PriorSpec::NegBinomial { alpha_max: 100.0 },
-            SweepKind::Collapsed,
-            ZetaKernel::Slice,
-        ),
-        (
-            "negbinom naive+slice",
-            PriorSpec::NegBinomial { alpha_max: 100.0 },
-            SweepKind::Naive,
-            ZetaKernel::Slice,
-        ),
-        (
-            "negbinom collapsed+rw",
-            PriorSpec::NegBinomial { alpha_max: 100.0 },
-            SweepKind::Collapsed,
-            ZetaKernel::AdaptiveRw,
-        ),
+    let poisson = PriorSpec::Poisson {
+        lambda_max: 2_000.0,
+    };
+    let negbinom = PriorSpec::NegBinomial { alpha_max: 100.0 };
+    let cases = [
+        ("poisson collapsed+slice", poisson, SweepKind::Collapsed),
+        ("poisson naive+slice", poisson, SweepKind::Naive),
+        ("negbinom collapsed+slice", negbinom, SweepKind::Collapsed),
+        ("negbinom naive+slice", negbinom, SweepKind::Naive),
     ];
-    for (label, prior, sweep, kernel) in cases {
-        let (residual, hyper) = ess_of(prior, sweep, kernel, 4_242);
+    for (label, prior, sweep) in cases {
+        let (residual, hyper) = ess_of(prior, sweep, 4_242);
         table.row(label, &[residual, hyper]);
     }
     println!("{}", table.render());

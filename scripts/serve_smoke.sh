@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for `srm serve`: boots the server on an ephemeral port,
-# checks that bodies past the request limits get 400 and that failing
-# predict jobs leave their workers alive, then submits a fit job over
+# checks that bodies past the request limits get 400, that a predict
+# with a vanishing lambda_max succeeds and that failing jobs leave their
+# workers alive, then submits a fit job over
 # HTTP and checks the result against the same fit run through the
 # `srm fit` CLI. Also exercises the fit cache
 # (second submission must be a 201 cache hit with an identical body)
@@ -54,39 +55,55 @@ BODY=$(printf '{"kind":"fit","dataset":"musa_cc96","model":"%s","prior":"%s","ch
 
 # Bodies that once aborted the server (a 34 GB horizon vector, a
 # 4-billion-draw chain), held a worker for days (a 4-billion-sweep
-# burn-in) or failed only after taking a worker (every NB chain
-# panicked on an alpha_max inside the sampler's OPEN_EPS margins):
-# each must get a 400 before it is queued.
+# burn-in), failed only after taking a worker (every NB chain
+# panicked on an alpha_max inside the sampler's OPEN_EPS margins) or
+# returned garbage (an alpha_max whose residual draws saturated a
+# u64): each must get a 400 before it is queued.
 for BAD in \
     '{"kind":"predict","dataset":"musa_cc96","horizon":4294967295}' \
     '{"kind":"fit","dataset":"musa_cc96","samples":4294967295}' \
     '{"kind":"fit","dataset":"musa_cc96","lambda_max":-1}' \
     '{"kind":"fit","dataset":"musa_cc96","burn_in":4294967295,"samples":1,"chains":1,"timeout_ms":1000}' \
-    '{"kind":"fit","dataset":"musa_cc96","prior":"negbinom","alpha_max":1e-300}'; do
+    '{"kind":"fit","dataset":"musa_cc96","prior":"negbinom","alpha_max":1e-300}' \
+    '{"kind":"fit","dataset":"musa_cc96","prior":"negbinom","alpha_max":1e100}'; do
     CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/jobs" -d "$BAD")
     [ "$CODE" = "400" ] || fail "got $CODE, expected 400, for $BAD"
 done
-echo "serve-smoke: door check rejected 5 bodies with 400"
+echo "serve-smoke: door check rejected 6 bodies with 400"
 
-# Two predicts whose fitted lambda0 underflows to 0: each must end
-# `failed` without taking its worker down, so the fit below still
-# finds both default workers alive.
-PREDICTS=""
-for PSEED in 1 2; do
-    PBODY=$(printf '{"kind":"predict","dataset":"musa_cc96","lambda_max":1e-300,"chains":2,"samples":100,"burn_in":10,"seed":%d}' "$PSEED")
-    PREDICTS="$PREDICTS $(curl -sf -X POST "$BASE/v1/jobs" -d "$PBODY" | jq -r .id)"
-done
-for PJOB in $PREDICTS; do
+# Waits for job $1 to leave queued/running and prints its status.
+final_status() {
+    local status=""
     for _ in $(seq 1 300); do
-        STATUS=$(curl -sf "$BASE/v1/jobs/$PJOB" | jq -r .status)
-        case "$STATUS" in
+        status=$(curl -sf "$BASE/v1/jobs/$1" | jq -r .status)
+        case "$status" in
             queued | running) sleep 0.2 ;;
             *) break ;;
         esac
     done
-    [ "$STATUS" = "failed" ] || fail "predict $PJOB ended $STATUS, expected failed"
+    echo "$status"
+}
+
+# A predict whose lambda0 draws sit where the truncated gamma's kept
+# mass underflows (they once all came out 0, failing the predict) must
+# end `done`. Two selects that read their 1 ms deadline between models
+# must end `failed` without taking their workers down, so the fit
+# below still finds both default workers alive.
+PBODY='{"kind":"predict","dataset":"musa_cc96","lambda_max":1e-300,"chains":2,"samples":100,"burn_in":10,"seed":1}'
+PJOB=$(curl -sf -X POST "$BASE/v1/jobs" -d "$PBODY" | jq -r .id)
+SELECTS=""
+for SSEED in 1 2; do
+    SBODY=$(printf '{"kind":"select","dataset":"musa_cc96","chains":2,"samples":2000,"burn_in":100,"timeout_ms":1,"seed":%d}' "$SSEED")
+    SELECTS="$SELECTS $(curl -sf -X POST "$BASE/v1/jobs" -d "$SBODY" | jq -r .id)"
 done
-echo "serve-smoke: both degenerate predicts failed cleanly"
+STATUS=$(final_status "$PJOB")
+[ "$STATUS" = "done" ] || fail "predict $PJOB ended $STATUS, expected done"
+echo "serve-smoke: the vanishing-lambda_max predict finished"
+for SJOB in $SELECTS; do
+    STATUS=$(final_status "$SJOB")
+    [ "$STATUS" = "failed" ] || fail "select $SJOB ended $STATUS, expected failed"
+done
+echo "serve-smoke: both timed-out selects failed cleanly"
 
 echo "serve-smoke: submitting fit job"
 SUBMIT=$(curl -sf -X POST "$BASE/v1/jobs" -d "$BODY")

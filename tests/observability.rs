@@ -524,7 +524,7 @@ fn profiled_fit_is_bit_identical_to_unprofiled() {
     let data = datasets::musa_cc96().truncated(48).unwrap();
     // Pseudo-random grid of (model, prior, seed) cases from an LCG:
     // deterministic for CI, varied enough to sweep the likelihood and
-    // proposal code paths the spans instrument.
+    // suffstats code paths the spans instrument.
     let mut state = 0x5_DEEC_E66Du64;
     let mut next = move || {
         state = state
