@@ -22,7 +22,10 @@ pub const MAX_KEPT_DRAWS: usize = 1_000_000;
 /// for days, past its deadline and a cancel.
 const MAX_SWEEPS: usize = 10_000_000;
 
-/// Longest prediction horizon, in days.
+/// Most days any request may name: a prediction horizon, an SBC
+/// grid's simulated testing period or `srm simulate --days`. Each
+/// day costs a slot in a per-day table, so an unbounded count would
+/// ask for more memory than any host has.
 pub const MAX_HORIZON: usize = 100_000;
 
 /// Largest `alpha_max`: 100× the largest limit the prior-sensitivity

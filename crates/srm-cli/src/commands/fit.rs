@@ -7,7 +7,7 @@ use crate::obs::Observability;
 use srm_batch::{run_batch_traced, BatchSpec};
 use srm_core::{Fit, FitConfig, Request};
 use srm_mcmc::runner::RunOptions;
-use srm_mcmc::{AcceptanceSummary, FaultPlan, PosteriorSummary, RetryPolicy};
+use srm_mcmc::{FaultPlan, PosteriorSummary, RetryPolicy};
 use srm_obs::RunManifest;
 
 pub(super) const FLAGS: &[&str] = &[
@@ -135,16 +135,6 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
         fit.waic.p_waic()
     ));
     out.push_str(&format!("converged : {}\n", fit.converged()));
-
-    let acceptance = AcceptanceSummary::from_reports(&tolerant.chain_reports);
-    if !acceptance.is_empty() {
-        let listed: Vec<String> = acceptance
-            .params
-            .iter()
-            .map(|p| format!("{} {:.1}%", p.parameter, p.rate() * 100.0))
-            .collect();
-        out.push_str(&format!("accepted  : {}\n", listed.join(" | ")));
-    }
 
     if tolerant.is_degraded() || tolerant.total_retries() > 0 || inject > 0 {
         out.push_str("\nfault report (per chain)\n");
@@ -414,8 +404,7 @@ mod tests {
         .iter()
         .map(|s| (*s).to_owned())
         .collect();
-        let out = run(&raw).unwrap();
-        assert!(out.contains("accepted  :"), "no acceptance line in:\n{out}");
+        run(&raw).unwrap();
 
         // The trace holds typed events including the injection.
         let text = std::fs::read_to_string(&trace).unwrap();

@@ -73,7 +73,7 @@ SIMULATION (srm simulate):
 OBSERVABILITY (fit/select/trend/sbc):
     --trace-out <run.jsonl>    typed JSONL event stream of the run
     --metrics-out <run.json>   run manifest: seed, dataset hash, timings,
-                               acceptance, fault/retry counters, diagnostics
+                               fault/retry counters, diagnostics
     --progress                 throttled per-chain progress lines on stderr
     --verbosity 0|1|2          progress detail                  [default: 1]
     --checkpoint-every K       streaming convergence checkpoints every K

@@ -7,7 +7,7 @@ use srm_core::Request;
 use srm_mcmc::gibbs::GibbsSampler;
 use srm_mcmc::runner::{run_chains_fault_tolerant_traced, RunOptions};
 use srm_model::{DetectionModel, ZetaBounds};
-use srm_obs::RunManifest;
+use srm_obs::{RunManifest, Span};
 use srm_report::Table;
 use srm_select::waic::waic_from_output;
 
@@ -58,7 +58,10 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
     let mut best = (DetectionModel::Constant, f64::INFINITY);
     for model in DetectionModel::ALL {
         let sampler = GibbsSampler::new(prior, model, bounds, &data);
-        let waic = run_chains_fault_tolerant_traced(&sampler, &mcmc, &options, obs.recorder())
+        let sampling = Span::enter(obs.recorder(), "sampling");
+        let run = run_chains_fault_tolerant_traced(&sampler, &mcmc, &options, obs.recorder());
+        sampling.end();
+        let waic = run
             .and_then(|run| waic_from_output(&sampler, &run.output, obs.recorder()))
             .map_err(|e| ArgError(format!("select failed on {model}: {e}")))?;
         if waic.total() < best.1 {
@@ -110,6 +113,7 @@ mod tests {
     #[test]
     fn select_ranks_models() {
         let path = std::env::temp_dir().join("srm_cli_select_test.csv");
+        let manifest = std::env::temp_dir().join("srm_cli_select_manifest.json");
         let mut f = std::fs::File::create(&path).unwrap();
         for (day, count) in srm_data::datasets::musa_cc96()
             .truncated(48)
@@ -128,6 +132,8 @@ mod tests {
             "300",
             "--burn-in",
             "100",
+            "--metrics-out",
+            manifest.to_str().unwrap(),
         ]
         .iter()
         .map(|s| (*s).to_owned())
@@ -135,5 +141,19 @@ mod tests {
         let out = run(&raw).unwrap();
         assert!(out.contains("model4"));
         assert!(out.contains("best model"));
+
+        // The manifest times the five chain runs as `sampling`, so its
+        // throughput figure is a real rate.
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let doc = srm_obs::json::parse(&text).unwrap();
+        let phases = doc.get("phases").unwrap().as_arr().unwrap();
+        assert!(
+            phases
+                .iter()
+                .any(|p| p.get("phase").and_then(|v| v.as_str()) == Some("sampling")),
+            "{text}"
+        );
+        let rate = doc.get("draws_per_sec").unwrap().as_f64().unwrap();
+        assert!(rate > 0.0, "{text}");
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use crate::commands::parse_model;
+use srm_core::limits::MAX_HORIZON;
 use srm_data::DetectionSimulator;
 use srm_model::DetectionModel;
 
@@ -20,6 +21,11 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
     let seed: u64 = args.get_parsed("seed", 1u64)?;
     if days == 0 {
         return Err(ArgError("`--days` must be positive".into()));
+    }
+    if days > MAX_HORIZON {
+        return Err(ArgError(format!(
+            "`--days` must be at most {MAX_HORIZON}, got {days}"
+        )));
     }
 
     let schedule: Vec<f64> = if let Some(p) = args.get("p") {
@@ -93,6 +99,7 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         assert!(run(&raw(&["simulate", "--days", "0"])).is_err());
+        assert!(run(&raw(&["simulate", "--days", "100001", "--p", "0.1"])).is_err());
         assert!(run(&raw(&["simulate", "--p", "1.5"])).is_err());
         assert!(run(&raw(&["simulate", "--model", "model1"])).is_err()); // params missing
         assert!(run(&raw(&["simulate", "--model", "model1", "--params", "x"])).is_err());

@@ -1,6 +1,6 @@
 //! CLI wiring for the observability layer.
 //!
-//! Every estimation command accepts the same five controls:
+//! Every estimation command accepts the same seven controls:
 //!
 //! * `--trace-out <file.jsonl>` — typed event stream, one JSON object
 //!   per line ([`srm_obs::JsonlSink`]);
@@ -271,8 +271,8 @@ impl Observability {
         }
     }
 
-    /// Fills the stats-derived manifest fields (phases, acceptance,
-    /// fault/retry counters, diagnostics, WAIC, throughput) and
+    /// Fills the stats-derived manifest fields (phases, per-chain
+    /// reports, fault/retry counters, diagnostics, WAIC, throughput) and
     /// writes the document when `--metrics-out` was given.
     ///
     /// `kept_draws` is the total number of posterior draws the run

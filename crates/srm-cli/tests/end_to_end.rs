@@ -250,28 +250,63 @@ fn door_check_bounds_sweeps_and_the_open_margins_in_one_line() {
     // Each of these used to run: a burn-in that holds a worker for
     // days, an α_max whose chains all panicked on `clamp`, an α_max
     // whose residual draws saturated a u64, and a θ_max that failed
-    // inside the sampler with a 300-digit message.
+    // inside the sampler with a 300-digit message. Unchecked, the sbc
+    // and simulate cases each ask for tens of gigabytes or more and
+    // abort the process.
+    let grid = temp_csv("srm_cli_e2e_huge_grid.json", r#"{"days": 1e12}"#);
+    let grid = grid.to_str().unwrap();
     for (args, needle) in [
         (
-            &["fit", "--burn-in", "4294967295"][..],
+            &["fit", "--dataset", "musa_cc96", "--burn-in", "4294967295"][..],
             "must be at most 10000000 sweeps",
         ),
         (
-            &["fit", "--prior", "negbinom", "--alpha-max", "1e-300"],
+            &[
+                "fit",
+                "--dataset",
+                "musa_cc96",
+                "--prior",
+                "negbinom",
+                "--alpha-max",
+                "1e-300",
+            ],
             "`alpha_max` must be above 2·OPEN_EPS = 2e-9, got 1e-300",
         ),
         (
-            &["fit", "--prior", "negbinom", "--alpha-max", "1e100"],
+            &[
+                "fit",
+                "--dataset",
+                "musa_cc96",
+                "--prior",
+                "negbinom",
+                "--alpha-max",
+                "1e100",
+            ],
             "`alpha_max` must be at most 1e6, got 1e100",
         ),
         (
-            &["select", "--theta-max", "1e-300"],
+            &["select", "--dataset", "musa_cc96", "--theta-max", "1e-300"],
             "`theta_max` must be above OPEN_EPS = 1e-9, got 1e-300",
+        ),
+        (
+            &["sbc", "--samples", "4294967295"],
+            "must be at most 1000000 kept draws, got 8589934590",
+        ),
+        (
+            &["sbc", "--reps", "4294967295"],
+            "sbc reps must be at most 10000, got 4294967295",
+        ),
+        (
+            &["sbc", "--grid", grid],
+            "grid `days` must be at most 100000, got 1000000000000",
+        ),
+        (
+            &["simulate", "--days", "1000000000000", "--p", "0.1"],
+            "`--days` must be at most 100000, got 1000000000000",
         ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_srm"))
             .args(args)
-            .args(["--dataset", "musa_cc96"])
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -280,9 +280,6 @@ pub struct RecoveryLog {
     pub retries: usize,
     /// The most recent fault recovered from (`None` for a clean run).
     pub last_fault: Option<SrmError>,
-    /// Per-parameter move statistics for the kernel-sampled (ζ)
-    /// parameters, accumulated over every attempted sweep.
-    pub accept: Vec<srm_obs::AcceptStat>,
 }
 
 /// A chain that could not complete: the fatal fault and the retries
@@ -307,8 +304,6 @@ pub struct ChainReport {
     pub retries: usize,
     /// Whether the chain contributed draws to the output.
     pub recovered: bool,
-    /// Per-parameter acceptance statistics (empty for lost chains).
-    pub accept: Vec<srm_obs::AcceptStat>,
 }
 
 impl fmt::Display for ChainReport {

@@ -36,7 +36,7 @@ use srm_data::BugCountData;
 use srm_math::incgamma::ln_inc_gamma_p;
 use srm_math::special::ln_gamma;
 use srm_model::detection::OPEN_EPS;
-use srm_obs::{profile, AcceptStat, Event, Recorder, NOOP};
+use srm_obs::{profile, Event, Recorder, NOOP};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -714,17 +714,6 @@ impl GibbsSampler {
         } else {
             usize::MAX
         };
-        let mut tally: Vec<AcceptStat> = self
-            .model
-            .param_names()
-            .iter()
-            .map(|&name| AcceptStat {
-                parameter: name.to_string(),
-                steps: 0,
-                accepted: 0,
-            })
-            .collect();
-        let mut prev_zeta = vec![0.0f64; state.zeta.len()];
         if on {
             recorder.record(&Event::ChainStart {
                 chain: chain_id,
@@ -764,7 +753,6 @@ impl GibbsSampler {
             let snapshot = (retry.max_retries > 0).then(|| state.clone());
             let will_record =
                 sweep >= burn_in && (sweep - burn_in).is_multiple_of(thin) && kept < samples;
-            prev_zeta.copy_from_slice(&state.zeta);
 
             let outcome = {
                 let _sweep_span = profile::span("sweep");
@@ -790,14 +778,6 @@ impl GibbsSampler {
                             acc.push_row(&row);
                         }
                     }
-                    // The ζ parameters update exactly once per sweep,
-                    // so before/after comparison is the slice kernel's
-                    // shrink-to-start give-up.
-                    for (j, t) in tally.iter_mut().enumerate() {
-                        let moved = state.zeta[j].to_bits() != prev_zeta[j].to_bits();
-                        t.steps += 1;
-                        t.accepted += u64::from(moved);
-                    }
                     if let Some(acc) = streaming.as_ref() {
                         if kept > 0 && (sweep + 1).is_multiple_of(checkpoint_every) {
                             recorder.record(&Event::DiagnosticCheckpoint {
@@ -806,7 +786,6 @@ impl GibbsSampler {
                                     sweep,
                                     kept,
                                     chain_clock.elapsed().as_secs_f64() * 1e3,
-                                    tally.clone(),
                                 ),
                             });
                             last_checkpoint = Some(sweep);
@@ -865,19 +844,10 @@ impl GibbsSampler {
                         total_sweeps - 1,
                         kept,
                         chain_clock.elapsed().as_secs_f64() * 1e3,
-                        tally.clone(),
                     ),
                 });
             }
         }
-        if on {
-            recorder.record(&Event::ChainDone {
-                chain: chain_id,
-                retries: log.retries as u64,
-                accept: tally.clone(),
-            });
-        }
-        log.accept = tally;
         Ok((chain, log))
     }
 

@@ -64,4 +64,4 @@ pub use runner::{
     McmcOutput, RunOptions,
 };
 pub use streaming::{ChainAccumulator, ParamAccumulator, DEFAULT_LAG_WINDOW};
-pub use summary::{AcceptanceSummary, PosteriorSummary};
+pub use summary::PosteriorSummary;

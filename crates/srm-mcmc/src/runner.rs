@@ -440,7 +440,6 @@ pub fn assemble_run(
                 }),
                 retries: 0,
                 recovered: false,
-                accept: Vec::new(),
             },
             events: Vec::new(),
             wall_ms: 0.0,
@@ -523,7 +522,6 @@ pub fn run_chain_task(
             RecoveryLog {
                 retries,
                 last_fault,
-                accept,
             },
         ))) => (
             Some(chain),
@@ -532,7 +530,6 @@ pub fn run_chain_task(
                 fault: last_fault,
                 retries,
                 recovered: true,
-                accept,
             },
         ),
         Ok(Err(failure)) => (
@@ -542,7 +539,6 @@ pub fn run_chain_task(
                 fault: Some(failure.fault),
                 retries: failure.retries,
                 recovered: false,
-                accept: Vec::new(),
             },
         ),
         Err(payload) => {
@@ -560,7 +556,6 @@ pub fn run_chain_task(
                     fault: Some(SrmError::ChainPanicked { chain: i, message }),
                     retries: 0,
                     recovered: false,
-                    accept: Vec::new(),
                 },
             )
         }

@@ -28,7 +28,6 @@
 
 use srm_math::RunningMoments;
 use srm_obs::checkpoint::{ChainCheckpoint, MomentSummary, ParamCheckpoint};
-use srm_obs::AcceptStat;
 
 /// Default autocovariance window: lags 0..=100 are tracked, matching
 /// the region where Geyer truncation lands for chains that mix at all.
@@ -245,7 +244,6 @@ impl ChainAccumulator {
         sweep: usize,
         kept: usize,
         wall_ms: f64,
-        accept: Vec<AcceptStat>,
     ) -> ChainCheckpoint {
         let wall_secs = wall_ms / 1e3;
         ChainCheckpoint {
@@ -265,7 +263,6 @@ impl ChainAccumulator {
                     param
                 })
                 .collect(),
-            accept,
         }
     }
 }
@@ -439,17 +436,7 @@ mod tests {
             acc.push_row(&[i as f64, 90.0 + (i % 3) as f64]);
         }
         assert_eq!(acc.count(), 50);
-        let cp = acc.checkpoint(
-            2,
-            149,
-            50,
-            2_000.0,
-            vec![AcceptStat {
-                parameter: "zeta0".into(),
-                steps: 150,
-                accepted: 60,
-            }],
-        );
+        let cp = acc.checkpoint(2, 149, 50, 2_000.0);
         assert_eq!(cp.chain, 2);
         assert_eq!(cp.sweep, 149);
         assert_eq!(cp.kept, 50);
@@ -459,7 +446,6 @@ mod tests {
         assert_eq!(cp.params[0].moments.count, 50);
         assert!((cp.params[0].moments.mean - 24.5).abs() < 1e-12);
         assert!((cp.params[0].ess_per_sec - cp.params[0].ess / 2.0).abs() < 1e-12);
-        assert_eq!(cp.accept[0].accepted, 60);
     }
 
     #[test]
@@ -468,7 +454,7 @@ mod tests {
         for i in 0..10 {
             acc.push_row(&[i as f64]);
         }
-        let cp = acc.checkpoint(0, 9, 10, 0.0, vec![]);
+        let cp = acc.checkpoint(0, 9, 10, 0.0);
         assert_eq!(cp.params[0].ess_per_sec, 0.0);
         assert!(cp.params[0].ess > 0.0);
     }

@@ -1,10 +1,7 @@
 //! Posterior summaries: the statistics Tables II–V report, plus the
-//! box-plot five-number summaries behind Figs. 2–3 and the pooled
-//! kernel acceptance rates surfaced by the observability layer.
+//! box-plot five-number summaries behind Figs. 2–3.
 
-use crate::fault::ChainReport;
 use srm_math::accum::RunningMoments;
-use srm_obs::AcceptStat;
 
 /// Summary statistics of a set of posterior draws.
 ///
@@ -141,71 +138,6 @@ impl PosteriorSummary {
             }
         }
         best
-    }
-}
-
-/// Kernel acceptance rates pooled across the chains of a run.
-///
-/// Built from the per-chain [`ChainReport::accept`] statistics the
-/// fault-tolerant runner collects; steps and accepts are summed per
-/// parameter over every contributing chain.
-///
-/// # Examples
-///
-/// ```
-/// use srm_mcmc::AcceptanceSummary;
-/// use srm_obs::AcceptStat;
-///
-/// let stat = |accepted| AcceptStat { parameter: "zeta0".into(), steps: 10, accepted };
-/// let per_chain = [vec![stat(4)], vec![stat(6)]];
-/// let pooled = AcceptanceSummary::pooled(per_chain.iter().map(Vec::as_slice));
-/// assert_eq!(pooled.rate("zeta0"), Some(0.5));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AcceptanceSummary {
-    /// Pooled per-parameter statistics, in parameter order.
-    pub params: Vec<AcceptStat>,
-}
-
-impl AcceptanceSummary {
-    /// Pools per-chain acceptance slices (parameters are matched by
-    /// name, so chains with differing parameter sets still pool).
-    pub fn pooled<'a>(chains: impl IntoIterator<Item = &'a [AcceptStat]>) -> Self {
-        let mut params: Vec<AcceptStat> = Vec::new();
-        for chain in chains {
-            for stat in chain {
-                match params.iter_mut().find(|p| p.parameter == stat.parameter) {
-                    Some(p) => {
-                        p.steps += stat.steps;
-                        p.accepted += stat.accepted;
-                    }
-                    None => params.push(stat.clone()),
-                }
-            }
-        }
-        Self { params }
-    }
-
-    /// Pools the acceptance statistics of a run's chain reports
-    /// (lost chains contribute nothing).
-    #[must_use]
-    pub fn from_reports(reports: &[ChainReport]) -> Self {
-        Self::pooled(reports.iter().map(|r| r.accept.as_slice()))
-    }
-
-    /// The pooled acceptance rate of `parameter`, if it was sampled.
-    #[must_use]
-    pub fn rate(&self, parameter: &str) -> Option<f64> {
-        self.params
-            .iter()
-            .find(|p| p.parameter == parameter)
-            .map(AcceptStat::rate)
-    }
-
-    /// Whether any statistics were collected.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
     }
 }
 

@@ -11,7 +11,6 @@
 //! checkpoint aggregate agrees with the post-hoc report up to
 //! floating-point round-off.
 
-use crate::event::AcceptStat;
 use crate::json::Value;
 
 /// Streaming moment summary of a block of draws (a chain, or one half
@@ -129,13 +128,12 @@ pub struct ChainCheckpoint {
     pub wall_ms: f64,
     /// Per-parameter streaming summaries, in chain column order.
     pub params: Vec<ParamCheckpoint>,
-    /// Per-parameter `ζ` acceptance so far.
-    pub accept: Vec<AcceptStat>,
 }
 
 impl ChainCheckpoint {
     /// Parses a full `diagnostic-checkpoint` JSON record (as found on
-    /// a JSONL trace line) back into the typed payload.
+    /// a JSONL trace line) back into the typed payload. The `accept`
+    /// array of a schema ≤ 8 record is ignored.
     #[must_use]
     pub fn from_value(value: &Value) -> Option<Self> {
         let params = value
@@ -144,18 +142,6 @@ impl ChainCheckpoint {
             .iter()
             .map(ParamCheckpoint::from_value)
             .collect::<Option<Vec<_>>>()?;
-        let accept = value
-            .get("accept")?
-            .as_arr()?
-            .iter()
-            .map(|a| {
-                Some(AcceptStat {
-                    parameter: a.get("parameter")?.as_str()?.to_owned(),
-                    steps: a.get("steps")?.as_f64()? as u64,
-                    accepted: a.get("accepted")?.as_f64()? as u64,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
         Some(Self {
             chain: value.get("chain")?.as_f64()? as usize,
             sweep: value.get("sweep")?.as_f64()? as usize,
@@ -163,7 +149,6 @@ impl ChainCheckpoint {
             // Absent on schema ≤ 3 traces; default to 0.
             wall_ms: value.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0),
             params,
-            accept,
         })
     }
 }
@@ -354,11 +339,6 @@ mod tests {
                 mcse: (moments_of(draws).variance / ess).sqrt(),
                 ess_per_sec: ess / 0.5,
             }],
-            accept: vec![AcceptStat {
-                parameter: "zeta0".into(),
-                steps: 10,
-                accepted: 4,
-            }],
         }
     }
 
@@ -499,7 +479,7 @@ mod tests {
         let a: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let c = checkpoint(3, &a, 12.0);
         // Build the event-shaped JSON by hand (mirrors Event::to_value).
-        let value = Value::obj(vec![
+        let mut fields = vec![
             ("type", Value::Str("diagnostic-checkpoint".into())),
             ("chain", Value::Num(c.chain as f64)),
             ("sweep", Value::Num(c.sweep as f64)),
@@ -509,23 +489,21 @@ mod tests {
                 "params",
                 Value::Arr(c.params.iter().map(ParamCheckpoint::to_value).collect()),
             ),
-            (
-                "accept",
-                Value::Arr(
-                    c.accept
-                        .iter()
-                        .map(|s| {
-                            Value::obj(vec![
-                                ("parameter", Value::Str(s.parameter.clone())),
-                                ("steps", Value::Num(s.steps as f64)),
-                                ("accepted", Value::Num(s.accepted as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        let back = ChainCheckpoint::from_value(&value).unwrap();
+        ];
+        let back = ChainCheckpoint::from_value(&Value::obj(fields.clone())).unwrap();
+        assert_eq!(back, c);
+        // A schema-8 line also carries an `accept` array; old traces
+        // must still parse to the same checkpoint.
+        fields.push((
+            "accept",
+            Value::Arr(vec![Value::obj(vec![
+                ("parameter", Value::Str("zeta0".into())),
+                ("steps", Value::Num(10.0)),
+                ("accepted", Value::Num(10.0)),
+                ("rate", Value::Num(1.0)),
+            ])]),
+        ));
+        let back = ChainCheckpoint::from_value(&Value::obj(fields)).unwrap();
         assert_eq!(back, c);
     }
 }

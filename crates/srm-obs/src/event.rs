@@ -26,35 +26,17 @@ use crate::profile::PhaseSnapshot;
 /// `trace_id` a required field on every trace line (injected by the
 /// sinks, not carried by the variants) and adds the request-
 /// correlation kinds `access` / `flightrec-dump`; version 8 removes
-/// the `metropolis` kind, whose random-walk `ζ` kernel was deleted.
-pub const SCHEMA_VERSION: u64 = 8;
+/// the `metropolis` kind, whose random-walk `ζ` kernel was deleted;
+/// version 9 removes the per-parameter acceptance record (`AcceptStat`,
+/// the `chain-done` kind and the `accept` field of
+/// `diagnostic-checkpoint`), which read 100% for every slice-sampled
+/// parameter.
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// The event-taxonomy version. Since v7 this is an alias of the
 /// workspace-wide [`SCHEMA_VERSION`] — the previously scattered
 /// per-document constants all resolve here.
 pub const EVENT_SCHEMA_VERSION: u64 = SCHEMA_VERSION;
-
-/// Per-parameter accept statistics carried by [`Event::ChainDone`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AcceptStat {
-    /// Parameter name (e.g. `"zeta0"`).
-    pub parameter: String,
-    /// Kernel steps taken for this parameter.
-    pub steps: u64,
-    /// Steps on which the parameter actually moved.
-    pub accepted: u64,
-}
-
-impl AcceptStat {
-    /// Fraction of steps accepted (0 when no steps were taken).
-    pub fn rate(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.steps as f64
-        }
-    }
-}
 
 /// A structured, typed trace event.
 ///
@@ -152,17 +134,9 @@ pub enum Event {
         /// Panic payload rendering.
         detail: String,
     },
-    /// A chain's sweep loop finished (successfully).
-    ChainDone {
-        /// Chain index.
-        chain: usize,
-        /// Retries the chain consumed.
-        retries: u64,
-        /// Per-parameter acceptance statistics.
-        accept: Vec<AcceptStat>,
-    },
     /// One entry of a fault-tolerant run's final report. Emitted once
-    /// per surviving chain after the run is assembled, so counting
+    /// per configured chain (lost ones included) after the run is
+    /// assembled, whenever any chain survived, so counting
     /// these (plus `CellFailure`) reproduces the engine's own fault
     /// counters exactly.
     ChainReport {
@@ -272,8 +246,8 @@ pub enum Event {
         cache_key: String,
     },
     /// A periodic streaming-diagnostics snapshot for one chain:
-    /// per-parameter running moments, split halves, ESS/MCSE, and
-    /// acceptance so far. Emitted every `checkpoint_every` sweeps
+    /// per-parameter running moments, split halves and ESS/MCSE so
+    /// far. Emitted every `checkpoint_every` sweeps
     /// (and once at chain end) when checkpoints are enabled.
     DiagnosticCheckpoint {
         /// The full per-chain checkpoint payload.
@@ -416,7 +390,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "retry",
     "fault-injected",
     "chain-panicked",
-    "chain-done",
     "chain-report",
     "cell-start",
     "cell-end",
@@ -454,7 +427,6 @@ impl Event {
             Event::Retry { .. } => "retry",
             Event::FaultInjected { .. } => "fault-injected",
             Event::ChainPanicked { .. } => "chain-panicked",
-            Event::ChainDone { .. } => "chain-done",
             Event::ChainReport { .. } => "chain-report",
             Event::CellStart { .. } => "cell-start",
             Event::CellEnd { .. } => "cell-end",
@@ -489,7 +461,6 @@ impl Event {
             | Event::Retry { chain, .. }
             | Event::FaultInjected { chain, .. }
             | Event::ChainPanicked { chain, .. }
-            | Event::ChainDone { chain, .. }
             | Event::ChainReport { chain, .. } => Some(*chain),
             Event::DiagnosticCheckpoint { checkpoint } => Some(checkpoint.chain),
             _ => None,
@@ -572,30 +543,6 @@ impl Event {
             Event::ChainPanicked { chain, detail } => {
                 push("chain", Value::Num(*chain as f64));
                 push("detail", Value::Str(detail.clone()));
-            }
-            Event::ChainDone {
-                chain,
-                retries,
-                accept,
-            } => {
-                push("chain", Value::Num(*chain as f64));
-                push("retries", Value::Num(*retries as f64));
-                push(
-                    "accept",
-                    Value::Arr(
-                        accept
-                            .iter()
-                            .map(|a| {
-                                Value::obj(vec![
-                                    ("parameter", Value::Str(a.parameter.clone())),
-                                    ("steps", Value::Num(a.steps as f64)),
-                                    ("accepted", Value::Num(a.accepted as f64)),
-                                    ("rate", Value::Num(a.rate())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                );
             }
             Event::ChainReport {
                 chain,
@@ -703,23 +650,6 @@ impl Event {
                 push(
                     "params",
                     Value::Arr(checkpoint.params.iter().map(|p| p.to_value()).collect()),
-                );
-                push(
-                    "accept",
-                    Value::Arr(
-                        checkpoint
-                            .accept
-                            .iter()
-                            .map(|a| {
-                                Value::obj(vec![
-                                    ("parameter", Value::Str(a.parameter.clone())),
-                                    ("steps", Value::Num(a.steps as f64)),
-                                    ("accepted", Value::Num(a.accepted as f64)),
-                                    ("rate", Value::Num(a.rate())),
-                                ])
-                            })
-                            .collect(),
-                    ),
                 );
             }
             Event::Profile { phases } => {
@@ -862,7 +792,6 @@ pub fn required_fields(kind: &str) -> Option<&'static [&'static str]> {
         "retry" => &["chain", "sweep", "retries"],
         "fault-injected" => &["chain", "sweep", "kind"],
         "chain-panicked" => &["chain", "detail"],
-        "chain-done" => &["chain", "retries", "accept"],
         "chain-report" => &["chain", "recovered", "retries", "fault", "wall_ms"],
         "cell-start" => &["prior", "model", "day"],
         "cell-end" => &["prior", "model", "day", "wall_ms"],
@@ -874,7 +803,7 @@ pub fn required_fields(kind: &str) -> Option<&'static [&'static str]> {
         "job-done" => &["job_id", "status", "cached", "wall_ms"],
         "cache-hit" => &["cache_key"],
         "cache-miss" => &["cache_key"],
-        "diagnostic-checkpoint" => &["chain", "sweep", "kept", "wall_ms", "params", "accept"],
+        "diagnostic-checkpoint" => &["chain", "sweep", "kept", "wall_ms", "params"],
         "profile" => &["phases"],
         "sbc-cell-start" => &["prior", "model", "reps"],
         "sbc-rep-done" => &["prior", "model", "rep", "rank", "num_ranks"],
@@ -943,15 +872,6 @@ mod tests {
             Event::ChainPanicked {
                 chain: 2,
                 detail: "boom".into(),
-            },
-            Event::ChainDone {
-                chain: 0,
-                retries: 0,
-                accept: vec![AcceptStat {
-                    parameter: "zeta0".into(),
-                    steps: 10,
-                    accepted: 4,
-                }],
             },
             Event::ChainReport {
                 chain: 0,
@@ -1032,11 +952,6 @@ mod tests {
                         ess: 18.0,
                         mcse: 0.25,
                         ess_per_sec: 150.0,
-                    }],
-                    accept: vec![AcceptStat {
-                        parameter: "zeta0".into(),
-                        steps: 50,
-                        accepted: 21,
                     }],
                 },
             },
@@ -1140,22 +1055,6 @@ mod tests {
     }
 
     #[test]
-    fn accept_stat_rate_handles_zero_steps() {
-        let a = AcceptStat {
-            parameter: "zeta0".into(),
-            steps: 0,
-            accepted: 0,
-        };
-        assert_eq!(a.rate(), 0.0);
-        let a = AcceptStat {
-            parameter: "zeta0".into(),
-            steps: 8,
-            accepted: 2,
-        };
-        assert!((a.rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn unknown_kind_has_no_schema() {
         assert!(required_fields("not-an-event").is_none());
     }
@@ -1187,11 +1086,6 @@ mod tests {
                 ess: 31.5,
                 mcse: 0.017,
                 ess_per_sec: 98.0,
-            }],
-            accept: vec![AcceptStat {
-                parameter: "zeta1".into(),
-                steps: 100,
-                accepted: 37,
             }],
         };
         let event = Event::DiagnosticCheckpoint {

@@ -49,9 +49,7 @@ pub use checkpoint::{
     aggregate, psrf_from_moments, AggregateDiagnostic, ChainCheckpoint, MomentSummary,
     ParamCheckpoint,
 };
-pub use event::{
-    required_fields, AcceptStat, Event, EVENT_KINDS, EVENT_SCHEMA_VERSION, SCHEMA_VERSION,
-};
+pub use event::{required_fields, Event, EVENT_KINDS, EVENT_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use flightrec::{FlightRecStats, FlightRecorder, DEFAULT_FLIGHTREC_CAPACITY};
 pub use manifest::{
     build_info_value, dataset_hash, fnv1a64, fnv1a_hex, ManifestChain, RunManifest,

@@ -2,14 +2,14 @@
 //!
 //! One JSON document per invocation: enough to reproduce the run
 //! (seed, dataset hash, model, MCMC shape) and to judge it (per-phase
-//! wall time, draws/sec, per-chain acceptance, fault/retry counters,
-//! final convergence diagnostics). `schema_version` is bumped on any
+//! wall time, draws/sec, per-chain retries and faults, fault/retry
+//! counters, final convergence diagnostics). `schema_version` is bumped on any
 //! breaking field change.
 
 use std::io;
 
 use crate::checkpoint::{aggregate, AggregateDiagnostic};
-use crate::event::{AcceptStat, EVENT_SCHEMA_VERSION, SCHEMA_VERSION};
+use crate::event::{EVENT_SCHEMA_VERSION, SCHEMA_VERSION};
 use crate::json::Value;
 use crate::stats::{DiagnosticStat, StatsCollector};
 
@@ -86,8 +86,6 @@ pub struct ManifestChain {
     pub fault: Option<String>,
     /// Wall-clock time the chain spent on its worker thread, ms.
     pub wall_ms: f64,
-    /// Per-parameter acceptance statistics.
-    pub accept: Vec<AcceptStat>,
 }
 
 /// The `--metrics-out` document.
@@ -157,7 +155,6 @@ impl RunManifest {
         } else {
             0.0
         };
-        let accept = stats.chain_accept();
         self.chain_reports = stats
             .chain_reports()
             .into_iter()
@@ -168,11 +165,6 @@ impl RunManifest {
                     retries,
                     fault,
                     wall_ms,
-                    accept: accept
-                        .iter()
-                        .find(|(c, _)| *c == chain)
-                        .map(|(_, a)| a.clone())
-                        .unwrap_or_default(),
                 },
             )
             .collect();
@@ -241,22 +233,6 @@ impl RunManifest {
                                         .map_or(Value::Null, |k| Value::Str(k.clone())),
                                 ),
                                 ("wall_ms", Value::Num(c.wall_ms)),
-                                (
-                                    "accept",
-                                    Value::Arr(
-                                        c.accept
-                                            .iter()
-                                            .map(|a| {
-                                                Value::obj(vec![
-                                                    ("parameter", Value::Str(a.parameter.clone())),
-                                                    ("steps", Value::Num(a.steps as f64)),
-                                                    ("accepted", Value::Num(a.accepted as f64)),
-                                                    ("rate", Value::Num(a.rate())),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
                             ])
                         })
                         .collect(),
@@ -371,11 +347,6 @@ mod tests {
                 retries: 1,
                 fault: Some("nan-rate".into()),
                 wall_ms: 11.25,
-                accept: vec![AcceptStat {
-                    parameter: "zeta0".into(),
-                    steps: 300,
-                    accepted: 120,
-                }],
             }],
             fault_counters: vec![("nan-rate".into(), 1)],
             retries_total: 1,
@@ -437,8 +408,6 @@ mod tests {
         let chains = doc.get("chains_report").unwrap().as_arr().unwrap();
         assert_eq!(chains[0].get("fault").unwrap().as_str(), Some("nan-rate"));
         assert_eq!(chains[0].get("wall_ms").unwrap().as_f64(), Some(11.25));
-        let accept = chains[0].get("accept").unwrap().as_arr().unwrap();
-        assert_eq!(accept[0].get("rate").unwrap().as_f64(), Some(0.4));
         assert_eq!(
             doc.get("fault_counters")
                 .unwrap()

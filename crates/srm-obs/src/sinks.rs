@@ -224,23 +224,13 @@ impl Recorder for ProgressSink {
             Event::ChainPanicked { chain, detail } => {
                 self.say(&format!("chain {chain}: contained panic: {detail}"));
             }
-            Event::ChainDone {
+            Event::ChainReport {
                 chain,
                 retries,
-                accept,
+                recovered: true,
+                ..
             } if self.verbosity >= 2 => {
-                let rates: Vec<String> = accept
-                    .iter()
-                    .map(|a| format!("{} {:.0}%", a.parameter, 100.0 * a.rate()))
-                    .collect();
-                self.say(&format!(
-                    "chain {chain}: done ({retries} retries; accept: {})",
-                    if rates.is_empty() {
-                        "n/a".to_string()
-                    } else {
-                        rates.join(", ")
-                    }
-                ));
+                self.say(&format!("chain {chain}: done ({retries} retries)"));
             }
             Event::CellEnd {
                 prior,
@@ -418,15 +408,19 @@ mod tests {
             phase: "waic",
             wall_ms: 1.0,
         });
+        let report = Event::ChainReport {
+            chain: 0,
+            recovered: true,
+            retries: 1,
+            fault: Some("nan-rate".into()),
+            wall_ms: 3.0,
+        };
+        sink.record(&report);
         assert!(buf.text().is_empty());
 
         let buf2 = SharedBuf::default();
         let chatty = ProgressSink::to_writer(Box::new(buf2.clone()), 2);
-        chatty.record(&Event::ChainDone {
-            chain: 0,
-            retries: 1,
-            accept: vec![],
-        });
+        chatty.record(&report);
         chatty.record(&Event::CellEnd {
             prior: "poisson".into(),
             model: "model1".into(),
@@ -434,7 +428,7 @@ mod tests {
             wall_ms: 2.0,
         });
         let text = buf2.text();
-        assert!(text.contains("chain 0: done (1 retries; accept: n/a)"));
+        assert!(text.contains("chain 0: done (1 retries)\n"), "{text}");
         assert!(text.contains("cell poisson/model1@48"));
     }
 
@@ -474,7 +468,6 @@ mod tests {
                     ess_per_sec: 225.0,
                 },
             ],
-            accept: vec![],
         };
         let quiet = SharedBuf::default();
         ProgressSink::to_writer(Box::new(quiet.clone()), 0).record(&Event::DiagnosticCheckpoint {

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::checkpoint::ChainCheckpoint;
-use crate::event::{AcceptStat, Event};
+use crate::event::Event;
 use crate::lock_ignoring_poison;
 use crate::recorder::{Counter, FixedHistogram, Recorder};
 
@@ -36,7 +36,6 @@ struct Inner {
     phase_ms: Vec<(String, f64)>,
     fault_counts: BTreeMap<String, u64>,
     report_retries: u64,
-    chain_accept: Vec<(usize, Vec<AcceptStat>)>,
     chain_reports: Vec<(usize, bool, u64, Option<String>, f64)>,
     diagnostics: Vec<DiagnosticStat>,
     waic: Option<(String, f64, f64)>,
@@ -127,14 +126,6 @@ impl StatsCollector {
         self.events_seen.get()
     }
 
-    /// Per-chain acceptance statistics from `chain-done` events,
-    /// sorted by chain index.
-    pub fn chain_accept(&self) -> Vec<(usize, Vec<AcceptStat>)> {
-        let mut out = lock_ignoring_poison(&self.inner).chain_accept.clone();
-        out.sort_by_key(|(chain, _)| *chain);
-        out
-    }
-
     /// Per-chain report tuples
     /// `(chain, recovered, retries, fault, wall_ms)` from
     /// `chain-report` events, sorted by chain index.
@@ -205,10 +196,6 @@ impl Recorder for StatsCollector {
             Event::Retry { .. } => self.retries_seen.incr(),
             Event::FaultInjected { .. } => self.faults_injected.incr(),
             Event::ChainPanicked { .. } => self.panics_contained.incr(),
-            Event::ChainDone { chain, accept, .. } => {
-                let mut inner = lock_ignoring_poison(&self.inner);
-                inner.chain_accept.push((*chain, accept.clone()));
-            }
             Event::ChainReport {
                 chain,
                 recovered,
@@ -363,22 +350,8 @@ mod tests {
     }
 
     #[test]
-    fn collects_accept_diagnostics_and_waic() {
+    fn collects_diagnostics_and_waic() {
         let stats = StatsCollector::new();
-        stats.record(&Event::ChainDone {
-            chain: 1,
-            retries: 0,
-            accept: vec![AcceptStat {
-                parameter: "zeta0".into(),
-                steps: 4,
-                accepted: 1,
-            }],
-        });
-        stats.record(&Event::ChainDone {
-            chain: 0,
-            retries: 0,
-            accept: vec![],
-        });
         stats.record(&Event::Diagnostic {
             parameter: "residual".into(),
             psrf: 1.02,
@@ -391,9 +364,6 @@ mod tests {
             p_waic: 2.5,
             draws: 100,
         });
-        let accept = stats.chain_accept();
-        assert_eq!(accept[0].0, 0);
-        assert_eq!(accept[1].1[0].accepted, 1);
         assert_eq!(stats.diagnostics()[0].parameter, "residual");
         assert_eq!(stats.waic().unwrap().0, "model2");
     }
@@ -407,7 +377,6 @@ mod tests {
                 kept: sweep / 2,
                 wall_ms: sweep as f64,
                 params: vec![],
-                accept: vec![],
             }
         }
         let stats = StatsCollector::new();

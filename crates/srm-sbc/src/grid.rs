@@ -9,6 +9,7 @@
 //! what order, so per-cell RNG streams derived from it reproduce
 //! bit-identically across subsets and permutations.
 
+use srm_core::limits::MAX_HORIZON;
 use srm_mcmc::gibbs::PriorSpec;
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_obs::json::Value;
@@ -212,6 +213,12 @@ impl GridSpec {
         if self.days == 0 {
             return Err("grid `days` must be at least 1".into());
         }
+        if self.days > MAX_HORIZON {
+            return Err(format!(
+                "grid `days` must be at most {MAX_HORIZON}, got {}",
+                self.days
+            ));
+        }
         if self.bins < 2 {
             return Err("grid `bins` must be at least 2".into());
         }
@@ -326,6 +333,7 @@ mod tests {
             r#"{"bins": 1}"#,
             r#"{"alpha": 0}"#,
             r#"{"days": 0}"#,
+            r#"{"days": 1e12}"#,
             r#"{"lambda_max": -3}"#,
             r#"{"models": []}"#,
             r#"{"models": "model0"}"#,

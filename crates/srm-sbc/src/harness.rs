@@ -13,6 +13,7 @@
 use std::time::Instant;
 
 use srm_core::fit::{Fit, FitConfig};
+use srm_core::{check_request, Request};
 use srm_math::stats::chi2_gof;
 use srm_mcmc::runner::{run_pool, McmcConfig, RunOptions};
 use srm_mcmc::{RetryPolicy, SrmError};
@@ -25,6 +26,11 @@ use crate::report::{CellReport, ParamCalibration, SbcReport};
 
 /// Retry budget for faulted sweeps inside each replication's fit.
 const REP_RETRIES: usize = 3;
+
+/// Most replications per cell: 10× the 1,000 a full-scale SBC study
+/// runs. The battery holds one outcome slot per (cell, rep), so an
+/// unbounded count would ask for more memory than any host has.
+const MAX_REPS: usize = 10_000;
 
 /// Configuration of one SBC battery run.
 #[derive(Debug, Clone)]
@@ -86,11 +92,12 @@ enum RepOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`SrmError::InvalidConfig`] on an invalid grid, zero
-/// `reps`, or an MCMC configuration whose pooled draw count is too
-/// small to thin into `bins` rank bins. Inner-fit faults never abort
-/// the battery — they count as replication failures, which fail the
-/// affected cell's gate.
+/// Returns [`SrmError::InvalidConfig`] on an invalid grid, `reps`
+/// outside `1..=10_000`, an MCMC configuration that fails
+/// [`srm_core::check_request`] for any grid prior, or one whose
+/// pooled draw count is too small to thin into `bins` rank bins.
+/// Inner-fit faults never abort the battery — they count as
+/// replication failures, which fail the affected cell's gate.
 pub fn run_sbc(config: &SbcConfig, recorder: &dyn Recorder) -> Result<SbcReport, SrmError> {
     validate(config)?;
     let grid = &config.grid;
@@ -184,15 +191,19 @@ fn validate(config: &SbcConfig) -> Result<(), SrmError> {
             detail: "sbc reps must be at least 1".into(),
         });
     }
+    if config.reps > MAX_REPS {
+        return Err(SrmError::InvalidConfig {
+            detail: format!("sbc reps must be at most {MAX_REPS}, got {}", config.reps),
+        });
+    }
     if !config.inject_bias.is_finite() {
         return Err(SrmError::InvalidConfig {
             detail: "sbc inject-bias must be finite".into(),
         });
     }
-    if config.mcmc.chains == 0 || config.mcmc.samples == 0 || config.mcmc.thin == 0 {
-        return Err(SrmError::InvalidConfig {
-            detail: "sbc mcmc chains, samples and thin must be positive".into(),
-        });
+    for prior in &config.grid.priors {
+        check_request(Request::Fit, prior, &config.mcmc)
+            .map_err(|detail| SrmError::InvalidConfig { detail })?;
     }
     let pooled = config.mcmc.chains * config.mcmc.samples / config.mcmc.thin;
     if thinned_len(pooled, config.grid.bins).is_none() {
@@ -433,5 +444,25 @@ mod tests {
         let mut config = tiny_config();
         config.inject_bias = f64::NAN;
         assert!(run_sbc(&config, &NOOP).is_err());
+
+        // Past the caps each is refused before anything is allocated.
+        let rejects = |config: &SbcConfig, needle: &str| {
+            let Err(SrmError::InvalidConfig { detail }) = run_sbc(config, &NOOP) else {
+                panic!("accepted a config that breaks `{needle}`");
+            };
+            assert!(detail.contains(needle), "{detail}");
+        };
+        let mut config = tiny_config();
+        config.reps = MAX_REPS + 1;
+        rejects(&config, "sbc reps must be at most 10000");
+        let mut config = tiny_config();
+        config.mcmc.samples = 4_294_967_295;
+        rejects(&config, "must be at most 1000000 kept draws");
+        let mut config = tiny_config();
+        config.mcmc.chains = 100_000;
+        rejects(&config, "`chains` must be at most 64");
+        let mut config = tiny_config();
+        config.grid.priors = vec![PriorSpec::NegBinomial { alpha_max: 1e100 }];
+        rejects(&config, "`alpha_max` must be at most 1e6");
     }
 }

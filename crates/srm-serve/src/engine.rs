@@ -22,7 +22,7 @@ use srm_mcmc::runner::{run_chains_fault_tolerant_traced, RunOptions};
 use srm_mcmc::{PosteriorSummary, RetryPolicy, SrmError};
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_obs::json::Value;
-use srm_obs::{dataset_hash, Recorder, RunManifest};
+use srm_obs::{dataset_hash, Recorder, RunManifest, Span};
 use srm_select::waic::waic_from_output;
 
 use crate::job::{JobKind, JobSpec};
@@ -236,7 +236,9 @@ fn run_select(
             return Err(JobError::Timeout);
         }
         let sampler = GibbsSampler::new(spec.prior, model, bounds, &spec.data);
+        let sampling = Span::enter(recorder, "sampling");
         let run = run_chains_fault_tolerant_traced(&sampler, &spec.mcmc, &options, recorder)?;
+        sampling.end();
         let waic = waic_from_output(&sampler, &run.output, recorder)?;
         if best.is_none_or(|(_, w)| waic.total() < w) {
             best = Some((model, waic.total()));
@@ -369,7 +371,11 @@ mod tests {
             r#"{"kind":"select","dataset":"musa_cc96","truncate":48,
                 "chains":1,"samples":150,"burn_in":60,"seed":3}"#,
         );
-        let out = run_job(&s, None, &NOOP).unwrap();
+        let stats = srm_obs::StatsCollector::new();
+        let out = run_job(&s, None, &stats).unwrap();
+        // The chain runs are timed as `sampling`, which the job's
+        // manifest divides its kept draws by.
+        assert!(stats.phase_total_ms("sampling") > 0.0);
         let models = out.result.get("models").unwrap().as_arr().unwrap();
         assert_eq!(models.len(), 5);
         let best = out.result.get("best_model").unwrap().as_str().unwrap();

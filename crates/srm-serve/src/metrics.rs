@@ -678,7 +678,7 @@ pub fn render_prometheus(
 mod tests {
     use super::*;
     use crate::job::{JobKind, JobRecord, JobStatus};
-    use srm_obs::{AcceptStat, Event, MomentSummary, ParamCheckpoint, Recorder as _};
+    use srm_obs::{Event, MomentSummary, ParamCheckpoint, Recorder as _};
     use std::sync::Arc;
 
     fn checkpoint_event(chain: usize, sweep: usize) -> Event {
@@ -708,11 +708,6 @@ mod tests {
                     ess: 12.0,
                     ess_per_sec: 24.0,
                     mcse: 0.35,
-                }],
-                accept: vec![AcceptStat {
-                    parameter: "zeta0".into(),
-                    steps: 40,
-                    accepted: 17,
                 }],
             },
         }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Smoke test for `srm sbc`: runs the reduced CI calibration grid
+# Smoke test for `srm sbc`: checks that oversized requests are refused
+# with exit 1, runs the reduced CI calibration grid
 # (2 curves x 2 priors) with --check, lints the emitted trace against
 # the event schema, runs the default full battery (all 5 curves x 2
 # priors) with --check, and proves same-seed reruns are byte-identical.
@@ -37,6 +38,20 @@ cat > "$WORK/grid.json" <<'EOF'
 EOF
 
 REPS=32 CHAINS=2 SAMPLES=400 BURN_IN=200 SEED=20240
+
+# The door check: unchecked, each of these asks for a multi-gigabyte
+# allocation and aborts the process; each must exit 1 with one `srm:`
+# line.
+echo '{"days": 1e12}' > "$WORK/huge_grid.json"
+echo "sbc-smoke: oversized requests are refused at the door"
+for args in "--samples 4294967295" "--reps 4294967295" "--grid $WORK/huge_grid.json"; do
+    status=0
+    # shellcheck disable=SC2086 # split the flag from its value
+    "$SRM" sbc $args >"$WORK/door.out" 2>"$WORK/door.err" || status=$?
+    [ "$status" -eq 1 ] || fail "sbc $args exited $status, not 1"
+    [ "$(grep -c '^srm: ' "$WORK/door.err")" -eq 1 ] \
+        || fail "sbc $args did not print exactly one srm: line"
+done
 
 echo "sbc-smoke: running the reduced battery with --check"
 "$SRM" sbc --grid "$WORK/grid.json" --reps "$REPS" \

@@ -286,7 +286,7 @@ fn seeded_fault_plans_are_reproducible_and_in_range() {
 fn injected_faults_report_identically_across_thread_counts() {
     // Satellite regression for the parallel runner: a seed-derived
     // fault plan must produce the same surviving chains, the same
-    // ChainReports (kind, retries, recovery, acceptance) and the same
+    // ChainReports (kind, retries, recovery) and the same
     // fault counters whether the chains run on 1 worker or 4.
     let data = datasets::musa_cc96().truncated(30).unwrap();
     let sampler = make_sampler(&data);
@@ -310,7 +310,7 @@ fn injected_faults_report_identically_across_thread_counts() {
         let parallel = run_with(threads);
         assert_chains_bit_identical(&serial.output, &parallel.output);
         // Full structural equality of the reports: chain index, fault
-        // payload, retry count, recovery flag, acceptance statistics.
+        // payload, retry count, recovery flag.
         // Compared via Debug because an injected NonFiniteLikelihood
         // carries a NaN, and NaN != NaN under PartialEq.
         assert_eq!(
