@@ -74,7 +74,9 @@ OBSERVABILITY (fit/select/trend/sbc):
     --trace-out <run.jsonl>    typed JSONL event stream of the run
     --metrics-out <run.json>   run manifest: seed, dataset hash, timings,
                                fault/retry counters, diagnostics
-    --progress                 throttled per-chain progress lines on stderr
+    --progress                 progress on stderr: phase times, faults and,
+                               with --checkpoint-every K, a line per chain
+                               checkpoint
     --verbosity 0|1|2          progress detail                  [default: 1]
     --checkpoint-every K       streaming convergence checkpoints every K
                                sweeps (0 = off; never changes the draws)

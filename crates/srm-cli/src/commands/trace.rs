@@ -565,7 +565,7 @@ mod tests {
         assert!(out.contains("residual R-hat"), "{out}");
         // 200 sweeps with K = 50: the burn-in (60 sweeps) keeps no
         // draws, so checkpoints land at sweeps 99, 149, and 199 (the
-        // final sweep coincides with the stride).
+        // final sweep coincides with the cadence).
         for sweep in ["99", "149", "199"] {
             assert!(out.contains(&format!("sweep {sweep:>6}")), "{sweep}: {out}");
         }
@@ -596,7 +596,7 @@ mod tests {
                 "{\"type\":\"phase-start\",\"trace_id\":\"beef\",\"ms\":1.0,\"phase\":\"sampling\"}\n",
                 "{\"type\":\"made-up-kind\",\"ms\":2.0}\n",
                 "{\"type\":\"phase-end\",\"ms\":3.0}\n",
-                "{\"type\":\"sweep-end\",\"chain\":0,\"sweep\":1,\"total\":10,\"kept\":1}\n",
+                "{\"type\":\"retry\",\"chain\":0,\"sweep\":1,\"retries\":1}\n",
                 "not json at all\n",
             ),
         )
@@ -606,7 +606,7 @@ mod tests {
         assert!(out.contains("unknown kinds  : 1"), "{out}");
         // phase-end is missing both `phase` and `wall_ms`.
         assert!(out.contains("missing fields : 2"), "{out}");
-        // The sweep-end line has no `ms` stamp.
+        // The retry line has no `ms` stamp.
         assert!(out.contains("bad ms stamps  : 1"), "{out}");
         // Only the phase-start line carries a v7 correlation id; the
         // other three parseable lines don't.
@@ -620,7 +620,9 @@ mod tests {
     #[test]
     fn diff_compares_two_traces() {
         let a = write_fit_trace("srm_trace_diff_a.jsonl");
-        // Same run plus one extra event → one starred count line.
+        // Same run plus one extra line → one starred count line. The
+        // line's kind is one an older schema wrote (`chain-done`, gone
+        // since schema 9): diff and summarize still read such traces.
         let b_path = std::env::temp_dir().join("srm_trace_diff_b.jsonl");
         std::fs::copy(&a, &b_path).unwrap();
         {
@@ -629,24 +631,30 @@ mod tests {
                 .append(true)
                 .open(&b_path)
                 .unwrap();
-            let event = Event::CacheMiss {
-                cache_key: "deadbeef".into(),
-            };
-            writeln!(f, "{}", event.to_value().to_json()).unwrap();
+            writeln!(
+                f,
+                "{{\"type\":\"chain-done\",\"trace_id\":\"beef\",\"ms\":1.0,\"chain\":0}}"
+            )
+            .unwrap();
         }
+        let b = b_path.to_str().unwrap();
         let out = run(&raw(&[
             "trace",
             "diff",
             "--a",
             a.to_str().unwrap(),
             "--b",
-            b_path.to_str().unwrap(),
+            b,
         ]))
         .unwrap();
         assert!(out.contains("event counts (a / b)"), "{out}");
-        assert!(out.contains("* cache-miss"), "{out}");
+        assert!(out.contains("* chain-done"), "{out}");
         assert!(out.contains("final convergence (a / b)"), "{out}");
         assert!(out.contains("a: residual R-hat"), "{out}");
+        assert!(out.contains("b: residual R-hat"), "{out}");
+        let out = run(&raw(&["trace", "summarize", "--file", b])).unwrap();
+        assert!(out.contains("chain-done"), "{out}");
+        assert!(out.contains("residual R-hat"), "{out}");
     }
 
     fn snapshot(path: &str, count: u64, total_ns: u64, self_ns: u64) -> PhaseSnapshot {

@@ -6,7 +6,9 @@
 //!   per line ([`srm_obs::JsonlSink`]);
 //! * `--metrics-out <file.json>` — run manifest written on completion
 //!   ([`srm_obs::RunManifest`]);
-//! * `--progress` — throttled per-chain progress lines on stderr;
+//! * `--progress` — progress lines on stderr: phase times, faults,
+//!   and one line per chain checkpoint (so per-chain lines need
+//!   `--checkpoint-every`);
 //! * `--verbosity <0|1|2>` — how chatty `--progress` is;
 //! * `--checkpoint-every <K>` — emit a streaming
 //!   `diagnostic-checkpoint` per chain every K sweeps (0 disables;

@@ -649,10 +649,9 @@ impl GibbsSampler {
     /// exercise the runner's containment.
     ///
     /// Typed events (tagged with `chain_id`) go to `recorder` for
-    /// sweep progress, fault injections, faults, retries and chain
-    /// completion. The recorder never touches `rng`, so draws are
-    /// bit-identical for any recorder; with a disabled one no event is
-    /// even constructed. With
+    /// chain start, fault injections, faults and retries. The recorder
+    /// never touches `rng`, so draws are bit-identical for any
+    /// recorder; with a disabled one no event is even constructed. With
     /// `options.checkpoint_every > 0` and an enabled recorder, streaming
     /// convergence accumulators over the kept rows emit a
     /// [`Event::DiagnosticCheckpoint`] every that many sweeps (plus a
@@ -706,14 +705,9 @@ impl GibbsSampler {
         let mut kept = 0usize;
         let mut log = RecoveryLog::default();
 
-        // Instrumentation: `on` is hoisted so the disabled path costs
-        // one branch per sweep, and nothing below ever touches `rng`.
+        // Instrumentation: `on` is hoisted so the disabled path builds
+        // no event, and nothing below ever touches `rng`.
         let on = recorder.enabled();
-        let stride = if on {
-            recorder.sweep_stride().max(1)
-        } else {
-            usize::MAX
-        };
         if on {
             recorder.record(&Event::ChainStart {
                 chain: chain_id,
@@ -726,14 +720,6 @@ impl GibbsSampler {
         let chain_clock = Instant::now();
         let mut sweep = 0usize;
         while sweep < total_sweeps {
-            let trace_sweep = on && sweep.is_multiple_of(stride);
-            if trace_sweep {
-                recorder.record(&Event::SweepStart {
-                    chain: chain_id,
-                    sweep,
-                    total: total_sweeps,
-                });
-            }
             // Consume-once injection: a retried sweep runs clean.
             let forced = injector.take(sweep);
             if let Some(kind) = forced {
@@ -790,14 +776,6 @@ impl GibbsSampler {
                             });
                             last_checkpoint = Some(sweep);
                         }
-                    }
-                    if trace_sweep {
-                        recorder.record(&Event::SweepEnd {
-                            chain: chain_id,
-                            sweep,
-                            total: total_sweeps,
-                            kept,
-                        });
                     }
                     sweep += 1;
                 }

@@ -242,18 +242,18 @@ where
 /// driver can replay them in chain order after the pool drains —
 /// recorded traces stay deterministic under any scheduling.
 ///
-/// `enabled`/`sweep_stride` delegate to the real recorder, so stride
-/// gating (and the disabled fast path) behave exactly as they would
-/// with direct recording.
+/// `enabled` delegates to the real recorder, so the disabled fast
+/// path behaves exactly as it would with direct recording.
 ///
-/// [`Event::DiagnosticCheckpoint`] is the one exception: it is
-/// forwarded to the real recorder immediately (and not buffered), so
-/// live progress consumers see convergence while the pool is still
-/// running. Checkpoint content is per-chain and deterministic for any
-/// thread count; only the cross-chain *interleaving* of checkpoint
-/// lines in a trace follows worker scheduling (single-threaded runs
-/// interleave deterministically, and per-chain order is always
-/// monotone in `sweep`).
+/// [`Event::DiagnosticCheckpoint`] is the one exception, and a
+/// chain's one in-flight signal: it is forwarded to the real recorder
+/// immediately (and not buffered), so live progress consumers see
+/// convergence while the pool is still running. Checkpoint content is
+/// per-chain and deterministic for any thread count; only the
+/// cross-chain *interleaving* of checkpoint lines in a trace follows
+/// worker scheduling (single-threaded runs interleave
+/// deterministically, and per-chain order is always monotone in
+/// `sweep`).
 struct BufferRecorder<'a> {
     inner: &'a dyn Recorder,
     events: Mutex<Vec<Event>>,
@@ -277,10 +277,6 @@ impl<'a> BufferRecorder<'a> {
 impl Recorder for BufferRecorder<'_> {
     fn enabled(&self) -> bool {
         self.inner.enabled()
-    }
-
-    fn sweep_stride(&self) -> usize {
-        self.inner.sweep_stride()
     }
 
     fn record(&self, event: &Event) {
@@ -491,9 +487,9 @@ pub fn assemble_run(
 /// `i`-th jump stream of `base` (which must come from
 /// `Xoshiro256StarStar::seed_from(config.seed)`), so an outcome
 /// depends only on `(sampler, config, i)` — never on which worker ran
-/// it or when. `recorder` is consulted for `enabled`/stride gating
-/// and receives live `diagnostic-checkpoint` events; everything else
-/// is buffered into the outcome.
+/// it or when. `recorder` is consulted for `enabled` and receives
+/// live `diagnostic-checkpoint` events; everything else is buffered
+/// into the outcome.
 pub fn run_chain_task(
     sampler: &GibbsSampler,
     base: &srm_rand::Xoshiro256StarStar,

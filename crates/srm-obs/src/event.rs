@@ -30,8 +30,11 @@ use crate::profile::PhaseSnapshot;
 /// version 9 removes the per-parameter acceptance record (`AcceptStat`,
 /// the `chain-done` kind and the `accept` field of
 /// `diagnostic-checkpoint`), which read 100% for every slice-sampled
-/// parameter.
-pub const SCHEMA_VERSION: u64 = 9;
+/// parameter; version 10 removes the strided per-sweep start and end
+/// kinds (a chain's one in-flight signal is now its
+/// `diagnostic-checkpoint`) and `cache-hit` / `cache-miss`, which
+/// restated `job-start.cache_key` and `job-done.cached`.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// The event-taxonomy version. Since v7 this is an alias of the
 /// workspace-wide [`SCHEMA_VERSION`] — the previously scattered
@@ -76,26 +79,6 @@ pub enum Event {
         chain: usize,
         /// Total sweeps this chain will attempt (burn-in + kept·thin).
         sweeps: usize,
-    },
-    /// A sweep is about to run (emitted at the sink's stride).
-    SweepStart {
-        /// Chain index.
-        chain: usize,
-        /// Sweep index within the chain.
-        sweep: usize,
-        /// Total sweeps planned for the chain.
-        total: usize,
-    },
-    /// A sweep completed (emitted at the sink's stride).
-    SweepEnd {
-        /// Chain index.
-        chain: usize,
-        /// Sweep index within the chain.
-        sweep: usize,
-        /// Total sweeps planned for the chain.
-        total: usize,
-        /// Post-thinning draws kept so far.
-        kept: usize,
     },
     /// A sweep failed with a recoverable fault (slice-expansion
     /// exhaustion, non-finite rate, injected fault, …).
@@ -232,18 +215,6 @@ pub enum Event {
         cached: bool,
         /// Wall-clock time from submission to the terminal state, ms.
         wall_ms: f64,
-    },
-    /// A job's cache key was found in the fit cache — the stored
-    /// result is returned verbatim and no sampling happens.
-    CacheHit {
-        /// Content-addressed cache key that matched.
-        cache_key: String,
-    },
-    /// A job's cache key was absent from the fit cache — the job runs
-    /// the full pipeline and its result is stored under this key.
-    CacheMiss {
-        /// Content-addressed cache key that missed.
-        cache_key: String,
     },
     /// A periodic streaming-diagnostics snapshot for one chain:
     /// per-parameter running moments, split halves and ESS/MCSE so
@@ -384,8 +355,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "phase-start",
     "phase-end",
     "chain-start",
-    "sweep-start",
-    "sweep-end",
     "sweep-fault",
     "retry",
     "fault-injected",
@@ -399,8 +368,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "cli-diagnostic",
     "job-start",
     "job-done",
-    "cache-hit",
-    "cache-miss",
     "diagnostic-checkpoint",
     "profile",
     "sbc-cell-start",
@@ -421,8 +388,6 @@ impl Event {
             Event::PhaseStart { .. } => "phase-start",
             Event::PhaseEnd { .. } => "phase-end",
             Event::ChainStart { .. } => "chain-start",
-            Event::SweepStart { .. } => "sweep-start",
-            Event::SweepEnd { .. } => "sweep-end",
             Event::SweepFault { .. } => "sweep-fault",
             Event::Retry { .. } => "retry",
             Event::FaultInjected { .. } => "fault-injected",
@@ -436,8 +401,6 @@ impl Event {
             Event::CliDiagnostic { .. } => "cli-diagnostic",
             Event::JobStart { .. } => "job-start",
             Event::JobDone { .. } => "job-done",
-            Event::CacheHit { .. } => "cache-hit",
-            Event::CacheMiss { .. } => "cache-miss",
             Event::DiagnosticCheckpoint { .. } => "diagnostic-checkpoint",
             Event::Profile { .. } => "profile",
             Event::SbcCellStart { .. } => "sbc-cell-start",
@@ -455,8 +418,6 @@ impl Event {
     pub fn chain(&self) -> Option<usize> {
         match self {
             Event::ChainStart { chain, .. }
-            | Event::SweepStart { chain, .. }
-            | Event::SweepEnd { chain, .. }
             | Event::SweepFault { chain, .. }
             | Event::Retry { chain, .. }
             | Event::FaultInjected { chain, .. }
@@ -494,26 +455,6 @@ impl Event {
             Event::ChainStart { chain, sweeps } => {
                 push("chain", Value::Num(*chain as f64));
                 push("sweeps", Value::Num(*sweeps as f64));
-            }
-            Event::SweepStart {
-                chain,
-                sweep,
-                total,
-            } => {
-                push("chain", Value::Num(*chain as f64));
-                push("sweep", Value::Num(*sweep as f64));
-                push("total", Value::Num(*total as f64));
-            }
-            Event::SweepEnd {
-                chain,
-                sweep,
-                total,
-                kept,
-            } => {
-                push("chain", Value::Num(*chain as f64));
-                push("sweep", Value::Num(*sweep as f64));
-                push("total", Value::Num(*total as f64));
-                push("kept", Value::Num(*kept as f64));
             }
             Event::SweepFault {
                 chain,
@@ -635,12 +576,6 @@ impl Event {
                 push("status", Value::Str(status.clone()));
                 push("cached", Value::Bool(*cached));
                 push("wall_ms", Value::Num(*wall_ms));
-            }
-            Event::CacheHit { cache_key } => {
-                push("cache_key", Value::Str(cache_key.clone()));
-            }
-            Event::CacheMiss { cache_key } => {
-                push("cache_key", Value::Str(cache_key.clone()));
             }
             Event::DiagnosticCheckpoint { checkpoint } => {
                 push("chain", Value::Num(checkpoint.chain as f64));
@@ -786,8 +721,6 @@ pub fn required_fields(kind: &str) -> Option<&'static [&'static str]> {
         "phase-start" => &["phase"],
         "phase-end" => &["phase", "wall_ms"],
         "chain-start" => &["chain", "sweeps"],
-        "sweep-start" => &["chain", "sweep", "total"],
-        "sweep-end" => &["chain", "sweep", "total", "kept"],
         "sweep-fault" => &["chain", "sweep", "kind", "detail"],
         "retry" => &["chain", "sweep", "retries"],
         "fault-injected" => &["chain", "sweep", "kind"],
@@ -801,8 +734,6 @@ pub fn required_fields(kind: &str) -> Option<&'static [&'static str]> {
         "cli-diagnostic" => &["level", "message"],
         "job-start" => &["job_id", "kind", "cache_key"],
         "job-done" => &["job_id", "status", "cached", "wall_ms"],
-        "cache-hit" => &["cache_key"],
-        "cache-miss" => &["cache_key"],
         "diagnostic-checkpoint" => &["chain", "sweep", "kept", "wall_ms", "params"],
         "profile" => &["phases"],
         "sbc-cell-start" => &["prior", "model", "reps"],
@@ -841,17 +772,6 @@ mod tests {
             Event::ChainStart {
                 chain: 0,
                 sweeps: 100,
-            },
-            Event::SweepStart {
-                chain: 0,
-                sweep: 0,
-                total: 100,
-            },
-            Event::SweepEnd {
-                chain: 0,
-                sweep: 0,
-                total: 100,
-                kept: 0,
             },
             Event::SweepFault {
                 chain: 1,
@@ -923,12 +843,6 @@ mod tests {
                 status: "done".into(),
                 cached: false,
                 wall_ms: 80.5,
-            },
-            Event::CacheHit {
-                cache_key: "0123456789abcdef".into(),
-            },
-            Event::CacheMiss {
-                cache_key: "0123456789abcdef".into(),
             },
             Event::DiagnosticCheckpoint {
                 checkpoint: ChainCheckpoint {

@@ -31,7 +31,6 @@ use crate::event::Event;
 use crate::json::Value;
 use crate::lock_ignoring_poison;
 use crate::recorder::{Counter, Recorder};
-use crate::sinks::JsonlSink;
 use crate::trace_id::TraceId;
 
 /// Default ring capacity, in events across every thread.
@@ -143,10 +142,6 @@ impl FlightRecorder {
 impl Recorder for FlightRecorder {
     fn enabled(&self) -> bool {
         enabled()
-    }
-
-    fn sweep_stride(&self) -> usize {
-        JsonlSink::DEFAULT_SWEEP_STRIDE
     }
 
     fn record(&self, event: &Event) {
@@ -261,11 +256,10 @@ mod tests {
     }
 
     fn sample_event(sweep: usize) -> Event {
-        Event::SweepEnd {
+        Event::Retry {
             chain: 0,
             sweep,
-            total: 100,
-            kept: sweep / 2,
+            retries: 1,
         }
     }
 

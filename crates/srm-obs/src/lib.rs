@@ -22,7 +22,7 @@
 //! | [`Event`] | the typed event taxonomy (kebab-case `type` discriminators) |
 //! | [`Span`], [`Counter`], [`FixedHistogram`] | span timers, monotonic counters, fixed-bucket histograms |
 //! | [`JsonlSink`] | `--trace-out`: one JSON object per event |
-//! | [`ProgressSink`] | `--progress`: throttled human lines on stderr |
+//! | [`ProgressSink`] | `--progress`: human lines on stderr, per chain from its checkpoints |
 //! | [`StatsCollector`] | aggregates events into manifest numbers |
 //! | [`RunManifest`] | the `--metrics-out` document |
 //! | [`ChainCheckpoint`] / [`aggregate`] | streaming `diagnostic-checkpoint` payloads and their cross-chain R̂/ESS aggregation |

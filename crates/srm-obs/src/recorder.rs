@@ -1,12 +1,10 @@
 //! The [`Recorder`] trait and its composition/measurement primitives.
 //!
-//! Instrumented code holds a `&dyn Recorder` and asks it two things:
-//! whether anything is listening (`enabled()`, hoisted to a local
-//! `bool` before hot loops so the disabled path costs one predictable
-//! branch), and at what sweep granularity per-sweep events are wanted
-//! (`sweep_stride()`, so a trace sink can ask for every 32nd sweep
-//! while a progress sink samples every sweep). Recorders never touch
-//! the sampler's RNG — instrumentation cannot perturb a run.
+//! Instrumented code holds a `&dyn Recorder` and asks it whether
+//! anything is listening (`enabled()`, hoisted to a local `bool`
+//! before hot loops so the disabled path costs one predictable
+//! branch). Recorders never touch the sampler's RNG —
+//! instrumentation cannot perturb a run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,13 +21,6 @@ pub trait Recorder: Send + Sync {
     /// loops hoist this into a local and skip event construction
     /// entirely when it is `false`.
     fn enabled(&self) -> bool;
-
-    /// Granularity for per-sweep events: emit `SweepStart`/`SweepEnd`
-    /// every `n`-th sweep. `usize::MAX` means "no per-sweep events,
-    /// thanks".
-    fn sweep_stride(&self) -> usize {
-        usize::MAX
-    }
 
     /// Consumes one event.
     fn record(&self, event: &Event);
@@ -74,17 +65,6 @@ impl Tee {
 impl Recorder for Tee {
     fn enabled(&self) -> bool {
         self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn sweep_stride(&self) -> usize {
-        // The finest granularity any sink wants; sinks re-filter by
-        // their own stride on receipt.
-        self.sinks
-            .iter()
-            .filter(|s| s.enabled())
-            .map(|s| s.sweep_stride())
-            .min()
-            .unwrap_or(usize::MAX)
     }
 
     fn record(&self, event: &Event) {
@@ -274,20 +254,11 @@ mod tests {
     #[derive(Default)]
     struct Capture {
         events: Mutex<Vec<Event>>,
-        stride: usize,
     }
 
     impl Recorder for Capture {
         fn enabled(&self) -> bool {
             true
-        }
-
-        fn sweep_stride(&self) -> usize {
-            if self.stride == 0 {
-                usize::MAX
-            } else {
-                self.stride
-            }
         }
 
         fn record(&self, event: &Event) {
@@ -296,9 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn noop_is_disabled_and_strideless() {
+    fn noop_is_disabled() {
         assert!(!NoopRecorder.enabled());
-        assert_eq!(NoopRecorder.sweep_stride(), usize::MAX);
         NoopRecorder.record(&Event::PhaseStart { phase: "x" }); // must not panic
     }
 
@@ -330,18 +300,11 @@ mod tests {
     }
 
     #[test]
-    fn tee_takes_finest_stride_and_fans_out() {
-        let a = Arc::new(Capture {
-            stride: 32,
-            ..Default::default()
-        });
-        let b = Arc::new(Capture {
-            stride: 1,
-            ..Default::default()
-        });
+    fn tee_fans_out() {
+        let a = Arc::new(Capture::default());
+        let b = Arc::new(Capture::default());
         let tee = Tee::new(vec![a.clone(), b.clone()]);
         assert!(tee.enabled());
-        assert_eq!(tee.sweep_stride(), 1);
         tee.record(&Event::PhaseStart { phase: "p" });
         assert_eq!(a.events.lock().unwrap().len(), 1);
         assert_eq!(b.events.lock().unwrap().len(), 1);
@@ -351,7 +314,6 @@ mod tests {
     fn tee_of_disabled_sinks_is_disabled() {
         let tee = Tee::new(vec![Arc::new(NoopRecorder) as Arc<dyn Recorder>]);
         assert!(!tee.enabled());
-        assert_eq!(tee.sweep_stride(), usize::MAX);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::io::{self, BufWriter, Write};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::event::Event;
 use crate::json::Value;
@@ -21,23 +21,18 @@ use crate::recorder::Recorder;
 pub struct JsonlSink {
     out: Mutex<Box<dyn Write + Send>>,
     started: Instant,
-    stride: usize,
     trace_id: String,
 }
 
 impl std::fmt::Debug for JsonlSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")
-            .field("stride", &self.stride)
+            .field("trace_id", &self.trace_id)
             .finish()
     }
 }
 
 impl JsonlSink {
-    /// Default per-sweep sampling stride: every 32nd sweep. Faults,
-    /// retries, injections and chain/phase events are never strided.
-    pub const DEFAULT_SWEEP_STRIDE: usize = 32;
-
     /// A sink writing to (truncating) the file at `path`.
     pub fn create(path: &str) -> io::Result<Self> {
         let file = std::fs::File::create(path)?;
@@ -49,15 +44,8 @@ impl JsonlSink {
         Self {
             out: Mutex::new(out),
             started: Instant::now(),
-            stride: Self::DEFAULT_SWEEP_STRIDE,
             trace_id: crate::trace_id::process_trace_id().to_hex(),
         }
-    }
-
-    /// Overrides the per-sweep sampling stride.
-    pub fn with_sweep_stride(mut self, stride: usize) -> Self {
-        self.stride = stride.max(1);
-        self
     }
 
     /// Overrides the correlation id stamped on every line (defaults to
@@ -71,15 +59,6 @@ impl JsonlSink {
     pub fn flush(&self) -> io::Result<()> {
         lock_ignoring_poison(&self.out).flush()
     }
-
-    fn wants(&self, event: &Event) -> bool {
-        match event {
-            Event::SweepStart { sweep, .. } | Event::SweepEnd { sweep, .. } => {
-                sweep % self.stride == 0
-            }
-            _ => true,
-        }
-    }
 }
 
 impl Recorder for JsonlSink {
@@ -87,14 +66,7 @@ impl Recorder for JsonlSink {
         true
     }
 
-    fn sweep_stride(&self) -> usize {
-        self.stride
-    }
-
     fn record(&self, event: &Event) {
-        if !self.wants(event) {
-            return;
-        }
         let ms = self.started.elapsed().as_secs_f64() * 1e3;
         let value = event.to_line(&self.trace_id, [("ms", Value::Num(ms))]);
         let mut out = lock_ignoring_poison(&self.out);
@@ -110,19 +82,16 @@ impl Drop for JsonlSink {
 
 /// Human-readable progress lines on a writer (stderr by default).
 ///
-/// Per-chain sweep progress is throttled to at most one line per
-/// chain per `MIN_INTERVAL`; faults, retries, contained panics and
+/// Per-chain progress comes from `diagnostic-checkpoint` events, one
+/// line per checkpoint, so a run prints it only with checkpoints on
+/// (`--checkpoint-every K`); faults, retries, contained panics and
 /// cell failures always print. `verbosity` gates the chattier lines:
-/// 0 prints only warnings, 1 adds progress and phase summaries, 2
+/// 0 prints only warnings, 1 adds checkpoints and phase summaries, 2
 /// adds per-cell and per-chain completion lines.
 pub struct ProgressSink {
     out: Mutex<Box<dyn Write + Send>>,
-    last_line: Mutex<Vec<(usize, Instant)>>,
     verbosity: u8,
 }
-
-/// Shortest gap between two progress lines of one chain.
-const MIN_INTERVAL: Duration = Duration::from_millis(200);
 
 impl std::fmt::Debug for ProgressSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -142,24 +111,7 @@ impl ProgressSink {
     pub fn to_writer(out: Box<dyn Write + Send>, verbosity: u8) -> Self {
         Self {
             out: Mutex::new(out),
-            last_line: Mutex::new(Vec::new()),
             verbosity,
-        }
-    }
-
-    fn due(&self, chain: usize) -> bool {
-        let mut last = lock_ignoring_poison(&self.last_line);
-        let now = Instant::now();
-        match last.iter_mut().find(|(c, _)| *c == chain) {
-            Some((_, at)) if now.duration_since(*at) < MIN_INTERVAL => false,
-            Some((_, at)) => {
-                *at = now;
-                true
-            }
-            None => {
-                last.push((chain, now));
-                true
-            }
         }
     }
 
@@ -175,30 +127,8 @@ impl Recorder for ProgressSink {
         true
     }
 
-    fn sweep_stride(&self) -> usize {
-        // Time-based throttling needs to see sweeps frequently; the
-        // throttle keeps output volume bounded regardless.
-        1
-    }
-
     fn record(&self, event: &Event) {
         match event {
-            Event::SweepEnd {
-                chain,
-                sweep,
-                total,
-                kept,
-            } if self.verbosity >= 1 && self.due(*chain) => {
-                let pct = if *total == 0 {
-                    100.0
-                } else {
-                    100.0 * (*sweep + 1) as f64 / *total as f64
-                };
-                self.say(&format!(
-                    "chain {chain}: sweep {}/{total} ({pct:.0}%), {kept} draws kept",
-                    sweep + 1
-                ));
-            }
             Event::PhaseEnd { phase, wall_ms } if self.verbosity >= 1 => {
                 self.say(&format!("phase {phase}: {:.1} ms", wall_ms));
             }
@@ -341,44 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_strides_sweep_events_but_not_faults() {
+    fn progress_always_reports_faults() {
         let buf = SharedBuf::default();
-        let sink = JsonlSink::from_writer(Box::new(buf.clone())).with_sweep_stride(10);
-        for sweep in 0..25 {
-            sink.record(&Event::SweepEnd {
-                chain: 0,
-                sweep,
-                total: 25,
-                kept: 0,
-            });
-        }
-        sink.record(&Event::SweepFault {
-            chain: 0,
-            sweep: 13,
-            kind: "nan-rate".into(),
-            detail: "x".into(),
-        });
-        sink.flush().unwrap();
-        let text = buf.text();
-        assert_eq!(text.lines().filter(|l| l.contains("sweep-end")).count(), 3);
-        assert_eq!(
-            text.lines().filter(|l| l.contains("sweep-fault")).count(),
-            1
-        );
-    }
-
-    #[test]
-    fn progress_throttles_per_chain_but_always_reports_faults() {
-        let buf = SharedBuf::default();
-        let sink = ProgressSink::to_writer(Box::new(buf.clone()), 1);
-        for sweep in 0..5 {
-            sink.record(&Event::SweepEnd {
-                chain: 0,
-                sweep,
-                total: 5,
-                kept: 0,
-            });
-        }
+        let sink = ProgressSink::to_writer(Box::new(buf.clone()), 0);
         sink.record(&Event::FaultInjected {
             chain: 0,
             sweep: 3,
@@ -389,7 +284,7 @@ mod tests {
             detail: "boom".into(),
         });
         let text = buf.text();
-        assert_eq!(text.lines().filter(|l| l.contains("sweep")).count(), 2);
+        assert_eq!(text.lines().count(), 2, "{text}");
         assert!(text.contains("injected panic fault at sweep 3"));
         assert!(text.contains("contained panic: boom"));
     }
@@ -398,12 +293,6 @@ mod tests {
     fn progress_verbosity_gates_chatty_lines() {
         let buf = SharedBuf::default();
         let sink = ProgressSink::to_writer(Box::new(buf.clone()), 0);
-        sink.record(&Event::SweepEnd {
-            chain: 0,
-            sweep: 0,
-            total: 5,
-            kept: 0,
-        });
         sink.record(&Event::PhaseEnd {
             phase: "waic",
             wall_ms: 1.0,

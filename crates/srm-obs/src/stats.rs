@@ -180,9 +180,6 @@ impl Recorder for StatsCollector {
         true
     }
 
-    // Default sweep_stride of usize::MAX: the collector aggregates
-    // from chain/phase summaries, not per-sweep samples.
-
     fn record(&self, event: &Event) {
         self.events_seen.incr();
         match event {

@@ -93,9 +93,10 @@ enum RepOutcome {
 /// # Errors
 ///
 /// Returns [`SrmError::InvalidConfig`] on an invalid grid, `reps`
-/// outside `1..=10_000`, an MCMC configuration that fails
-/// [`srm_core::check_request`] for any grid prior, or one whose
-/// pooled draw count is too small to thin into `bins` rank bins.
+/// outside `1..=10_000`, an MCMC configuration or grid `theta_max`
+/// that fails [`srm_core::check_request`] for any grid prior, or an
+/// MCMC configuration whose pooled draw count is too small to thin
+/// into `bins` rank bins.
 /// Inner-fit faults never abort the battery — they count as
 /// replication failures, which fail the affected cell's gate.
 pub fn run_sbc(config: &SbcConfig, recorder: &dyn Recorder) -> Result<SbcReport, SrmError> {
@@ -201,8 +202,13 @@ fn validate(config: &SbcConfig) -> Result<(), SrmError> {
             detail: "sbc inject-bias must be finite".into(),
         });
     }
+    // `Select` also holds the grid's `theta_max` above the sampler's
+    // `OPEN_EPS` margin, as a model1 cell needs.
+    let request = Request::Select {
+        theta_max: config.grid.zeta_bounds.theta_max,
+    };
     for prior in &config.grid.priors {
-        check_request(Request::Fit, prior, &config.mcmc)
+        check_request(request, prior, &config.mcmc)
             .map_err(|detail| SrmError::InvalidConfig { detail })?;
     }
     let pooled = config.mcmc.chains * config.mcmc.samples / config.mcmc.thin;
@@ -464,5 +470,21 @@ mod tests {
         let mut config = tiny_config();
         config.grid.priors = vec![PriorSpec::NegBinomial { alpha_max: 1e100 }];
         rejects(&config, "`alpha_max` must be at most 1e6");
+    }
+
+    #[test]
+    fn theta_max_inside_the_open_margin_is_refused() {
+        // A model1 chain keeps `θ` in `(OPEN_EPS, θ_max)`; at or below
+        // the margin that box is empty.
+        let mut config = tiny_config();
+        config.grid.models = vec![DetectionModel::PadgettSpurrier];
+        config.grid.zeta_bounds.theta_max = 1e-300;
+        let Err(SrmError::InvalidConfig { detail }) = run_sbc(&config, &NOOP) else {
+            panic!("accepted a theta_max below OPEN_EPS");
+        };
+        assert!(
+            detail.contains("`theta_max` must be above OPEN_EPS"),
+            "{detail}"
+        );
     }
 }

@@ -894,7 +894,7 @@ fn submit_job(state: &Arc<ServerState>, body: &[u8], ctx: &RequestCtx) -> Respon
 
 /// Admits a job that needs sampling, up to the queue: allocates its
 /// id, inserts the queued record, logs the WAL submit, opens its trace
-/// with `job-start` and `cache-miss`, and builds the [`QueuedJob`].
+/// with `job-start`, and builds the [`QueuedJob`].
 /// The caller pushes or requeues it and owns the rollback.
 fn admit_fresh(
     state: &Arc<ServerState>,
@@ -914,9 +914,6 @@ fn admit_fresh(
     recorder.record(&Event::JobStart {
         job_id: id.clone(),
         kind: spec.kind.label().to_owned(),
-        cache_key: cache_key.to_owned(),
-    });
-    recorder.record(&Event::CacheMiss {
         cache_key: cache_key.to_owned(),
     });
     let deadline = spec
@@ -974,9 +971,6 @@ fn cache_served_job(
     recorder.record(&Event::JobStart {
         job_id: id.clone(),
         kind: spec.kind.label().to_owned(),
-        cache_key: cache_key.to_owned(),
-    });
-    recorder.record(&Event::CacheHit {
         cache_key: cache_key.to_owned(),
     });
     recorder.record(&Event::JobDone {
@@ -2214,9 +2208,9 @@ mod tests {
             "cached batch must not execute any job"
         );
         // `srm_serve_engine_events_total` counts job events only: two
-        // cache-served jobs × (job-start, cache-hit, job-done); the
-        // in-batch alias adds none.
-        assert_eq!(server.state().stats.events_seen(), events_before + 6);
+        // cache-served jobs × (job-start, job-done); the in-batch
+        // alias adds none.
+        assert_eq!(server.state().stats.events_seen(), events_before + 4);
         let (_, page) = http(server.addr(), "GET", "/metrics", "");
         assert!(page.contains("srm_serve_batches_submitted_total 2"));
         assert!(page.contains("srm_serve_batch_items_total 6"));

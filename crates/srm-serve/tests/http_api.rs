@@ -159,15 +159,16 @@ fn repeat_submission_is_served_from_cache_without_sampling() {
     );
 
     // The trace files are the proof of (no) work: the first job
-    // sampled (sweep/chain events after its cache miss), the second
-    // recorded a cache hit and nothing from the sampler.
+    // sampled (chain events, `job-done` not cached), the second ended
+    // `cached` with nothing from the sampler. In a job trace only
+    // `job-done` carries `cached`.
     let first_trace =
         std::fs::read_to_string(trace_dir.join(format!("{first}.trace.jsonl"))).expect("trace 1");
-    assert!(first_trace.contains("\"cache-miss\""), "{first_trace}");
+    assert!(first_trace.contains("\"cached\":false"), "{first_trace}");
     assert!(first_trace.contains("\"chain-start\""), "{first_trace}");
     let second_trace =
         std::fs::read_to_string(trace_dir.join(format!("{second}.trace.jsonl"))).expect("trace 2");
-    assert!(second_trace.contains("\"cache-hit\""), "{second_trace}");
+    assert!(second_trace.contains("\"cached\":true"), "{second_trace}");
     assert!(!second_trace.contains("\"chain-start\""), "{second_trace}");
     assert!(!second_trace.contains("\"sweep\""), "{second_trace}");
 

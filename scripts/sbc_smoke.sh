@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for `srm sbc`: checks that oversized requests are refused
+# Smoke test for `srm sbc`: checks that invalid requests are refused
 # with exit 1, runs the reduced CI calibration grid
 # (2 curves x 2 priors) with --check, lints the emitted trace against
 # the event schema, runs the default full battery (all 5 curves x 2
@@ -39,12 +39,16 @@ EOF
 
 REPS=32 CHAINS=2 SAMPLES=400 BURN_IN=200 SEED=20240
 
-# The door check: unchecked, each of these asks for a multi-gigabyte
-# allocation and aborts the process; each must exit 1 with one `srm:`
-# line.
+# The door check: unchecked, the first three each ask for a
+# multi-gigabyte allocation and abort the process, and the fourth (a
+# `theta_max` inside the sampler's OPEN_EPS margin) panics every
+# model1 chain; each must exit 1 with one `srm:` line.
 echo '{"days": 1e12}' > "$WORK/huge_grid.json"
-echo "sbc-smoke: oversized requests are refused at the door"
-for args in "--samples 4294967295" "--reps 4294967295" "--grid $WORK/huge_grid.json"; do
+echo '{"theta_max": 1e-300, "models": ["model1"], "priors": ["poisson"], "bins": 4}' \
+    > "$WORK/tiny_theta_grid.json"
+echo "sbc-smoke: invalid requests are refused at the door"
+for args in "--samples 4294967295" "--reps 4294967295" "--grid $WORK/huge_grid.json" \
+    "--grid $WORK/tiny_theta_grid.json --reps 4 --samples 100 --burn-in 50"; do
     status=0
     # shellcheck disable=SC2086 # split the flag from its value
     "$SRM" sbc $args >"$WORK/door.out" 2>"$WORK/door.err" || status=$?

@@ -4,7 +4,9 @@
 //!
 //! 1. **Never perturbs the run** — a fit traced through live JSONL +
 //!    progress sinks is bit-identical to the untraced fit on the same
-//!    seed (the recorder has no RNG access).
+//!    seed (the recorder has no RNG access), and with checkpoints off
+//!    it records the same number of events however many sweeps it
+//!    runs.
 //! 2. **Typed, schema-valid traces** — under deterministic fault
 //!    injection every JSONL line parses, carries a known `type`, has
 //!    that type's required fields, and every injected fault / retry /
@@ -103,12 +105,11 @@ fn traced_fit_is_bit_identical_to_untraced() {
     )
     .unwrap();
 
-    // Live sinks: JSONL at stride 1 (every sweep) plus a progress
-    // sink, the most invasive configuration a user can request.
+    // Live sinks: JSONL plus a progress sink at its chattiest.
     let trace = SharedBuf::default();
     let progress = SharedBuf::default();
     let tee = Tee::new(vec![
-        Arc::new(JsonlSink::from_writer(Box::new(trace.clone())).with_sweep_stride(1)),
+        Arc::new(JsonlSink::from_writer(Box::new(trace.clone()))),
         Arc::new(ProgressSink::to_writer(Box::new(progress.clone()), 2)),
     ]);
     let traced = Fit::try_run_traced(
@@ -158,6 +159,36 @@ fn traced_fit_is_bit_identical_to_untraced() {
     // The trace actually captured the run.
     assert!(!trace.contents().is_empty());
     assert!(!progress.contents().is_empty());
+}
+
+#[test]
+fn traced_event_count_does_not_grow_with_sweeps() {
+    let data = datasets::musa_cc96().truncated(48).unwrap();
+    let events_at = |samples: usize| {
+        let config = FitConfig {
+            mcmc: McmcConfig {
+                samples,
+                ..fit_config(2, 31).mcmc
+            },
+            ..FitConfig::default()
+        };
+        let counter = Arc::new(StatsCollector::new());
+        let sinks: Vec<Arc<dyn Recorder>> = vec![
+            Arc::new(ProgressSink::to_writer(Box::new(SharedBuf::default()), 1)),
+            counter.clone(),
+        ];
+        Fit::try_run_traced(
+            PRIOR,
+            DetectionModel::Constant,
+            &data,
+            &config,
+            &RunOptions::none(),
+            &Tee::new(sinks),
+        )
+        .unwrap();
+        counter.events_seen()
+    };
+    assert_eq!(events_at(100), events_at(1_000));
 }
 
 #[test]
@@ -380,13 +411,13 @@ fn checkpointed_fit_is_bit_identical_to_uncheckpointed() {
 
     // Checkpoints at several cadences, streamed through a live JSONL
     // sink — including a cadence that never divides the sweep count
-    // (only the forced final checkpoint fires) and stride 1 (a
+    // (only the forced final checkpoint fires) and cadence 1 (a
     // checkpoint every kept sweep, the most invasive setting).
     for every in [1usize, 25, 10_000] {
         let trace = SharedBuf::default();
-        let tee = Tee::new(vec![Arc::new(
-            JsonlSink::from_writer(Box::new(trace.clone())).with_sweep_stride(1),
-        ) as Arc<dyn Recorder>]);
+        let tee = Tee::new(vec![
+            Arc::new(JsonlSink::from_writer(Box::new(trace.clone()))) as Arc<dyn Recorder>,
+        ]);
         let options = RunOptions {
             checkpoint_every: every,
             ..RunOptions::none()
